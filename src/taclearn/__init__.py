@@ -21,6 +21,7 @@ from .continual import (
     MemoryBuffer,
     RlsState,
     cl_run,
+    cl_sweep,
     fine_tune,
     ridge_solve,
     rls_update,
@@ -84,6 +85,7 @@ __all__ = [
     "ValidationError",
     "build_tactile_image",
     "cl_run",
+    "cl_sweep",
     "composition_score",
     "crop_temporal",
     "fine_tune",

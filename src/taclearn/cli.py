@@ -57,7 +57,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.threads is not None:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(args.threads))
+            os.environ[var] = str(args.threads)
 
     from .errors import RuntimeFailure, ValidationError
 
@@ -359,7 +359,7 @@ def cmd_train(args) -> int:
 
 def cmd_cl(args) -> int:
     from .config import load_config
-    from .continual import cl_rows_to_csv, cl_run
+    from .continual import cl_rows_to_csv, cl_sweep
     from .errors import ValidationError
     from .model import Checkpoint, ConvNetBackend, TrainConfig, load_checkpoint, save_checkpoint
 
@@ -403,14 +403,15 @@ def cmd_cl(args) -> int:
         by_class.setdefault(label, []).append(img)
     batches = [(label, by_class[label]) for label in sorted(by_class)]
 
+    # the capacity-independent pass and every validation run before any output
+    runs = cl_sweep(
+        batches, backend, capacities, ridge_lambda=ridge_lambda, fine_tune_cfg=ft_cfg,
+        aug_cfg=aug_cfg, test_images=bundle.test_images or None,
+        test_labels=bundle.test_labels or None, input_width=bundle.input_width,
+        warm_start=warm_start,
+    )
     out = _prepare_out(args, config, run_seed)
-    for cap in capacities:
-        snapshots, rows = cl_run(
-            batches, backend, cap, ridge_lambda=ridge_lambda, fine_tune_cfg=ft_cfg,
-            aug_cfg=aug_cfg, test_images=bundle.test_images or None,
-            test_labels=bundle.test_labels or None, input_width=bundle.input_width,
-            warm_start=warm_start,
-        )
+    for cap, (snapshots, rows) in zip(capacities, runs):
         suffix = f"_cap{cap}" if len(capacities) > 1 else ""
         (out / f"cl_steps{suffix}.csv").write_text(cl_rows_to_csv(rows), encoding="utf-8")
         for t, acc_r, acc_f, size in rows:

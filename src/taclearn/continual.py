@@ -17,7 +17,7 @@ stored ridge head, so the floor survives even if adaptation diverges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -155,6 +155,24 @@ class MemoryBuffer:
             out.extend((img, label) for img in self.per_class[label])
         return out
 
+    @staticmethod
+    def budget(capacity: int, n_classes: int) -> int:
+        """Equal per-class share of `capacity`; every class must get at least one."""
+        if capacity // n_classes < 1:
+            raise ValidationError(f"capacity {capacity} leaves no budget for {n_classes} classes")
+        return capacity // n_classes
+
+    @classmethod
+    def rebalanced(cls, capacity: int, herded: dict) -> "MemoryBuffer":
+        """The buffer holding each class's herding-ordered list cut to the budget.
+
+        Cutting keeps the earliest-selected prefix, and budgets only shrink as
+        classes arrive, so cutting the full herded list gives the same buffer
+        as cutting the previous step's buffer.
+        """
+        budget = cls.budget(capacity, len(herded))
+        return cls(capacity=capacity, per_class={k: v[:budget] for k, v in herded.items()})
+
 
 def herding_order(embeddings: np.ndarray) -> list[int]:
     """Greedy herding: at each step add the sample whose inclusion brings the
@@ -193,21 +211,14 @@ def select_exemplars(buffer: MemoryBuffer, images, labels, backend: ConvNetBacke
     if embeddings is None:
         embeddings = embed_images(backend, images, input_width)
 
-    per_class = {k: list(v) for k, v in buffer.per_class.items()}
+    per_class = dict(buffer.per_class)
     for label in sorted(set(labels)):
         if label in per_class:
             raise ValidationError(f"class {label!r} already has stored exemplars")
         idx = [i for i, l in enumerate(labels) if l == label]
         order = herding_order(embeddings[idx])
         per_class[label] = [images[idx[i]] for i in order]
-
-    budget = buffer.capacity // len(per_class)
-    if budget < 1:
-        raise ValidationError(
-            f"capacity {buffer.capacity} leaves no budget for {len(per_class)} classes"
-        )
-    per_class = {k: v[:budget] for k, v in per_class.items()}
-    return MemoryBuffer(capacity=buffer.capacity, per_class=per_class)
+    return MemoryBuffer.rebalanced(buffer.capacity, per_class)
 
 
 @dataclass
@@ -241,64 +252,106 @@ def fine_tune(ridge_clf: Classifier, buffer: MemoryBuffer, cfg: TrainConfig,
     return clone
 
 
-def cl_run(batches, backend: ConvNetBackend, buffer_capacity: int,
-           ridge_lambda: float = 1.0, fine_tune_cfg: TrainConfig | None = None,
-           aug_cfg: AugmentConfig | None = None, test_images=None, test_labels=None,
-           input_width: int | None = None, warm_start: bool = False):
-    """Run the full incremental protocol over a sequence of material batches.
+@dataclass
+class _SharedStep:
+    """The capacity-independent part of one continual step."""
+
+    ridge: Classifier
+    herded: dict  # label -> that class's images in herding order, classes seen so far
+    test: tuple | None  # (images, labels) of the test items of the classes seen so far
+    acc_ridge: float | None
+
+
+def cl_sweep(batches, backend: ConvNetBackend, capacities, ridge_lambda: float = 1.0,
+             fine_tune_cfg: TrainConfig | None = None, aug_cfg: AugmentConfig | None = None,
+             test_images=None, test_labels=None, input_width: int | None = None,
+             warm_start: bool = False):
+    """Run the incremental protocol once per buffer capacity.
 
     `batches` is a sequence of (label, images) pairs, one new material each.
     Training at step t sees only that batch and the buffer; earlier batches
-    are gone by construction. Returns (snapshots, rows) where each row is
+    are gone by construction.
+
+    The ridge statistics and heads, each class's full herding order and the
+    ridge-floor accuracies do not depend on the capacity. They are computed
+    here, once, before this returns, together with every validation; the
+    test set is embedded once by the frozen backend for all ridge scores.
+    The returned iterator then yields (snapshots, rows) per capacity, in
+    order, doing only the capacity-dependent work: cutting the herded lists
+    to the budget, fine-tuning and scoring the fine-tuned model. Each row is
     (t, acc of ridge floor, acc of fine-tuned model, buffer size), with
     accuracies over the test items belonging to classes seen so far (or None
     when no test set is supplied).
     """
-    state = RlsState(dim=backend.embed_dim, ridge_lambda=ridge_lambda)
-    buffer = MemoryBuffer(capacity=buffer_capacity)
-    snapshots: list[ClSnapshot] = []
-    rows: list[tuple] = []
-    seen: list = []
-    prev_tuned: Classifier | None = None
+    batches = [(label, list(images)) for label, images in batches]
+    capacities = list(capacities)
+    n_classes = len({label for label, _ in batches})
+    for capacity in capacities:
+        MemoryBuffer.budget(capacity, max(n_classes, 1))
+    steps = _shared_pass(batches, backend, ridge_lambda, test_images, test_labels, input_width)
+    return (_capacity_pass(steps, capacity, fine_tune_cfg, aug_cfg, warm_start)
+            for capacity in capacities)
 
-    for t, (label, images) in enumerate(batches, start=1):
-        if label in seen:
+
+def cl_run(batches, backend: ConvNetBackend, buffer_capacity: int,
+           ridge_lambda: float = 1.0, fine_tune_cfg: TrainConfig | None = None,
+           aug_cfg: AugmentConfig | None = None, test_images=None, test_labels=None,
+           input_width: int | None = None, warm_start: bool = False):
+    """`cl_sweep` over the one capacity; returns its (snapshots, rows)."""
+    [result] = cl_sweep(batches, backend, [buffer_capacity], ridge_lambda, fine_tune_cfg,
+                        aug_cfg, test_images, test_labels, input_width, warm_start)
+    return result
+
+
+def _shared_pass(batches, backend, ridge_lambda, test_images, test_labels, input_width):
+    state = RlsState(dim=backend.embed_dim, ridge_lambda=ridge_lambda)
+    test_emb = None
+    if test_images is not None:
+        test_emb = embed_images(backend, test_images, input_width)
+    herded: dict = {}
+    steps: list[_SharedStep] = []
+    for label, images in batches:
+        if label in herded:
             raise ValidationError(f"class {label!r} appears twice in the sequence")
-        seen.append(label)
-        images = list(images)
         embeddings = embed_images(backend, images, input_width)
         state = rls_update(state, embeddings, [label] * len(images))
-        head = ridge_solve(state)
-        ridge_clf = Classifier(backend, head, state.classes, input_width)
-        buffer = select_exemplars(
-            buffer, images, [label] * len(images), backend,
-            embeddings=embeddings, input_width=input_width,
-        )
+        ridge_clf = Classifier(backend, ridge_solve(state), state.classes, input_width)
+        herded[label] = [images[i] for i in herding_order(embeddings)]
 
-        if fine_tune_cfg is not None and fine_tune_cfg.epochs > 0 and len(seen) >= 2:
+        test = acc_ridge = None
+        if test_emb is not None:
+            eval_idx = [i for i, l in enumerate(test_labels) if l in herded]
+            if eval_idx:
+                test = ([test_images[i] for i in eval_idx], [test_labels[i] for i in eval_idx])
+                acc_ridge = ridge_clf.accuracy(*test, embeddings=test_emb[eval_idx])
+        steps.append(_SharedStep(ridge_clf, dict(herded), test, acc_ridge))
+    return steps
+
+
+def _capacity_pass(steps, capacity, fine_tune_cfg, aug_cfg, warm_start):
+    snapshots: list[ClSnapshot] = []
+    rows: list[tuple] = []
+    prev_tuned: Classifier | None = None
+    for t, step in enumerate(steps, start=1):
+        buffer = MemoryBuffer.rebalanced(capacity, step.herded)
+        ridge_clf = step.ridge
+        if fine_tune_cfg is not None and fine_tune_cfg.epochs > 0 and t >= 2:
             # with a single class there is nothing to discriminate yet
             start = ridge_clf
             if warm_start and prev_tuned is not None:
-                start = Classifier(prev_tuned.backend, head, state.classes, input_width)
+                start = replace(ridge_clf, backend=prev_tuned.backend)
             tuned = fine_tune(start, buffer, fine_tune_cfg, aug_cfg)
+            acc_tuned = None if step.test is None else tuned.accuracy(*step.test)
         else:
+            # an unchanged copy of the ridge model scores exactly as it does
             tuned = ridge_clf.clone()
+            acc_tuned = step.acc_ridge
         prev_tuned = tuned
-
-        acc_ridge = acc_tuned = None
-        if test_images is not None:
-            eval_idx = [i for i, l in enumerate(test_labels) if l in seen]
-            if eval_idx:
-                subset = [test_images[i] for i in eval_idx]
-                subset_labels = [test_labels[i] for i in eval_idx]
-                acc_ridge = ridge_clf.accuracy(subset, subset_labels)
-                acc_tuned = tuned.accuracy(subset, subset_labels)
-
         snapshots.append(
             ClSnapshot(task_index=t, ridge=ridge_clf, fine_tuned=tuned,
                        buffer_sizes=buffer.sizes())
         )
-        rows.append((t, acc_ridge, acc_tuned, buffer.total))
+        rows.append((t, step.acc_ridge, acc_tuned, buffer.total))
     return snapshots, rows
 
 

@@ -240,10 +240,20 @@ def load_checkpoint(path) -> Checkpoint:
     _, version, header_len = struct.unpack("<4sII", raw[:12])
     if version != _CKPT_VERSION:
         raise ValidationError(f"{path}: unsupported checkpoint version {version}")
-    header = raw[12 : 12 + header_len].decode("utf-8").splitlines()
     offset = 12 + header_len
-    (n_params,) = struct.unpack("<I", raw[offset : offset + 4])
-    flat = np.frombuffer(raw, dtype="<f4", offset=offset + 4, count=n_params).astype(np.float64)
+    if offset + 4 > len(raw):
+        raise ValidationError(f"{path}: header length {header_len} runs past the end of the file")
+    try:
+        header = raw[12:offset].decode("utf-8").splitlines()
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: checkpoint header is not UTF-8") from None
+    (n_params,) = struct.unpack_from("<I", raw, offset)
+    payload_bytes = len(raw) - (offset + 4)
+    if payload_bytes != 4 * n_params:
+        raise ValidationError(
+            f"{path}: header declares {n_params} parameters but {payload_bytes} payload bytes follow"
+        )
+    flat = np.frombuffer(raw, dtype="<f4", offset=offset + 4).astype(np.float64)
 
     backend = None
     head_specs: list[tuple[str, int, int]] = []
@@ -252,22 +262,30 @@ def load_checkpoint(path) -> Checkpoint:
         if not line.strip():
             continue
         kind = line.split()[0]
-        if kind == "backend":
-            backend = ConvNetBackend.from_arch_header(line)
-        elif kind == "head":
-            _, name, d, c = line.split()
-            head_specs.append((name, int(d), int(c)))
-        elif kind == "meta":
-            _, key, value = line.split(" ", 2)
-            meta[key] = value
-        else:
-            raise ValidationError(f"{path}: unknown header line {line!r}")
+        try:
+            if kind == "backend":
+                backend = ConvNetBackend.from_arch_header(line)
+            elif kind == "head":
+                _, name, d, c = line.split()
+                if int(d) < 1 or int(c) < 1:
+                    raise ValueError
+                head_specs.append((name, int(d), int(c)))
+            elif kind == "meta":
+                _, key, value = line.split(" ", 2)
+                meta[key] = value
+            else:
+                raise ValidationError(f"{path}: unknown header line {line!r}")
+        except ValueError:
+            raise ValidationError(f"{path}: bad header line {line!r}") from None
     if backend is None:
         raise ValidationError(f"{path}: checkpoint has no backend descriptor")
 
     pos = backend.num_params()
-    if flat.size < pos:
-        raise ValidationError(f"{path}: parameter vector too short")
+    expected = pos + sum(d * c + c for _, d, c in head_specs)
+    if flat.size != expected:
+        raise ValidationError(
+            f"{path}: {flat.size} parameters stored, the header describes {expected}"
+        )
     backend.set_flat(flat[:pos])
     heads: dict[str, LinearHead] = {}
     for name, d, c in head_specs:
@@ -276,6 +294,4 @@ def load_checkpoint(path) -> Checkpoint:
         b = flat[pos : pos + c]
         pos += c
         heads[name] = LinearHead(w.copy(), b.copy())
-    if pos != flat.size:
-        raise ValidationError(f"{path}: {flat.size - pos} trailing parameters")
     return Checkpoint(backend=backend, heads=heads, meta=meta)

@@ -124,16 +124,16 @@ class Classifier:
     classes: tuple
     input_width: int | None = None
 
-    def logits(self, images) -> np.ndarray:
-        emb = embed_images(self.backend, images, self.input_width)
-        return self.head.logits(emb)
-
-    def predict(self, images) -> list:
-        idx = np.argmax(self.logits(images), axis=1)
+    def predict(self, images, embeddings: np.ndarray | None = None) -> list:
+        """Predicted classes; pass `embeddings` (this backend's embeddings of
+        `images`) to skip the forward pass."""
+        if embeddings is None:
+            embeddings = embed_images(self.backend, images, self.input_width)
+        idx = np.argmax(self.head.logits(embeddings), axis=1)
         return [self.classes[i] for i in idx]
 
-    def accuracy(self, images, labels) -> float:
-        predicted = self.predict(images)
+    def accuracy(self, images, labels, embeddings: np.ndarray | None = None) -> float:
+        predicted = self.predict(images, embeddings)
         return float(np.mean([p == t for p, t in zip(predicted, labels)]))
 
     def clone(self) -> "Classifier":

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -214,6 +215,59 @@ def test_cl_run_and_sweep(tmp_path):
     assert main(["cl", "--config", str(cfg), "--out", str(out_sweep), "--sweep"]) == 0
     assert (out_sweep / "cl_steps_cap6.csv").exists()
     assert (out_sweep / "cl_steps_cap12.csv").exists()
+
+
+def test_cl_sweep_files_match_single_capacity_runs(tmp_path):
+    cfg = _write_cfg(tmp_path)
+    out_sweep = tmp_path / "sweep"
+    assert main(["cl", "--config", str(cfg), "--out", str(out_sweep), "--sweep"]) == 0
+    for cap in (6, 12):
+        single_cfg = tmp_path / f"cap{cap}.cfg"
+        single_cfg.write_text(cfg.read_text().replace("capacity = 12\n", f"capacity = {cap}\n"))
+        out = tmp_path / f"single{cap}"
+        assert main(["cl", "--config", str(single_cfg), "--out", str(out)]) == 0
+        for name in ("cl_steps.csv", "final_ridge.tacm", "final_fine_tuned.tacm"):
+            stem, ext = name.split(".")
+            swept = out_sweep / f"{stem}_cap{cap}.{ext}"
+            assert swept.read_bytes() == (out / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("old, new, flags", [
+    ("sweep_capacities = 6,12", "sweep_capacities = 12,2", ["--sweep"]),
+    ("capacity = 12\n", "capacity = 2\n", []),
+])
+def test_cl_capacity_below_class_count_exits_one_before_outputs(tmp_path, capsys, old, new,
+                                                                 flags):
+    cfg = _write_cfg(tmp_path)
+    cfg.write_text(cfg.read_text().replace(old, new))
+    out = tmp_path / "never"
+    assert main(["cl", "--config", str(cfg), "--out", str(out), *flags]) == 1
+    assert "capacity 2 leaves no budget for 3 classes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cl_truncated_backend_checkpoint_exits_one(tmp_path, capsys):
+    from taclearn.model import Checkpoint, ConvNetBackend, save_checkpoint
+
+    ckpt = tmp_path / "backend.tacm"
+    save_checkpoint(ckpt, Checkpoint(backend=ConvNetBackend(seed=1)))
+    ckpt.write_bytes(ckpt.read_bytes()[:-10])
+    cfg = _write_cfg(tmp_path)
+    cfg.write_text(cfg.read_text().replace("[cl]\n", f"[cl]\nbackend_checkpoint = {ckpt}\n"))
+    out = tmp_path / "never"
+    assert main(["cl", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "payload bytes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_threads_flag_overrides_preset_variables(tmp_path, monkeypatch):
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    for name in names:
+        monkeypatch.setenv(name, "7")
+    # the command fails on the missing config; the flag is applied before that
+    assert main(["train", "--config", str(tmp_path / "nope.cfg"),
+                 "--out", str(tmp_path / "o"), "--threads", "1"]) == 1
+    assert all(os.environ[name] == "1" for name in names)
 
 
 def test_cl_rerun_bit_identical(tmp_path):

@@ -7,6 +7,7 @@ from taclearn.continual import (
     batch_ridge_head,
     cl_rows_to_csv,
     cl_run,
+    cl_sweep,
     fine_tune,
     herding_order,
     ridge_solve,
@@ -352,3 +353,68 @@ def test_cl_rows_csv_shape(random_backend):
     lines = csv.strip().splitlines()
     assert lines[0] == "t,acc_ridge,acc_fine_tuned,buffer_size"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("warm_start", [False, True])
+def test_cl_sweep_matches_independent_runs_bitwise(random_backend, warm_start):
+    batches, test_images, test_labels = _small_cl_problem(random_backend, num_classes=3)
+    ft_cfg = TrainConfig(epochs=2, lr=0.01, batch_size=4, lr_schedule="cosine", seed=3)
+    kwargs = dict(fine_tune_cfg=ft_cfg, test_images=test_images, test_labels=test_labels,
+                  warm_start=warm_start)
+    capacities = [4, 9]  # smaller first: a buffer leaking forward would show
+    swept = list(cl_sweep(batches, random_backend, capacities, **kwargs))
+    assert len(swept) == len(capacities)
+    for cap, (snapshots, rows) in zip(capacities, swept):
+        alone_snapshots, alone_rows = cl_run(batches, random_backend, cap, **kwargs)
+        assert rows == alone_rows
+        assert len(snapshots) == len(alone_snapshots) == len(batches)
+        for a, b in zip(snapshots, alone_snapshots):
+            assert a.buffer_sizes == b.buffer_sizes
+            assert np.array_equal(a.ridge.head.weights, b.ridge.head.weights)
+            assert np.array_equal(a.fine_tuned.backend.get_flat(), b.fine_tuned.backend.get_flat())
+            assert np.array_equal(a.fine_tuned.head.weights, b.fine_tuned.head.weights)
+    # the two capacities really did fine-tune on different buffers
+    assert not np.array_equal(swept[0][0][-1].fine_tuned.backend.get_flat(),
+                              swept[1][0][-1].fine_tuned.backend.get_flat())
+
+
+def test_cl_warm_start_carries_the_tuned_backend(random_backend):
+    batches, test_images, test_labels = _small_cl_problem(random_backend, num_classes=3)
+    ft_cfg = TrainConfig(epochs=2, lr=0.01, batch_size=4, lr_schedule="cosine", seed=3)
+    cold, _ = cl_run(batches, random_backend, 9, fine_tune_cfg=ft_cfg)
+    warm, _ = cl_run(batches, random_backend, 9, fine_tune_cfg=ft_cfg, warm_start=True)
+    frozen = random_backend.get_flat()
+    # step 2 starts from the frozen backend either way; step 3 differs
+    assert np.array_equal(cold[1].fine_tuned.backend.get_flat(),
+                          warm[1].fine_tuned.backend.get_flat())
+    assert not np.array_equal(cold[2].fine_tuned.backend.get_flat(),
+                              warm[2].fine_tuned.backend.get_flat())
+    assert np.array_equal(random_backend.get_flat(), frozen)
+    # warm start never touches the ridge floor
+    for a, b in zip(cold, warm):
+        assert np.array_equal(a.ridge.head.weights, b.ridge.head.weights)
+
+
+def test_cl_sweep_validates_every_capacity_before_any_work(random_backend, monkeypatch):
+    import taclearn.continual as continual
+
+    batches, _, _ = _small_cl_problem(random_backend, num_classes=3)
+    monkeypatch.setattr(continual, "embed_images", lambda *a, **k: pytest.fail("embedded"))
+    with pytest.raises(ValidationError, match="capacity 2 leaves no budget for 3 classes"):
+        cl_sweep(batches, random_backend, [9, 2])
+    with pytest.raises(ValidationError, match="capacity 0"):
+        cl_run(batches, random_backend, 0)
+
+
+def test_rebalanced_buffer_equals_stepwise_selection(random_backend):
+    herded = {}
+    buffer = MemoryBuffer(capacity=7)
+    for label, seed in [("a", 14), ("b", 15), ("c", 16)]:
+        images, labels = _image_batch(5, label, seed)
+        buffer = select_exemplars(buffer, images, labels, random_backend)
+        order = herding_order(embed_images(random_backend, images))
+        herded[label] = [images[i] for i in order]
+        rebalanced = MemoryBuffer.rebalanced(7, herded)
+        assert rebalanced.sizes() == buffer.sizes()
+        for k in herded:
+            assert all(x is y for x, y in zip(rebalanced.per_class[k], buffer.per_class[k]))

@@ -257,3 +257,33 @@ def test_checkpoint_rejects_garbage(tmp_path):
     p.write_bytes(b"NOPE" + b"\x00" * 20)
     with pytest.raises(ValidationError, match="not a taclearn checkpoint"):
         load_checkpoint(p)
+
+
+def _saved_checkpoint(tmp_path, backend):
+    head = LinearHead(np.ones((backend.embed_dim, 2)), np.zeros(2))
+    path = tmp_path / "model.tacm"
+    save_checkpoint(path, Checkpoint(backend=backend, heads={"classify": head},
+                                     meta={"classes": "a;b"}))
+    return path
+
+
+def _header_len(raw):
+    return int.from_bytes(raw[8:12], "little")
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda raw: raw[:-3], "payload bytes"),
+    (lambda raw: raw + b"\x00" * 4, "payload bytes"),
+    (lambda raw: raw[: 12 + _header_len(raw) // 2], "runs past the end"),
+    (lambda raw: raw[:14], "runs past the end"),
+    (lambda raw: raw[:12] + b"\xff\xfe" + raw[14:], "not UTF-8"),
+    (lambda raw: raw[:8] + (2**31).to_bytes(4, "little") + raw[12:], "runs past the end"),
+    (lambda raw: raw.replace(b"head classify 128", b"head classify x28"), "bad header line"),
+    (lambda raw: raw.replace(b"meta classes a;b", b"meta classesXa;b"), "bad header line"),
+], ids=["truncated-payload", "trailing-bytes", "truncated-header", "header-len-only",
+        "bad-header-bytes", "oversized-header-len", "bad-head-line", "bad-meta-line"])
+def test_malformed_checkpoint_is_validation_error(tmp_path, random_backend, corrupt, message):
+    path = _saved_checkpoint(tmp_path, random_backend)
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(ValidationError, match=message):
+        load_checkpoint(path)
