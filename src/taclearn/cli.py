@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 
@@ -92,20 +93,17 @@ def _sub_seed(run_seed: int, key: int) -> int:
     return Prng(run_seed).spawn(key).next_u64()
 
 
+@dataclass
 class _Bundle:
     """Loaded dataset: normalized tactile images split into train/test."""
 
-    def __init__(self, train_images, train_labels, train_cons,
-                 test_images, test_labels, test_cons, bounds, input_width, spec):
-        self.train_images = train_images
-        self.train_labels = train_labels
-        self.train_cons = train_cons
-        self.test_images = test_images
-        self.test_labels = test_labels
-        self.test_cons = test_cons
-        self.bounds = bounds
-        self.input_width = input_width
-        self.spec = spec
+    train_images: list
+    train_labels: list
+    train_cons: list
+    test_images: list
+    test_labels: list
+    test_cons: list
+    input_width: int
 
 
 def _synthetic_config(config):
@@ -170,10 +168,8 @@ def _load_bundle(config) -> _Bundle:
     manifest_bounds = None
     if mode == "synthetic":
         train_streams, test_streams = _synthetic_streams(config)
-        spec = train_streams[0].spec
     elif mode == "manifest":
         train_streams, test_streams, manifest = _manifest_streams(config)
-        spec = manifest.spec
         manifest_bounds = manifest.norm_bounds
     else:
         raise ValidationError(f"[dataset] mode must be synthetic or manifest, got {mode!r}")
@@ -202,7 +198,7 @@ def _load_bundle(config) -> _Bundle:
     test_images, test_labels, test_cons = prepare(test_streams) if test_streams else ([], [], [])
     input_width = config.get_int("transform", "input_width", train_images[0].width)
     return _Bundle(train_images, train_labels, train_cons,
-                   test_images, test_labels, test_cons, bounds, input_width, spec)
+                   test_images, test_labels, test_cons, input_width)
 
 
 def _augment_config(config, args, input_width, run_seed):
@@ -253,6 +249,17 @@ def _prepare_out(args, config, run_seed) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.used.txt").write_text(config.resolved_text(run_seed), encoding="utf-8")
     return out
+
+
+def _model_checkpoint(backend, task, head, input_width, classes=None):
+    """A checkpoint holding one head, named after its task, and the run meta."""
+    from .model import Checkpoint
+
+    meta = {"task": task}
+    if classes is not None:
+        meta["classes"] = ";".join(classes)
+    meta["input_width"] = str(input_width)
+    return Checkpoint(backend=backend, heads={task: head}, meta=meta)
 
 
 def _load_backend_for_train(config):
@@ -308,8 +315,7 @@ def cmd_ingest(args) -> int:
 def cmd_train(args) -> int:
     from .config import load_config
     from .errors import ValidationError
-    from .model import (Checkpoint, history_to_csv, save_checkpoint,
-                        train_composition, train_supervised)
+    from .model import history_to_csv, save_checkpoint, train_composition, train_supervised
 
     config = load_config(args.config)
     run_seed = _run_seed(config, args)
@@ -324,6 +330,7 @@ def cmd_train(args) -> int:
     if task == "classify":
         dataset = list(zip(bundle.train_images, bundle.train_labels))
         classes = tuple(sorted(set(bundle.train_labels)))
+        trainer = train_supervised
     else:
         missing = [i for i, c in enumerate(bundle.train_cons) if c is None]
         if missing:
@@ -331,27 +338,18 @@ def cmd_train(args) -> int:
                 f"composition training needs constituent sets; sample {missing[0]} has none"
             )
         dataset = list(zip(bundle.train_images, bundle.train_cons))
+        classes = None
+        trainer = train_composition
 
     out = _prepare_out(args, config, run_seed)
-
-    if task == "classify":
-        backend, head, history = train_supervised(dataset, train_cfg, aug_cfg, backend=backend)
-        heads = {"classify": head}
-        meta = {"task": task, "classes": ";".join(classes),
-                "input_width": str(bundle.input_width)}
-    else:
-        from .fabric import CONSTITUENTS
-
-        backend, comp_heads, history = train_composition(dataset, train_cfg, aug_cfg,
-                                                         backend=backend)
-        heads = dict(zip(CONSTITUENTS, comp_heads))
-        meta = {"task": task, "input_width": str(bundle.input_width)}
+    backend, head, history = trainer(dataset, train_cfg, aug_cfg, backend=backend)
 
     for row in history:
         val = "" if row.val_acc is None else f" val_acc={row.val_acc!r}"
         print(f"epoch={row.epoch} loss={row.loss!r}{val} lr={row.lr!r}")
     (out / "history.csv").write_text(history_to_csv(history), encoding="utf-8")
-    save_checkpoint(out / "model.tacm", Checkpoint(backend=backend, heads=heads, meta=meta))
+    save_checkpoint(out / "model.tacm",
+                    _model_checkpoint(backend, task, head, bundle.input_width, classes))
     final = f" final_loss={history[-1].loss!r}" if history else ""
     print(f"checkpoint={out / 'model.tacm'}{final}")
     return 0
@@ -361,7 +359,7 @@ def cmd_cl(args) -> int:
     from .config import load_config
     from .continual import cl_rows_to_csv, cl_sweep
     from .errors import ValidationError
-    from .model import Checkpoint, ConvNetBackend, TrainConfig, load_checkpoint, save_checkpoint
+    from .model import ConvNetBackend, TrainConfig, load_checkpoint, save_checkpoint
 
     config = load_config(args.config)
     run_seed = _run_seed(config, args)
@@ -419,20 +417,10 @@ def cmd_cl(args) -> int:
             acc_f_s = "" if acc_f is None else f" acc_ft={acc_f!r}"
             print(f"capacity={cap} t={t}{acc_r_s}{acc_f_s} buffer={size}")
         final = snapshots[-1]
-        save_checkpoint(
-            out / f"final_ridge{suffix}.tacm",
-            Checkpoint(backend=final.ridge.backend, heads={"classify": final.ridge.head},
-                       meta={"task": "classify", "classes": ";".join(final.ridge.classes),
-                             "input_width": str(bundle.input_width)}),
-        )
-        save_checkpoint(
-            out / f"final_fine_tuned{suffix}.tacm",
-            Checkpoint(backend=final.fine_tuned.backend,
-                       heads={"classify": final.fine_tuned.head},
-                       meta={"task": "classify",
-                             "classes": ";".join(final.fine_tuned.classes),
-                             "input_width": str(bundle.input_width)}),
-        )
+        for name, clf in (("ridge", final.ridge), ("fine_tuned", final.fine_tuned)):
+            save_checkpoint(out / f"final_{name}{suffix}.tacm",
+                            _model_checkpoint(clf.backend, "classify", clf.head,
+                                              bundle.input_width, clf.classes))
     return 0
 
 
@@ -451,6 +439,25 @@ def _classifier_from_checkpoint(ckpt):
     width = ckpt.meta.get("input_width")
     return Classifier(ckpt.backend, head, classes,
                       int(width) if width is not None else None)
+
+
+def _composition_head(ckpt):
+    """The checkpoint's 6-column composition head. Older files hold six
+    constituent-named 128x1 heads instead; those are stacked in vocabulary order."""
+    import numpy as np
+
+    from .errors import ValidationError
+    from .fabric import CONSTITUENTS
+    from .model import LinearHead
+
+    if "composition" in ckpt.heads:
+        return ckpt.heads["composition"]
+    parts = [ckpt.heads.get(name) for name in CONSTITUENTS]
+    if any(h is None or h.out_dim != 1 or h.in_dim != ckpt.backend.embed_dim for h in parts):
+        raise ValidationError(
+            "checkpoint has neither a composition head nor six constituent heads")
+    return LinearHead(np.hstack([h.weights for h in parts]),
+                      np.concatenate([h.bias for h in parts]))
 
 
 def cmd_eval(args) -> int:
@@ -484,19 +491,14 @@ def cmd_eval(args) -> int:
         report = kfold_eval(images, labels, k, trainer, seed=run_seed,
                             task_id=f"kfold-k{k}")
     elif mode == "composition":
-        from .fabric import CONSTITUENTS
-
-        missing = [name for name in CONSTITUENTS if name not in ckpt.heads]
-        if missing:
-            raise ValidationError(f"checkpoint lacks constituent heads: {missing}")
-        heads = [ckpt.heads[name] for name in CONSTITUENTS]
+        head = _composition_head(ckpt)
         items = []
         for img, cons in zip(bundle.test_images, bundle.test_cons):
             if cons is None:
                 raise ValidationError("test sample without constituent truth")
             items.append((img, cons))
         threshold = config.get_float("eval", "threshold", 0.5)
-        report = composition_eval(ckpt.backend, heads, items, threshold)
+        report = composition_eval(ckpt.backend, head, items, threshold)
     else:
         clf = _classifier_from_checkpoint(ckpt)
         images, labels = bundle.test_images, bundle.test_labels

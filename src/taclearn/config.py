@@ -37,9 +37,6 @@ class ExperimentConfig:
         self.path = path
         self.sections = sections
 
-    def has(self, section: str, key: str) -> bool:
-        return key in self.sections.get(section, {})
-
     def _entry(self, section: str, key: str, default):
         entry = self.sections.get(section, {}).get(key)
         if entry is None:

@@ -20,7 +20,7 @@ from . import fabric
 from .augment import crop_temporal, jitter, resize_temporal
 from .continual import batch_ridge_head
 from .errors import ValidationError
-from .model import Classifier, ConvNetBackend, composition_forward, embed_images
+from .model import Classifier, ConvNetBackend, LinearHead, composition_probs, embed_images
 from .prng import Prng
 
 
@@ -216,17 +216,17 @@ def composition_score(predicted, truth) -> float:
     return 1.0 - (fp + fn) / len(fabric.CONSTITUENTS)
 
 
-def composition_eval(backend: ConvNetBackend, heads, items, threshold: float = 0.5,
+def composition_eval(backend: ConvNetBackend, head: LinearHead, items, threshold: float = 0.5,
                      task_id: str = "composition") -> EvalReport:
-    """Score constituent predictions over (image, truth set) pairs."""
+    """Score the composition head's predictions over (image, truth set) pairs."""
     items = list(items)
     if not items:
         raise ValidationError("composition evaluation needs at least one item")
+    probs = composition_probs(backend, head, [image for image, _ in items])
     counts = {name: [0, 0] for name in fabric.CONSTITUENTS}
     scores = []
-    for image, truth in items:
-        probs = composition_forward(backend, heads, image)
-        predicted = fabric.from_indicator(probs, threshold)
+    for (_, truth), p in zip(items, probs):
+        predicted = fabric.from_indicator(p, threshold)
         truth = fabric.validate_constituents(truth)
         scores.append(composition_score(predicted, truth))
         for name in fabric.CONSTITUENTS:

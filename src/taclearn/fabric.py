@@ -1,7 +1,7 @@
 """Fabric constituent vocabulary and indicator-vector helpers.
 
 Composition detection predicts which of six constituent materials a fabric
-contains; both the multi-head trainer and the scorer index heads in this
+contains; the composition head's columns and the scorer both follow this
 fixed order.
 """
 

@@ -185,18 +185,26 @@ class ConvNetBackend:
         return f"backend in={self.in_channels} kernel={self.kernel} stride={self.stride} widths={widths}"
 
     @classmethod
-    def from_arch_header(cls, line: str) -> "ConvNetBackend":
+    def from_arch_header(cls, line: str, num_params: int) -> "ConvNetBackend":
+        """The backend `line` describes, checked to hold `num_params` parameters
+        before any of them is allocated."""
         try:
             fields = dict(part.split("=", 1) for part in line.split()[1:])
             widths = tuple(int(w) for w in fields["widths"].split(","))
-            return cls(
-                in_channels=int(fields["in"]),
-                widths=widths,
-                kernel=int(fields["kernel"]),
-                stride=int(fields["stride"]),
-            )
+            in_channels, kernel = int(fields["in"]), int(fields["kernel"])
+            stride = int(fields["stride"])
         except (KeyError, ValueError, IndexError):
             raise ValidationError(f"bad backend descriptor: {line!r}") from None
+        if min(in_channels, kernel, stride, *widths) < 1:
+            raise ValidationError(f"bad backend descriptor: {line!r}")
+        described = sum(c_out * (c_in * kernel * kernel + 1)
+                        for c_in, c_out in zip((in_channels,) + widths, widths))
+        if described != num_params:
+            raise ValidationError(
+                f"backend descriptor {line!r} describes {described} parameters, "
+                f"{num_params} are stored for it"
+            )
+        return cls(in_channels, widths, kernel, stride)
 
 
 @dataclass
@@ -255,7 +263,7 @@ def load_checkpoint(path) -> Checkpoint:
         )
     flat = np.frombuffer(raw, dtype="<f4", offset=offset + 4).astype(np.float64)
 
-    backend = None
+    backend_line = None
     head_specs: list[tuple[str, int, int]] = []
     meta: dict[str, str] = {}
     for line in header:
@@ -264,7 +272,7 @@ def load_checkpoint(path) -> Checkpoint:
         kind = line.split()[0]
         try:
             if kind == "backend":
-                backend = ConvNetBackend.from_arch_header(line)
+                backend_line = line
             elif kind == "head":
                 _, name, d, c = line.split()
                 if int(d) < 1 or int(c) < 1:
@@ -277,15 +285,14 @@ def load_checkpoint(path) -> Checkpoint:
                 raise ValidationError(f"{path}: unknown header line {line!r}")
         except ValueError:
             raise ValidationError(f"{path}: bad header line {line!r}") from None
-    if backend is None:
+    if backend_line is None:
         raise ValidationError(f"{path}: checkpoint has no backend descriptor")
 
-    pos = backend.num_params()
-    expected = pos + sum(d * c + c for _, d, c in head_specs)
-    if flat.size != expected:
-        raise ValidationError(
-            f"{path}: {flat.size} parameters stored, the header describes {expected}"
-        )
+    pos = flat.size - sum(d * c + c for _, d, c in head_specs)
+    try:
+        backend = ConvNetBackend.from_arch_header(backend_line, pos)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     backend.set_flat(flat[:pos])
     heads: dict[str, LinearHead] = {}
     for name, d, c in head_specs:

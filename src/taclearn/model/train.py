@@ -1,4 +1,8 @@
-"""Supervised training of the embedding backend and classification heads.
+"""Supervised training of the embedding backend and a linear head.
+
+Classification (softmax cross-entropy) and fabric composition (one sigmoid
+cross-entropy logit per constituent) run the same loop and differ only in
+the loss on the head.
 
 SGD with momentum and decoupled weight decay: each step first scales every
 parameter by (1 - lr * weight_decay), then applies the momentum-averaged
@@ -158,64 +162,24 @@ def _stratified_val_split(labels_idx, n_classes, val_fraction, rng):
     return train, sorted(val)
 
 
-class _EpochLoop:
-    """Shared batching / scheduling / SGD loop for both loss heads."""
+def _train_loop(images, targets, cfg, aug_cfg, backend, head, loss, val_eval=None):
+    """Minibatch SGD of `head` on the backend's embeddings for cfg.epochs.
 
-    def __init__(self, backend, cfg: TrainConfig, head_params):
-        self.backend = backend
-        self.cfg = cfg
-        self.head_params = head_params
-        if cfg.freeze_backend:
-            self.params = list(head_params)
-        else:
-            self.params = backend.params() + list(head_params)
-        self.velocities = [np.zeros_like(p) for p in self.params]
-        self.lr = cfg.lr
-        self._best_val = -np.inf
-        self._stale = 0
-
-    def epoch_lr(self, epoch):
-        if self.cfg.lr_schedule == "cosine":
-            return _cosine_lr(self.cfg.lr, epoch, self.cfg.epochs)
-        return self.lr
-
-    def note_val(self, val_acc):
-        if self.cfg.lr_schedule != "plateau" or val_acc is None:
-            return
-        if val_acc > self._best_val:
-            self._best_val = val_acc
-            self._stale = 0
-        else:
-            self._stale += 1
-            if self._stale >= self.cfg.plateau_patience:
-                self.lr *= self.cfg.plateau_factor
-                self._stale = 0
-
-    def run_batch(self, x, loss_fn, epoch, batch_idx, lr):
-        cfg = self.cfg
-        if cfg.freeze_backend:
-            emb = self.backend.embed_batch(x)
-            cache = None
-        else:
-            emb, cache = self.backend.forward(x)
-        loss, demb, head_grads = loss_fn(emb)
-        if not np.isfinite(loss):
-            raise RuntimeFailure(f"non-finite loss at epoch {epoch} batch {batch_idx}")
-        if cfg.freeze_backend:
-            grads = head_grads
-        else:
-            grads = self.backend.backward(demb, cache) + head_grads
-        sgd_step(self.params, grads, self.velocities, lr, cfg.momentum, cfg.weight_decay)
-        return loss
-
-
-def _train_loop(images, targets, cfg, aug_cfg, backend, head_params, loss_fn, val_eval):
-    loop = _EpochLoop(backend, cfg, head_params)
+    `loss(logits, targets) -> (value, dlogits)`. The backend is updated too
+    unless cfg.freeze_backend. Returns the per-epoch history; each row's lr
+    is the one that epoch's steps used.
+    """
+    params = [head.weights, head.bias]
+    if not cfg.freeze_backend:
+        params = backend.params() + params
+    velocities = [np.zeros_like(p) for p in params]
+    lr, best_val, stale = cfg.lr, -np.inf, 0
     history: list[EpochStats] = []
     n = len(images)
     shuffle_root = Prng(cfg.seed).spawn(1)
     for epoch in range(cfg.epochs):
-        lr = loop.epoch_lr(epoch)
+        if cfg.lr_schedule == "cosine":
+            lr = _cosine_lr(cfg.lr, epoch, cfg.epochs)
         order = shuffle_root.spawn(epoch).permutation(n)
         aug_rng = Prng(aug_cfg.seed).spawn(epoch) if aug_cfg is not None else None
         total_loss = 0.0
@@ -224,12 +188,27 @@ def _train_loop(images, targets, cfg, aug_cfg, backend, head_params, loss_fn, va
             batch_images = [images[i] for i in idx]
             if aug_cfg is not None:
                 batch_images = [random_augment(im, aug_cfg, aug_rng) for im in batch_images]
-            x = prepare_batch(batch_images)
-            loss = loop.run_batch(x, lambda emb: loss_fn(emb, targets[idx]), epoch, bi, lr)
-            total_loss += loss * len(idx)
+            emb, cache = backend.forward(prepare_batch(batch_images))
+            value, dlogits = loss(layers.linear_forward(emb, head.weights, head.bias),
+                                  targets[idx])
+            if not np.isfinite(value):
+                raise RuntimeFailure(f"non-finite loss at epoch {epoch} batch {bi}")
+            demb, dw, db = layers.linear_backward(dlogits, emb, head.weights)
+            grads = [dw, db]
+            if not cfg.freeze_backend:
+                grads = backend.backward(demb, cache) + grads
+            sgd_step(params, grads, velocities, lr, cfg.momentum, cfg.weight_decay)
+            total_loss += value * len(idx)
         val_acc = val_eval() if val_eval is not None else None
-        loop.note_val(val_acc)
         history.append(EpochStats(epoch, total_loss / n, val_acc, lr))
+        if cfg.lr_schedule == "plateau" and val_acc is not None:
+            if val_acc > best_val:
+                best_val, stale = val_acc, 0
+            else:
+                stale += 1
+                if stale >= cfg.plateau_patience:
+                    lr *= cfg.plateau_factor
+                    stale = 0
     return history
 
 
@@ -290,62 +269,48 @@ def train_supervised(dataset, cfg: TrainConfig, aug_cfg: AugmentConfig | None = 
         if not np.any(y_train == c):
             raise ValidationError(f"class {classes[c]!r} has no training samples")
 
-    def loss_fn(emb, y):
-        logits = layers.linear_forward(emb, head.weights, head.bias)
-        loss, dlogits = layers.softmax_cross_entropy(logits, y)
-        demb, dw, db = layers.linear_backward(dlogits, emb, head.weights)
-        return loss, demb, [dw, db]
-
-    history = _train_loop(train_images, y_train, cfg, aug_cfg, backend,
-                          [head.weights, head.bias], loss_fn, val_eval)
+    history = _train_loop(train_images, y_train, cfg, aug_cfg, backend, head,
+                          layers.softmax_cross_entropy, val_eval)
     return backend, head, history
 
 
 def train_composition(dataset, cfg: TrainConfig, aug_cfg: AugmentConfig | None = None,
                       backend: ConvNetBackend | None = None):
-    """Train the six independent binary constituent heads.
+    """Train the composition head: one independent sigmoid logit per constituent.
 
-    Dataset items are (image, constituent set). Returns (backend, heads, history)
-    with one single-logit head per constituent, in fabric.CONSTITUENTS order.
+    Dataset items are (image, constituent set). Returns (backend, head, history);
+    column c of the head scores fabric.CONSTITUENTS[c].
     """
     dataset = list(dataset)
     if not dataset:
         raise ValidationError("training dataset is empty")
     images = [img for img, _ in dataset]
     targets = np.stack([fabric.indicator(cons) for _, cons in dataset])
-
     if backend is None:
         backend = ConvNetBackend(seed=cfg.seed)
-    n_out = len(fabric.CONSTITUENTS)
-    weights = np.zeros((backend.embed_dim, n_out))
-    bias = np.zeros(n_out)
-
-    def loss_fn(emb, y):
-        logits = layers.linear_forward(emb, weights, bias)
-        loss, dlogits = layers.binary_cross_entropy_logits(logits, y)
-        demb, dw, db = layers.linear_backward(dlogits, emb, weights)
-        return loss, demb, [dw, db]
-
-    history = _train_loop(images, targets, cfg, aug_cfg, backend,
-                          [weights, bias], loss_fn, None)
-    heads = [LinearHead(weights[:, i : i + 1].copy(), bias[i : i + 1].copy())
-             for i in range(n_out)]
-    return backend, heads, history
+    head = LinearHead.zeros(backend.embed_dim, len(fabric.CONSTITUENTS))
+    history = _train_loop(images, targets, cfg, aug_cfg, backend, head,
+                          layers.binary_cross_entropy_logits)
+    return backend, head, history
 
 
-def composition_forward(backend: ConvNetBackend, heads, image: TactileImage) -> np.ndarray:
+def composition_probs(backend: ConvNetBackend, head: LinearHead, images) -> np.ndarray:
+    """(N, 6) independent constituent probabilities, one row per image."""
+    n = len(fabric.CONSTITUENTS)
+    if head.out_dim != n:
+        raise ValidationError(
+            f"composition head has {head.out_dim} columns; expected {n} heads, "
+            "one column per constituent"
+        )
+    return layers.sigmoid(head.logits(embed_images(backend, images)))
+
+
+def composition_forward(backend: ConvNetBackend, head: LinearHead,
+                        image: TactileImage) -> np.ndarray:
     """Six independent constituent probabilities for one image."""
-    heads = list(heads)
-    if len(heads) != len(fabric.CONSTITUENTS):
-        raise ValidationError(f"expected {len(fabric.CONSTITUENTS)} heads, got {len(heads)}")
-    for h in heads:
-        if h.out_dim != 1:
-            raise ValidationError("composition heads must be single-logit")
-    emb = embed_images(backend, [image])[0]
-    logits = np.array([float(h.logits(emb)[0, 0]) for h in heads])
-    return layers.sigmoid(logits)
+    return composition_probs(backend, head, [image])[0]
 
 
-def predict_constituents(backend, heads, image, threshold: float = 0.5) -> frozenset[str]:
-    probs = composition_forward(backend, heads, image)
+def predict_constituents(backend, head, image, threshold: float = 0.5) -> frozenset[str]:
+    probs = composition_forward(backend, head, image)
     return fabric.from_indicator(probs, threshold)

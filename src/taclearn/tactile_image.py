@@ -156,18 +156,6 @@ def compute_bounds(streams) -> tuple[float, float]:
     return lo, hi
 
 
-def image_bounds(images) -> tuple[float, float]:
-    """Same as compute_bounds but over already-built images."""
-    images = list(images)
-    if not images:
-        raise ValidationError("cannot compute bounds from an empty dataset")
-    lo = min(float(im.data.min()) for im in images)
-    hi = max(float(im.data.max()) for im in images)
-    if not lo < hi:
-        raise ValidationError(f"degenerate data: min == max == {lo}")
-    return lo, hi
-
-
 def write_image(path, image: TactileImage) -> None:
     """Serialize a single-plane image; values quantize to float32."""
     if image.channels != 1:

@@ -413,3 +413,115 @@ def test_console_entry_point(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert (out / "manifest.txt").exists()
+
+
+def test_pretrained_zero_stride_backend_exits_one(tmp_path, capsys):
+    from taclearn.model import Checkpoint, ConvNetBackend, save_checkpoint
+
+    ckpt = tmp_path / "backend.tacm"
+    save_checkpoint(ckpt, Checkpoint(backend=ConvNetBackend(seed=1)))
+    ckpt.write_bytes(ckpt.read_bytes().replace(b"stride=2", b"stride=0"))
+    cfg = _write_cfg(tmp_path)
+    cfg.write_text(cfg.read_text().replace("[train]\n", f"[train]\npretrained = {ckpt}\n"))
+    out = tmp_path / "never"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "bad backend descriptor" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_composition_eval_reads_six_head_checkpoints(tmp_path):
+    import numpy as np
+
+    from taclearn.fabric import CONSTITUENTS
+    from taclearn.model import Checkpoint, LinearHead, load_checkpoint, save_checkpoint
+
+    cfg = tmp_path / "comp.cfg"
+    cfg.write_text(COMPOSITION_CFG)
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "train")]) == 0
+    ckpt = load_checkpoint(tmp_path / "train" / "model.tacm")
+    assert list(ckpt.heads) == ["composition"]
+    head = ckpt.heads["composition"]
+    # the layout older files used: one constituent-named 128x1 head per column
+    six = {name: LinearHead(head.weights[:, [i]], head.bias[[i]])
+           for i, name in enumerate(CONSTITUENTS)}
+    legacy = tmp_path / "six_heads.tacm"
+    save_checkpoint(legacy, Checkpoint(backend=ckpt.backend, heads=six, meta=ckpt.meta))
+    stacked = load_checkpoint(legacy).heads
+    assert np.array_equal(np.hstack([stacked[n].weights for n in CONSTITUENTS]), head.weights)
+    reports = []
+    for name, path in (("one", tmp_path / "train" / "model.tacm"), ("six", legacy)):
+        out = tmp_path / f"eval_{name}"
+        assert main(["eval", "composition", "--config", str(cfg), "--checkpoint", str(path),
+                     "--out", str(out)]) == 0
+        reports.append((out / "report.csv").read_bytes())
+    assert reports[0] == reports[1]
+
+    five = dict(list(six.items())[:5])
+    save_checkpoint(legacy, Checkpoint(backend=ckpt.backend, heads=five, meta=ckpt.meta))
+    assert main(["eval", "composition", "--config", str(cfg), "--checkpoint", str(legacy),
+                 "--out", str(tmp_path / "eval_five")]) == 1
+
+
+def test_camera_frame_manifest_end_to_end(tmp_path):
+    import numpy as np
+
+    from taclearn.prng import Prng
+    from taclearn.sensor_io import (CAMERA_FRAMES, Manifest, ManifestEntry, SensorSpec,
+                                    SensorStream, write_manifest, write_stream)
+
+    spec = SensorSpec("cam", channels=120, sample_rate_hz=30.0, kind=CAMERA_FRAMES,
+                      frame_h=10, frame_w=12, value_range=(0.0, 1.0))
+    rows, cols = np.mgrid[0:10, 0:12]
+    data = tmp_path / "frames"
+    data.mkdir()
+    entries = []
+    for c in range(3):
+        # a class is a spatial frequency of the pressed texture
+        pattern = 0.5 + 0.4 * np.sin((c + 1) * 0.6 * cols + 0.3 * rows).ravel()
+        for i in range(12):
+            noise = np.asarray(Prng(100 * c + i).uniform(-0.05, 0.05, size=(4, 120)))
+            rel = f"c{c}_s{i:02d}.csv"
+            write_stream(data / rel, SensorStream(spec=spec, readings=pattern + noise))
+            entries.append(ManifestEntry(rel, str(c), "train" if i < 9 else "test"))
+    write_manifest(data / "manifest.txt", Manifest(spec=spec, entries=entries))
+    cfg = tmp_path / "cam.cfg"
+    cfg.write_text(f"""
+[dataset]
+mode = manifest
+manifest = {data / 'manifest.txt'}
+
+[transform]
+input_width = 12
+frame_index = 1
+
+[augment]
+flip_prob = 0.5
+resize_min = 0.8
+resize_max = 1.25
+crop_min = 6
+crop_max = 12
+jitter_level = 0.05
+
+[train]
+epochs = 4
+lr = 0.02
+batch_size = 9
+schedule = cosine
+
+[cl]
+capacity = 9
+ft_epochs = 1
+
+[eval]
+noise_levels = 0,0.2
+""")
+    ingested = tmp_path / "ingest"
+    assert main(["ingest", "--config", str(cfg), "--out", str(ingested)]) == 0
+    assert load_manifest(ingested / "manifest.txt").spec.kind == CAMERA_FRAMES
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "train")]) == 0
+    assert main(["cl", "--config", str(cfg), "--out", str(tmp_path / "cl")]) == 0
+    assert (tmp_path / "cl" / "cl_steps.csv").read_text().count("\n") == 4
+    assert main(["eval", "noise", "--config", str(cfg),
+                 "--checkpoint", str(tmp_path / "train" / "model.tacm"),
+                 "--out", str(tmp_path / "eval")]) == 0
+    assert (tmp_path / "eval" / "noise_curve.csv").exists()

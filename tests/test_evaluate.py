@@ -188,12 +188,12 @@ def test_composition_eval_counts(random_backend):
     images, labels, _ = synth_images(num_classes=2, per_class=4, channels=10,
                                      length=32, seed=44)
     d = random_backend.embed_dim
-    # heads with fixed logits: always predict {Linen} (first constituent)
+    # a head with fixed logits: always predict {Linen} (first constituent)
     biases = [5.0, -5.0, -5.0, -5.0, -5.0, -5.0]
-    heads = [LinearHead(np.zeros((d, 1)), np.array([b])) for b in biases]
+    head = LinearHead(np.zeros((d, 6)), np.array(biases))
     items = [(img, frozenset({"Linen"}) if l == 0 else frozenset({"Wool"}))
              for img, l in zip(images, labels)]
-    report = composition_eval(random_backend, heads, items)
+    report = composition_eval(random_backend, head, items)
     # class-1 items: Linen is a false positive and Wool a false negative
     assert report.constituent_counts["Linen"] == (4, 0)
     assert report.constituent_counts["Wool"] == (0, 4)

@@ -195,14 +195,33 @@ def test_plateau_schedule_halves_lr(tiny_dataset):
     assert min(h.lr for h in history) <= 0.01
 
 
+def test_plateau_lr_sequence_replays_from_val_acc(tiny_dataset):
+    cfg = TrainConfig(epochs=12, lr=0.01, batch_size=8, lr_schedule="plateau",
+                      seed=3, val_fraction=0.2, plateau_patience=2)
+    _, _, history = train_supervised(tiny_dataset, cfg)
+    # each row shows the lr its epoch trained with; a cut shows from the next row
+    expected, lr, best, stale = [], cfg.lr, -np.inf, 0
+    for row in history:
+        expected.append(lr)
+        if row.val_acc > best:
+            best, stale = row.val_acc, 0
+        else:
+            stale += 1
+            if stale >= cfg.plateau_patience:
+                lr *= cfg.plateau_factor
+                stale = 0
+    assert [row.lr for row in history] == expected
+    assert len(set(expected)) >= 2
+
+
 def test_composition_forward_contracts(random_backend):
-    heads = [LinearHead.zeros(random_backend.embed_dim, 1) for _ in range(6)]
+    head = LinearHead.zeros(random_backend.embed_dim, 6)
     img = _prepared_image(12, 40, seed=8)
-    probs = composition_forward(random_backend, heads, img)
+    probs = composition_forward(random_backend, head, img)
     assert np.allclose(probs, 0.5)
     assert ((probs > 0) & (probs < 1)).all()
     with pytest.raises(ValidationError, match="6 heads"):
-        composition_forward(random_backend, heads[:5], img)
+        composition_forward(random_backend, LinearHead.zeros(random_backend.embed_dim, 5), img)
 
 
 def test_composition_threshold_rule(random_backend):
@@ -211,8 +230,8 @@ def test_composition_threshold_rule(random_backend):
     emb = random_backend.embed_image(img)
     # craft heads with fixed logits via bias, zero weights
     biases = [3.0, 1.0, -2.0, -4.0, 0.2, -0.1]
-    heads = [LinearHead(np.zeros((d, 1)), np.array([b])) for b in biases]
-    picked = predict_constituents(random_backend, heads, img)
+    head = LinearHead(np.zeros((d, 6)), np.array(biases))
+    picked = predict_constituents(random_backend, head, img)
     assert picked == frozenset({CONSTITUENTS[0], CONSTITUENTS[1], CONSTITUENTS[4]})
 
 
@@ -226,10 +245,10 @@ def test_train_composition_learns_constituents():
     }
     dataset = [(img, mapping[l]) for img, l in zip(images, labels)]
     cfg = TrainConfig(epochs=60, lr=0.05, batch_size=8, lr_schedule="cosine", seed=5)
-    backend, heads, history = train_composition(dataset, cfg)
+    backend, head, history = train_composition(dataset, cfg)
     assert history[-1].loss < history[0].loss
     correct = sum(
-        predict_constituents(backend, heads, img) == truth for img, truth in dataset
+        predict_constituents(backend, head, img) == truth for img, truth in dataset
     )
     assert correct / len(dataset) >= 0.8
 
@@ -252,6 +271,22 @@ def test_checkpoint_round_trip(tmp_path, random_backend):
     assert np.abs(loaded.heads["classify"].weights - head.weights).max() <= 1e-6
 
 
+def test_float32_checkpoint_keeps_predictions(tmp_path, pretrained_backend):
+    from taclearn.evaluate import ridge_classifier
+    from taclearn.model import Classifier
+
+    train_images, train_labels, bounds = synth_images(num_classes=5, per_class=20, seed=31)
+    test_images, _, _ = synth_images(num_classes=5, per_class=40, seed=31,
+                                     start_index=20, bounds=bounds)
+    clf = ridge_classifier(pretrained_backend, train_images, train_labels)
+    path = tmp_path / "model.tacm"
+    save_checkpoint(path, Checkpoint(backend=clf.backend, heads={"classify": clf.head}))
+    loaded = load_checkpoint(path)
+    stored = Classifier(loaded.backend, loaded.heads["classify"], clf.classes)
+    # parameters are stored as float32; a float64 model's predictions must survive
+    assert stored.predict(test_images) == clf.predict(test_images)
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     p = tmp_path / "bad.tacm"
     p.write_bytes(b"NOPE" + b"\x00" * 20)
@@ -271,6 +306,13 @@ def _header_len(raw):
     return int.from_bytes(raw[8:12], "little")
 
 
+def _edit_header(raw, old, new):
+    """`raw` with `old` replaced by `new` in the header, header length kept consistent."""
+    end = 12 + _header_len(raw)
+    header = raw[12:end].replace(old, new)
+    return raw[:8] + len(header).to_bytes(4, "little") + header + raw[end:]
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda raw: raw[:-3], "payload bytes"),
     (lambda raw: raw + b"\x00" * 4, "payload bytes"),
@@ -280,8 +322,16 @@ def _header_len(raw):
     (lambda raw: raw[:8] + (2**31).to_bytes(4, "little") + raw[12:], "runs past the end"),
     (lambda raw: raw.replace(b"head classify 128", b"head classify x28"), "bad header line"),
     (lambda raw: raw.replace(b"meta classes a;b", b"meta classesXa;b"), "bad header line"),
+    (lambda raw: _edit_header(raw, b"kernel=3", b"kernel=0"), "bad backend descriptor"),
+    (lambda raw: _edit_header(raw, b"in=3", b"in=0"), "bad backend descriptor"),
+    (lambda raw: _edit_header(raw, b"stride=2", b"stride=0"), "bad backend descriptor"),
+    (lambda raw: _edit_header(raw, b"widths=16,", b"widths=-16,"), "bad backend descriptor"),
+    (lambda raw: _edit_header(raw, b",128", b",128000000000"), "describes"),
+    (lambda raw: _edit_header(raw, b"widths=16,32,64,128", b"widths=16,32,64"), "describes"),
 ], ids=["truncated-payload", "trailing-bytes", "truncated-header", "header-len-only",
-        "bad-header-bytes", "oversized-header-len", "bad-head-line", "bad-meta-line"])
+        "bad-header-bytes", "oversized-header-len", "bad-head-line", "bad-meta-line",
+        "zero-kernel", "zero-in", "zero-stride", "negative-width", "huge-width",
+        "missing-block"])
 def test_malformed_checkpoint_is_validation_error(tmp_path, random_backend, corrupt, message):
     path = _saved_checkpoint(tmp_path, random_backend)
     path.write_bytes(corrupt(path.read_bytes()))
