@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 
@@ -301,11 +301,14 @@ def cmd_ingest(args) -> int:
         return 0
 
     # manifest mode: validate every stream and image build, fill in bounds, re-emit
+    # with each sample path relative to --out, where the new manifest lives
     _load_bundle(config)
     train_streams, test_streams, manifest = _manifest_streams(config)
     bounds = manifest.norm_bounds or compute_bounds(train_streams)
     out = _prepare_out(args, config, run_seed)
-    resolved = Manifest(spec=manifest.spec, entries=manifest.entries, norm_bounds=bounds)
+    source = Path(config.get_str("dataset", "manifest")).parent
+    entries = [replace(e, path=os.path.relpath(source / e.path, out)) for e in manifest.entries]
+    resolved = Manifest(spec=manifest.spec, entries=entries, norm_bounds=bounds)
     write_manifest(out / "manifest.txt", resolved)
     print(f"manifest samples={len(manifest.entries)} bounds=({bounds[0]!r},{bounds[1]!r}) "
           f"path={out / 'manifest.txt'}")
@@ -341,8 +344,8 @@ def cmd_train(args) -> int:
         classes = None
         trainer = train_composition
 
-    out = _prepare_out(args, config, run_seed)
     backend, head, history = trainer(dataset, train_cfg, aug_cfg, backend=backend)
+    out = _prepare_out(args, config, run_seed)
 
     for row in history:
         val = "" if row.val_acc is None else f" val_acc={row.val_acc!r}"

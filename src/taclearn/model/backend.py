@@ -160,9 +160,11 @@ class ConvNetBackend:
         caches, gap_shape = cache
         dh = layers.gap_backward(demb, gap_shape)
         grads: list[np.ndarray] = []
-        for conv_cache, relu_cache in reversed(caches):
+        for i in reversed(range(len(caches))):
+            conv_cache, relu_cache = caches[i]
             dh = layers.relu_backward(dh, relu_cache)
-            dh, dw, db = layers.conv_backward(dh, conv_cache)
+            # nothing upstream of block 0 takes a gradient
+            dh, dw, db = layers.conv_backward(dh, conv_cache, input_grad=i > 0)
             grads.append(db)
             grads.append(dw)
         grads.reverse()

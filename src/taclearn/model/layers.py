@@ -1,8 +1,14 @@
 """Neural network layer primitives with explicit backward passes.
 
-All math is float64 numpy. Convolution is im2col + one GEMM per layer; the
-backward pass scatters column gradients back through the same gather, so the
-pair is exactly adjoint and survives finite-difference checks.
+All math is float64 numpy. Convolution is im2col with the batch folded into
+the GEMM columns: `cols` is channel-major, (Cin*kh*kw, N*OH*OW), gathered
+from the padded input transposed to (Cin, N, H, W), so each direction is one
+GEMM. Forward returns (N, Cout, OH, OW) as a transposed view of (Cout, N, OH,
+OW) memory, which makes the next block's transpose free. Backward forms dW
+and db from the same columns; for dX it scatters the column gradients back
+through the same gather, so the pair is exactly adjoint and survives
+finite-difference checks. Block 0 calls it with `input_grad=False`, which
+skips the dX GEMM and the scatter, since nothing upstream takes a gradient.
 """
 
 from __future__ import annotations
@@ -24,29 +30,32 @@ def conv_forward(x, w, b, stride=2, pad=1):
     c_out, _, kh, kw = w.shape
     out_h = (h + 2 * pad - kh) // stride + 1
     out_w = (width + 2 * pad - kw) // stride + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((n, c, kh, kw, out_h, out_w))
+    xp = np.pad(x.transpose(1, 0, 2, 3), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    cols = np.empty((c, kh, kw, n, out_h, out_w))
     for ki, kj, si, sj in _col_slices(kh, kw, stride, out_h, out_w):
-        cols[:, :, ki, kj] = xp[:, :, si, sj]
-    cols = cols.reshape(n, c * kh * kw, out_h * out_w)
-    out = np.matmul(w.reshape(c_out, -1), cols) + b[:, None]
+        cols[:, ki, kj] = xp[:, :, si, sj]
+    cols = cols.reshape(c * kh * kw, n * out_h * out_w)
+    out = w.reshape(c_out, -1) @ cols
+    out += b[:, None]
     cache = (x.shape, cols, w, stride, pad, out_h, out_w)
-    return out.reshape(n, c_out, out_h, out_w), cache
+    return out.reshape(c_out, n, out_h, out_w).transpose(1, 0, 2, 3), cache
 
 
-def conv_backward(dout, cache):
+def conv_backward(dout, cache, input_grad=True):
+    """Returns (dx, dw, db); dx is None when `input_grad` is false."""
     x_shape, cols, w, stride, pad, out_h, out_w = cache
     n, c, h, width = x_shape
     c_out, _, kh, kw = w.shape
-    dm = dout.reshape(n, c_out, out_h * out_w)
-    db = dout.sum(axis=(0, 2, 3))
-    dw = np.matmul(dm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
-    dcols = np.matmul(w.reshape(c_out, -1).T, dm)
-    dcols = dcols.reshape(n, c, kh, kw, out_h, out_w)
-    dxp = np.zeros((n, c, h + 2 * pad, width + 2 * pad))
+    dm = dout.transpose(1, 0, 2, 3).reshape(c_out, -1)
+    dw = (dm @ cols.T).reshape(w.shape)
+    db = dm.sum(axis=1)
+    if not input_grad:
+        return None, dw, db
+    dcols = (w.reshape(c_out, -1).T @ dm).reshape(c, kh, kw, n, out_h, out_w)
+    dxp = np.zeros((c, n, h + 2 * pad, width + 2 * pad))
     for ki, kj, si, sj in _col_slices(kh, kw, stride, out_h, out_w):
-        dxp[:, :, si, sj] += dcols[:, :, ki, kj]
-    dx = dxp[:, :, pad : pad + h, pad : pad + width]
+        dxp[:, :, si, sj] += dcols[:, ki, kj]
+    dx = dxp[:, :, pad : pad + h, pad : pad + width].transpose(1, 0, 2, 3)
     return dx, dw, db
 
 

@@ -8,7 +8,8 @@ SGD with momentum and decoupled weight decay: each step first scales every
 parameter by (1 - lr * weight_decay), then applies the momentum-averaged
 gradient. Three learning-rate schedules: constant, cosine annealing, and
 plateau (halve when validation accuracy stalls; a 10% stratified validation
-split is carved from the training data only for this schedule).
+split is carved from the training data only for this schedule, so only
+classification accepts it).
 
 Training is deterministic for a fixed config: weight init, shuffling and
 augmentation all draw from the portable generator seeded by the configs.
@@ -281,6 +282,11 @@ def train_composition(dataset, cfg: TrainConfig, aug_cfg: AugmentConfig | None =
     Dataset items are (image, constituent set). Returns (backend, head, history);
     column c of the head scores fabric.CONSTITUENTS[c].
     """
+    if cfg.lr_schedule == "plateau":
+        raise ValidationError(
+            "composition training has no validation split for the plateau schedule; "
+            "set [train] schedule to cosine or constant"
+        )
     dataset = list(dataset)
     if not dataset:
         raise ValidationError("training dataset is empty")

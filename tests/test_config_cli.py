@@ -360,6 +360,16 @@ def test_composition_train_and_eval(tmp_path, capsys):
     assert "composition,mean" in report
 
 
+def test_composition_without_schedule_exits_one(tmp_path, capsys):
+    # an unset [train] schedule means plateau, which composition cannot run
+    cfg = tmp_path / "comp.cfg"
+    cfg.write_text(COMPOSITION_CFG.replace("schedule = cosine\n", ""))
+    out = tmp_path / "never"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "cosine or constant" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_sweeps_agree_at_neutral_points(tmp_path, trained):
     from taclearn.evaluate import EvalReport
 
@@ -401,6 +411,27 @@ schedule = cosine
     assert main(["train", "--config", str(manifest_cfg), "--out", str(out),
                  "--no-augment"]) == 0
     assert (out / "model.tacm").exists()
+
+
+def test_ingested_manifest_in_another_directory_trains(tmp_path):
+    cfg = _write_cfg(tmp_path)
+    source, resolved = tmp_path / "source", tmp_path / "resolved"
+    assert main(["ingest", "--config", str(cfg), "--out", str(source)]) == 0
+
+    def manifest_cfg(manifest):
+        path = tmp_path / "manifest.cfg"
+        path.write_text(f"[dataset]\nmode = manifest\nmanifest = {manifest}\n\n"
+                        "[transform]\ninput_width = 32\n\n"
+                        "[train]\nepochs = 1\nbatch_size = 8\nschedule = cosine\n")
+        return str(path)
+
+    # the re-emitted manifest names its samples relative to its own directory
+    assert main(["ingest", "--config", manifest_cfg(source / "manifest.txt"),
+                 "--out", str(resolved)]) == 0
+    assert load_manifest(resolved / "manifest.txt").entries[0].path.startswith(
+        "../source/streams/")
+    assert main(["train", "--config", manifest_cfg(resolved / "manifest.txt"),
+                 "--out", str(tmp_path / "train"), "--no-augment"]) == 0
 
 
 def test_console_entry_point(tmp_path):

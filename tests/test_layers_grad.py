@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from taclearn.model import layers
 from taclearn.model.backend import ConvNetBackend, LinearHead
@@ -52,6 +53,56 @@ def test_conv_matches_naive_oracle():
     expected = _naive_conv(x, w, b, stride=2, pad=1)
     assert out.shape == expected.shape == (2, 4, 4, 5)
     assert np.abs(out - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("stride, kernel", [(2, 3), (1, 5)])
+def test_batch_folded_conv_matches_naive_oracle(stride, kernel):
+    rng = Prng(20 + kernel)
+    x = rng.uniform(-1, 1, size=(3, 2, 9, 11))
+    w = rng.uniform(-0.5, 0.5, size=(4, 2, kernel, kernel))
+    b = rng.uniform(-0.5, 0.5, size=(4,))
+    out, _ = layers.conv_forward(x, w, b, stride=stride, pad=kernel // 2)
+    expected = _naive_conv(x, w, b, stride=stride, pad=kernel // 2)
+    assert out.shape == expected.shape
+    assert np.abs(out - expected).max() < 1e-12
+
+
+def test_conv_takes_the_channel_major_view_a_block_returns():
+    rng = Prng(22)
+    x = rng.uniform(-1, 1, size=(3, 2, 9, 11))
+    w1 = rng.uniform(-0.5, 0.5, size=(4, 2, 3, 3))
+    w2 = rng.uniform(-0.5, 0.5, size=(5, 4, 3, 3))
+    b1, b2 = np.zeros(4), rng.uniform(-0.5, 0.5, size=(5,))
+    h, _ = layers.conv_forward(x, w1, b1, stride=2, pad=1)
+    assert not h.flags.c_contiguous
+    out, cache = layers.conv_forward(h, w2, b2, stride=2, pad=1)
+    dense, dense_cache = layers.conv_forward(np.ascontiguousarray(h), w2, b2, stride=2, pad=1)
+    assert np.array_equal(out, dense)
+    assert np.abs(out - _naive_conv(h, w2, b2, stride=2, pad=1)).max() < 1e-12
+    proj = rng.uniform(-1, 1, size=out.shape)
+    for got, want in zip(layers.conv_backward(proj, cache),
+                         layers.conv_backward(proj, dense_cache)):
+        assert np.array_equal(got, want)
+
+
+def test_conv_backward_without_input_grad_keeps_weight_grads():
+    rng = Prng(23)
+    x = rng.uniform(-1, 1, size=(3, 3, 8, 10))
+    w = rng.uniform(-0.5, 0.5, size=(4, 3, 3, 3))
+    out, cache = layers.conv_forward(x, w, np.zeros(4), stride=2, pad=1)
+    proj = rng.uniform(-1, 1, size=out.shape)
+    _, dw, db = layers.conv_backward(proj, cache)
+    dx, dw_only, db_only = layers.conv_backward(proj, cache, input_grad=False)
+    assert dx is None
+    assert np.array_equal(dw, dw_only) and np.array_equal(db, db_only)
+
+
+def test_batched_embedding_equals_single_image_embeddings():
+    backend = ConvNetBackend(seed=3)
+    x = Prng(24).uniform(-1, 1, size=(4, 3, 12, 40))
+    batched = backend.embed_batch(x)
+    for i in range(len(x)):
+        assert np.abs(batched[i] - backend.embed_batch(x[i : i + 1])[0]).max() <= 1e-12
 
 
 def test_conv_gradients_match_finite_differences():
@@ -147,10 +198,9 @@ def _micro_backend():
     return ConvNetBackend(in_channels=3, widths=(4, 8), seed=12)
 
 
-def test_full_network_softmax_gradients():
+def _check_softmax_network(backend, seed):
     # every parameter of a micro conv net + classify head vs central differences
-    rng = Prng(7)
-    backend = _micro_backend()
+    rng = Prng(seed)
     head = LinearHead(rng.uniform(-0.5, 0.5, size=(8, 3)), rng.uniform(-0.5, 0.5, size=(3,)))
     x = rng.uniform(-1, 1, size=(2, 3, 8, 10))
     labels = np.array([0, 2])
@@ -170,6 +220,15 @@ def test_full_network_softmax_gradients():
 
     for p, g in zip(backend.params() + [head.weights, head.bias], analytic):
         assert _rel_err(g, _numerical_grad(loss_value, p)) <= 1e-4
+
+
+def test_full_network_softmax_gradients():
+    _check_softmax_network(_micro_backend(), seed=7)
+
+
+def test_full_network_softmax_gradients_kernel5_stride1():
+    _check_softmax_network(ConvNetBackend(in_channels=3, widths=(4, 8), kernel=5, stride=1,
+                                          seed=13), seed=9)
 
 
 def test_full_network_bce_gradients():

@@ -253,6 +253,14 @@ def test_train_composition_learns_constituents():
     assert correct / len(dataset) >= 0.8
 
 
+def test_train_composition_rejects_plateau_schedule():
+    images, _, _ = synth_images(num_classes=2, per_class=2, channels=10, length=32, seed=3)
+    dataset = [(img, frozenset({"Linen"})) for img in images]
+    # plateau needs a validation split, which composition training never carves
+    with pytest.raises(ValidationError, match="cosine or constant"):
+        train_composition(dataset, TrainConfig(epochs=2, lr_schedule="plateau"))
+
+
 def test_checkpoint_round_trip(tmp_path, random_backend):
     head = LinearHead(Prng(10).uniform(-1, 1, size=(random_backend.embed_dim, 4)),
                       Prng(11).uniform(-1, 1, size=(4,)))
