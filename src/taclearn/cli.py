@@ -6,10 +6,12 @@
     taclearn eval MODE --config FILE --checkpoint FILE --out DIR [--seed N]
 
 Exit codes: 0 success, 1 validation error (bad config, files, parameters),
-2 runtime failure. Validation runs before anything is written; every output
-is a deterministic function of (config, seed), so reruns produce identical
-bytes. Heavy imports happen after argument parsing so --threads can cap the
-BLAS pools via environment variables.
+2 runtime failure. Validation runs before anything is written. At a fixed
+BLAS thread count every output is a deterministic function of (config,
+seed), so reruns produce identical bytes; the thread count can change the
+last bits of GEMM results and with them a training history. Heavy imports
+happen after argument parsing so --threads can cap the BLAS pools via
+environment variables.
 """
 
 from __future__ import annotations
@@ -131,20 +133,18 @@ def _constituent_map(config):
 
 
 def _synthetic_streams(config):
-    from .sensor_io import generate_synthetic
+    from .sensor_io import generate_dataset
 
     synth = _synthetic_config(config)
     train_n = config.get_int("dataset", "train_per_class", 40)
     test_n = config.get_int("dataset", "test_per_class", 10)
     cons_map = _constituent_map(config)
-    train, test = [], []
-    for c in range(synth.num_classes):
-        cons = cons_map.get(str(c))
-        for i in range(train_n):
-            train.append(generate_synthetic(synth, c, i).with_label(str(c), cons))
-        for i in range(test_n):
-            test.append(generate_synthetic(synth, c, train_n + i).with_label(str(c), cons))
-    return train, test
+
+    def labeled(streams):
+        return [s.with_label(str(s.label), cons_map.get(str(s.label))) for s in streams]
+
+    return (labeled(generate_dataset(synth, train_n)),
+            labeled(generate_dataset(synth, test_n, start_index=train_n)))
 
 
 def _manifest_streams(config):

@@ -176,21 +176,42 @@ class MemoryBuffer:
 
 def herding_order(embeddings: np.ndarray) -> list[int]:
     """Greedy herding: at each step add the sample whose inclusion brings the
-    running mean closest to the class mean. Ties break to the lowest index."""
+    running mean closest to the class mean. Ties break to the lowest index.
+
+    Step m picks the row e minimising ||mu - (total + e)/m||. With
+    r = m*mu - total that is the row minimising ||e||^2 - 2 e.r, so one
+    matvec scores every row. The untaken rows scoring within `band` of the
+    minimum are re-scored with the distance formula, and the first minimiser
+    among them is the pick. `band` is at least twice the worst-case rounding
+    gap between the two formulas (a length-d dot product errs by at most
+    d*eps/2 times its sum of absolute products, plus d half subnormals where
+    products underflow), so the picks equal those of the distance formula
+    applied to every untaken row. Should a score or the band overflow, every
+    untaken row is re-scored.
+    """
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    n = embeddings.shape[0]
+    n, d = embeddings.shape
     mu = embeddings.mean(axis=0)
+    sq_norms = np.einsum("ij,ij->i", embeddings, embeddings)
+    col_max = np.abs(embeddings).max(axis=0, initial=0.0)
+    rounding = 4.0 * (d + 8) * np.finfo(np.float64).eps
+    underflow = 16.0 * (d + 8) * np.finfo(np.float64).smallest_subnormal
     order: list[int] = []
-    total = np.zeros(embeddings.shape[1])
-    remaining = np.arange(n)
+    total = np.zeros(d)
+    taken = np.zeros(n, dtype=bool)
     for m in range(1, n + 1):
-        candidate_means = (total[None, :] + embeddings[remaining]) / m
+        score = sq_norms - 2.0 * (embeddings @ (m * mu - total))
+        score[taken] = np.inf
+        band = (rounding * float(np.sum((m * np.abs(mu) + np.abs(total) + col_max) ** 2))
+                + underflow * m * m)
+        cutoff = score.min() + band
+        near = np.flatnonzero(score <= cutoff if np.isfinite(cutoff) else ~taken)
+        candidate_means = (total[None, :] + embeddings[near]) / m
         dist = np.linalg.norm(mu[None, :] - candidate_means, axis=1)
-        pick = int(np.argmin(dist))
-        chosen = int(remaining[pick])
+        chosen = int(near[np.argmin(dist)])
         order.append(chosen)
         total += embeddings[chosen]
-        remaining = np.delete(remaining, pick)
+        taken[chosen] = True
     return order
 
 
@@ -309,22 +330,30 @@ def _shared_pass(batches, backend, ridge_lambda, test_images, test_labels, input
     if test_images is not None:
         test_emb = embed_images(backend, test_images, input_width)
     herded: dict = {}
-    steps: list[_SharedStep] = []
+    seen: list[tuple[RlsState, dict]] = []
     for label, images in batches:
         if label in herded:
             raise ValidationError(f"class {label!r} appears twice in the sequence")
         embeddings = embed_images(backend, images, input_width)
         state = rls_update(state, embeddings, [label] * len(images))
-        ridge_clf = Classifier(backend, ridge_solve(state), state.classes, input_width)
         herded[label] = [images[i] for i in herding_order(embeddings)]
+        seen.append((state, dict(herded)))
 
+    # Every solve runs after every embedding. scipy's LAPACK has its own
+    # BLAS thread pool, which keeps spinning for a moment after a solve, and
+    # an embedding GEMM issued meanwhile shares the CPUs with it (on 2 CPUs a
+    # 600-image embedding took 147 ms right after a 128x128 cho_factor, 105
+    # ms otherwise).
+    steps: list[_SharedStep] = []
+    for state, herded in seen:
+        ridge_clf = Classifier(backend, ridge_solve(state), state.classes, input_width)
         test = acc_ridge = None
         if test_emb is not None:
             eval_idx = [i for i, l in enumerate(test_labels) if l in herded]
             if eval_idx:
                 test = ([test_images[i] for i in eval_idx], [test_labels[i] for i in eval_idx])
                 acc_ridge = ridge_clf.accuracy(*test, embeddings=test_emb[eval_idx])
-        steps.append(_SharedStep(ridge_clf, dict(herded), test, acc_ridge))
+        steps.append(_SharedStep(ridge_clf, herded, test, acc_ridge))
     return steps
 
 

@@ -77,10 +77,7 @@ class Prng:
         """Uniform doubles in [0, 1); scalar when size is None."""
         if size is None:
             return (self.next_u64() >> 11) * _TWO53_INV
-        n = int(np.prod(size))
-        out = self._bulk_u64(n) >> np.uint64(11)
-        vals = out.astype(np.float64) * _TWO53_INV
-        return vals.reshape(size)
+        return random_rows([self], int(np.prod(size)))[0].reshape(size)
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0, size=None):
         return lo + (hi - lo) * self.random(size)
@@ -102,15 +99,19 @@ class Prng:
         self.shuffle(idx)
         return idx
 
-    def _bulk_u64(self, n: int) -> np.ndarray:
-        # Same sequence as n scalar next_u64 calls, computed in one pass.
-        with np.errstate(over="ignore"):
-            counters = (
-                np.uint64(self._state)
-                + np.uint64(_GAMMA) * np.arange(1, n + 1, dtype=np.uint64)
-            )
-            z = (counters ^ (counters >> np.uint64(30))) * np.uint64(_MIX1)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-            z = z ^ (z >> np.uint64(31))
-        self._state = (self._state + _GAMMA * n) & _MASK64
-        return z
+
+def random_rows(rngs, n: int) -> np.ndarray:
+    """Uniform doubles, shape (len(rngs), n): row i is ``rngs[i].random(n)``.
+
+    All rows come from one vectorized pass over the counters, and each
+    generator advances by n draws, exactly as that call would advance it.
+    """
+    states = np.array([rng._state for rng in rngs], dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        counters = states[:, None] + np.uint64(_GAMMA) * np.arange(1, n + 1, dtype=np.uint64)
+        z = (counters ^ (counters >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        z = z ^ (z >> np.uint64(31))
+    for rng in rngs:
+        rng._state = (rng._state + _GAMMA * n) & _MASK64
+    return (z >> np.uint64(11)).astype(np.float64) * _TWO53_INV

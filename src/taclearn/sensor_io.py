@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .prng import Prng
+from .prng import Prng, random_rows
 
 VECTOR_STREAM = "vector_stream"
 CAMERA_FRAMES = "camera_frames"
@@ -187,45 +187,59 @@ def generate_synthetic(
     floor. Values are rounded to float32 so both file formats round-trip
     exactly.
     """
-    if not 0 <= class_id < config.num_classes:
-        raise ValidationError(
-            f"class_id {class_id} out of range for {config.num_classes} classes"
-        )
-    if index < 0:
-        raise ValidationError(f"index must be non-negative, got {index}")
-    signature = _class_signature(config, class_id)
-    rng = Prng(config.seed).spawn(2, class_id, index)
-    lo, hi = config.base_frequency_range
-    base = lo + (class_id + 0.5) * (hi - lo) / config.num_classes
-    t = np.arange(config.stream_length, dtype=np.float64)
-    readings = np.zeros((config.stream_length, config.channels))
-    for ch in range(config.channels):
-        signal = np.zeros(config.stream_length)
-        for k, amp in enumerate(_HARMONIC_AMPLITUDES, start=1):
-            phase = rng.uniform(0.0, 2.0 * math.pi)
-            signal += amp * signature[k - 1, ch] * np.sin(
-                2.0 * math.pi * base * k * t + phase
-            )
-        readings[:, ch] = signal
-    if config.noise_floor > 0:
-        readings += rng.uniform(
-            -config.noise_floor, config.noise_floor, size=readings.shape
-        )
-    readings = readings.astype(np.float32).astype(np.float64)
-    return SensorStream(
-        spec=synthetic_sensor_spec(config), readings=readings, label=class_id
-    )
+    return _generate_class(config, class_id, [index])[0]
 
 
 def generate_dataset(
     config: SyntheticTextureConfig, samples_per_class: int, start_index: int = 0
 ) -> list[SensorStream]:
-    """All classes, `samples_per_class` streams each, at consecutive indices."""
-    return [
-        generate_synthetic(config, c, start_index + i)
-        for c in range(config.num_classes)
-        for i in range(samples_per_class)
-    ]
+    """All classes, `samples_per_class` streams each, at consecutive indices.
+
+    Stream ``c * samples_per_class + i`` equals
+    ``generate_synthetic(config, c, start_index + i)``.
+    """
+    indices = range(start_index, start_index + samples_per_class)
+    return [s for c in range(config.num_classes) for s in _generate_class(config, c, indices)]
+
+
+def _generate_class(config: SyntheticTextureConfig, class_id: int, indices) -> list[SensorStream]:
+    """One class's streams at `indices`, in one vectorized pass.
+
+    Sample i draws from the generator spawned at (2, class_id, i): first one
+    phase per (channel, harmonic), then, when the noise floor is positive,
+    one uniform noise value per (reading, channel). No value depends on which
+    other indices share the pass, so a stream's bytes are a function of
+    (config, class_id, i) alone.
+    """
+    if not 0 <= class_id < config.num_classes:
+        raise ValidationError(
+            f"class_id {class_id} out of range for {config.num_classes} classes"
+        )
+    if min(indices, default=0) < 0:
+        raise ValidationError(f"index must be non-negative, got {min(indices)}")
+    n, c, t_len = len(indices), config.channels, config.stream_length
+    k_len = len(_HARMONIC_AMPLITUDES)
+    signature = _class_signature(config, class_id)
+    root = Prng(config.seed)
+    rngs = [root.spawn(2, class_id, i) for i in indices]
+    noise = config.noise_floor > 0
+    draws = random_rows(rngs, c * k_len + (t_len * c if noise else 0))
+    phases = 2.0 * math.pi * draws[:, : c * k_len].reshape(n, c, k_len)
+    lo, hi = config.base_frequency_range
+    base = lo + (class_id + 0.5) * (hi - lo) / config.num_classes
+    t = np.arange(t_len, dtype=np.float64)
+    # the order k = 1, 2, 3 of the sums fixes their rounding, and so the bytes
+    readings = np.zeros((n, t_len, c))
+    for k, amp in enumerate(_HARMONIC_AMPLITUDES, start=1):
+        readings += (amp * signature[k - 1]) * np.sin(
+            (2.0 * math.pi * base * k * t)[:, None] + phases[:, None, :, k - 1]
+        )
+    if noise:  # Prng.uniform's lo + (hi - lo) * u, rounding included
+        lo_n, hi_n = -config.noise_floor, config.noise_floor
+        readings = readings + (lo_n + (hi_n - lo_n) * draws[:, c * k_len:].reshape(n, t_len, c))
+    readings = readings.astype(np.float32).astype(np.float64)
+    spec = synthetic_sensor_spec(config)
+    return [SensorStream(spec=spec, readings=r, label=class_id) for r in readings]
 
 
 def load_stream(path, spec: SensorSpec) -> SensorStream:
@@ -240,9 +254,15 @@ def load_stream(path, spec: SensorSpec) -> SensorStream:
     return _load_csv(path, spec)
 
 
+def _read_lines(path: Path) -> list[str]:
+    try:
+        return path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def _load_csv(path: Path, spec: SensorSpec) -> SensorStream:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines or not lines[0].startswith(_CSV_HEADER_PREFIX):
         raise MalformedStreamError(f"{path}: missing stream header line")
     header_channels = _parse_csv_header(path, lines[0])
@@ -378,7 +398,7 @@ def load_manifest(path) -> Manifest:
     path = Path(path)
     if not path.exists():
         raise ValidationError(f"manifest not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = _read_lines(path)
     if not lines or lines[0].strip() != _MANIFEST_HEADER:
         raise ValidationError(f"{path}: not a taclearn manifest")
     fields: dict[str, str] = {}
@@ -414,12 +434,16 @@ def load_manifest(path) -> Manifest:
         )
     except KeyError as exc:
         raise ValidationError(f"{path}: manifest missing field {exc}") from None
+    except ValueError as exc:
+        raise ValidationError(f"{path}: manifest has a malformed number ({exc})") from None
     bounds = None
     if "norm_lo" in fields or "norm_hi" in fields:
         try:
             bounds = (float(fields["norm_lo"]), float(fields["norm_hi"]))
         except KeyError as exc:
             raise ValidationError(f"{path}: manifest has only one of norm_lo/norm_hi ({exc})")
+        except ValueError as exc:
+            raise ValidationError(f"{path}: manifest has a malformed number ({exc})") from None
     return Manifest(spec=spec, entries=entries, norm_bounds=bounds)
 
 

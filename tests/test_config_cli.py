@@ -155,6 +155,59 @@ def test_missing_manifest_path_exits_one(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def _manifest_dataset(tmp_path):
+    import numpy as np
+
+    from taclearn.sensor_io import (Manifest, ManifestEntry, SensorSpec, SensorStream,
+                                    write_manifest, write_stream)
+
+    spec = SensorSpec("s", channels=4, sample_rate_hz=50.0)
+    data = tmp_path / "data"
+    data.mkdir()
+    entries = []
+    for c in range(2):
+        rel = f"c{c}.csv"
+        write_stream(data / rel, SensorStream(spec=spec, readings=np.full((16, 4), 0.25 * c)))
+        entries.append(ManifestEntry(rel, str(c)))
+    write_manifest(data / "manifest.txt",
+                   Manifest(spec=spec, entries=entries, norm_bounds=(-1.0, 1.0)))
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(f"[dataset]\nmode = manifest\nmanifest = {data / 'manifest.txt'}\n")
+    return cfg, data
+
+
+@pytest.mark.parametrize("name, old, new", [
+    ("data/manifest.txt", b"channels=4", b"channels=abc"),
+    ("data/manifest.txt", b"norm_lo=-1.0", b"norm_lo=zz"),
+    ("data/manifest.txt", b"kind=vector_stream", b"kind=vector_stream\nframe_h=q"),
+    ("data/manifest.txt", b"sensor_id=s", b"sensor_id=s\xff"),
+    ("data/c1.csv", b"0.25,", b"0.2\xff,"),
+    ("m.cfg", b"mode = manifest", b"mode = manifest\n# \xe9t\xe9"),
+], ids=["channels", "norm_lo", "frame_h", "manifest-utf8", "csv-utf8", "config-utf8"])
+def test_malformed_loader_input_exits_one_before_outputs(tmp_path, capsys, name, old, new):
+    cfg, _ = _manifest_dataset(tmp_path)
+    out = tmp_path / "o"
+    assert main(["ingest", "--config", str(cfg), "--out", str(out)]) == 0
+    target = tmp_path / name
+    content = target.read_bytes()
+    assert old in content
+    target.write_bytes(content.replace(old, new, 1))
+    capsys.readouterr()
+    never = tmp_path / "never"
+    assert main(["ingest", "--config", str(cfg), "--out", str(never)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name.split("/")[-1] in err
+    assert not never.exists()
+
+
+def test_negative_per_class_count_exits_one_before_outputs(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, train_per_class=-1, test_per_class=5)
+    out = tmp_path / "never"
+    assert main(["ingest", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "index must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invalid_config_exits_one_before_outputs(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[dataset]\nmode = synthetic\nnum_classes = owl\n")

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from taclearn.continual import (
     MemoryBuffer,
@@ -184,6 +187,67 @@ def test_herding_matches_exhaustive_per_step_oracle():
         assert picked == best_idx
         total += embs[best_idx]
         remaining.remove(best_idx)
+
+
+def _herding_order_reference(embeddings):
+    # The np.delete implementation herding_order replaced, kept verbatim as the
+    # oracle: the matvec version must reproduce its picks exactly.
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    n = embeddings.shape[0]
+    mu = embeddings.mean(axis=0)
+    order: list[int] = []
+    total = np.zeros(embeddings.shape[1])
+    remaining = np.arange(n)
+    for m in range(1, n + 1):
+        candidate_means = (total[None, :] + embeddings[remaining]) / m
+        dist = np.linalg.norm(mu[None, :] - candidate_means, axis=1)
+        pick = int(np.argmin(dist))
+        chosen = int(remaining[pick])
+        order.append(chosen)
+        total += embeddings[chosen]
+        remaining = np.delete(remaining, pick)
+    return order
+
+
+def _embedding_arrays(elements, max_rows=24, max_dim=6):
+    shapes = st.tuples(st.integers(1, max_rows), st.integers(1, max_dim))
+    return shapes.flatmap(lambda shape: arrays(np.float64, shape, elements=elements))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_embedding_arrays(st.integers(-3, 3).map(float)))
+def test_herding_matches_reference_on_small_integers(embs):
+    # few distinct values: exact ties and duplicate rows are common
+    assert herding_order(embs) == _herding_order_reference(embs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_embedding_arrays(st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)))
+@example(np.array([[1.86561181e-160], [0.0]]))  # squares underflow to subnormals
+def test_herding_matches_reference_on_floats(embs):
+    assert herding_order(embs) == _herding_order_reference(embs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_embedding_arrays(st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+                         max_rows=1, max_dim=8))
+def test_herding_single_row(embs):
+    assert herding_order(embs) == _herding_order_reference(embs) == [0]
+
+
+def test_herding_matches_reference_on_embedding_scale_data():
+    rng = np.random.default_rng(3)
+    embs = np.abs(rng.normal(size=(300, 128)))
+    embs[7] = embs[3]
+    assert herding_order(embs) == _herding_order_reference(embs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_embedding_arrays(st.floats(-1e306, 1e306, allow_nan=False, allow_infinity=False)))
+def test_herding_matches_reference_when_scores_overflow(embs):
+    # both formulas overflow here; herding falls back to re-scoring every row
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert herding_order(embs) == _herding_order_reference(embs)
 
 
 def _image_batch(n, label, seed):

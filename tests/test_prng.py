@@ -1,6 +1,6 @@
 import numpy as np
 
-from taclearn.prng import Prng
+from taclearn.prng import Prng, random_rows
 
 # Reference outputs for seed 1234567, computed by hand from the documented
 # recurrence (they agree with the widely published splitmix64 test vector).
@@ -33,6 +33,16 @@ def test_bulk_draws_equal_scalar_draws():
     assert np.array_equal(bulk, scalar)
     # sequence position advanced identically
     assert a.next_u64() == b.next_u64()
+
+
+def test_random_rows_equal_per_generator_draws():
+    rngs = [Prng(7).spawn(2, i) for i in range(5)]
+    refs = [Prng(7).spawn(2, i) for i in range(5)]
+    rows = random_rows(rngs, 33)
+    assert rows.shape == (5, 33)
+    for row, rng, ref in zip(rows, rngs, refs):
+        assert np.array_equal(row, ref.random(size=33))
+        assert rng.next_u64() == ref.next_u64()
 
 
 def test_uniform_bounds_and_mean():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,41 @@ def test_synthetic_config_validation():
         SyntheticTextureConfig(
             num_classes=2, channels=4, stream_length=64, base_frequency_range=(0.1, 0.6)
         )
+
+
+# sha256 of the stacked float64 readings of generate_dataset, recorded from
+# the per-stream generator before it was vectorized; any change to the
+# generator's output bytes changes them.
+GENERATOR_DIGESTS = [
+    (dict(num_classes=5, channels=12, stream_length=64, seed=123), 7, 0,
+     "46b35dc70dd70855426832243cb608eddfd27e7a883f7578bca3a8e59b0093c4"),
+    (dict(num_classes=3, channels=19, stream_length=400, seed=7), 4, 5,
+     "49f7e370948d2f166cbca45cae541fd7a3bf33cb47587859549f5eeb291b3d4c"),
+    (dict(num_classes=4, channels=60, stream_length=75, noise_floor=0.0, seed=11), 3, 0,
+     "e654b86400d3cfe07d8b50bb90bf312c67c1f783e0f217f22a4e03d585b89a0c"),
+]
+
+
+@pytest.mark.parametrize("kwargs, per_class, start, digest", GENERATOR_DIGESTS)
+def test_generator_bytes_pinned(kwargs, per_class, start, digest):
+    streams = generate_dataset(SyntheticTextureConfig(**kwargs), per_class, start)
+    assert [s.label for s in streams] == [c for c in range(kwargs["num_classes"])
+                                          for _ in range(per_class)]
+    block = np.stack([s.readings for s in streams]).astype("<f8")
+    assert hashlib.sha256(block.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("noise_floor", [0.05, 0.0])
+def test_single_stream_equals_its_dataset_row(noise_floor):
+    cfg = SyntheticTextureConfig(num_classes=3, channels=5, stream_length=40,
+                                 noise_floor=noise_floor, seed=21)
+    streams = generate_dataset(cfg, samples_per_class=4, start_index=2)
+    for c in range(3):
+        for i in range(4):
+            row = streams[c * 4 + i]
+            alone = generate_synthetic(cfg, c, 2 + i)
+            assert alone.label == row.label == c
+            assert alone.readings.tobytes() == row.readings.tobytes()
 
 
 def _power_spectrum(stream):
