@@ -5,6 +5,14 @@
     taclearn cl     --config FILE --out DIR [--seed N] [--no-augment] [--sweep]
     taclearn eval MODE --config FILE --checkpoint FILE --out DIR [--seed N]
 
+Each command reads only the dataset splits it uses: ``train`` the train
+split, ``cl`` and ``eval kfold`` both, the other eval modes the test split,
+plus the train split when the normalization bounds (synthetic mode, or a
+manifest without norm_lo/norm_hi) or the default input width (unset
+``[transform] input_width``) come from it. ``ingest`` validates a whole
+dataset, parsing each stream file once, so a bad file in a split a command
+does not read surfaces there.
+
 Exit codes: 0 success, 1 validation error (bad config, files, parameters),
 2 runtime failure. Validation runs before anything is written. At a fixed
 BLAS thread count every output is a deterministic function of (config,
@@ -97,7 +105,11 @@ def _sub_seed(run_seed: int, key: int) -> int:
 
 @dataclass
 class _Bundle:
-    """Loaded dataset: normalized tactile images split into train/test."""
+    """Loaded dataset: normalized tactile images split into train/test.
+
+    A split the command did not ask for, and did not need for the bounds or
+    the input width, is left unread and empty.
+    """
 
     train_images: list
     train_labels: list
@@ -106,6 +118,8 @@ class _Bundle:
     test_labels: list
     test_cons: list
     input_width: int
+    bounds: tuple[float, float]
+    manifest: object  # the sensor_io.Manifest read in manifest mode, else None
 
 
 def _synthetic_config(config):
@@ -132,51 +146,63 @@ def _constituent_map(config):
     return mapping
 
 
-def _synthetic_streams(config):
+def _synthetic_streams(config, splits):
+    """Generate `splits` only; the test split starts at index train_per_class."""
     from .sensor_io import generate_dataset
 
     synth = _synthetic_config(config)
     train_n = config.get_int("dataset", "train_per_class", 40)
     test_n = config.get_int("dataset", "test_per_class", 10)
     cons_map = _constituent_map(config)
-
-    def labeled(streams):
-        return [s.with_label(str(s.label), cons_map.get(str(s.label))) for s in streams]
-
-    return (labeled(generate_dataset(synth, train_n)),
-            labeled(generate_dataset(synth, test_n, start_index=train_n)))
+    counts = {"train": (train_n, 0), "test": (test_n, train_n)}
+    return {split: [s.with_label(str(s.label), cons_map.get(str(s.label)))
+                    for s in generate_dataset(synth, *counts[split])]
+            for split in ("train", "test") if split in splits}
 
 
-def _manifest_streams(config):
-    from .sensor_io import load_manifest, load_manifest_streams
+def _manifest_streams(man_path, manifest, splits):
+    """Parse the streams of `splits` once each, in manifest order."""
+    from .sensor_io import load_manifest_streams
 
-    man_path = config.get_str("dataset", "manifest")
-    manifest = load_manifest(man_path)
-    _, streams = load_manifest_streams(man_path, manifest)
-    train = [s for s, e in zip(streams, manifest.entries) if e.split == "train"]
-    test = [s for s, e in zip(streams, manifest.entries) if e.split == "test"]
-    return train, test, manifest
+    wanted = replace(manifest, entries=[e for e in manifest.entries if e.split in splits])
+    _, loaded = load_manifest_streams(man_path, wanted)
+    streams = {split: [] for split in splits}
+    for entry, stream in zip(wanted.entries, loaded):
+        streams[entry.split].append(stream)
+    return streams
 
 
-def _load_bundle(config) -> _Bundle:
+def _load_bundle(config, splits=("train", "test")) -> _Bundle:
+    """Images of `splits`, plus the train split when the normalization bounds
+    (synthetic mode, or a manifest without norm_lo/norm_hi) or the input
+    width default (unset ``[transform] input_width``) come from it."""
     from .errors import ValidationError
-    from .sensor_io import CAMERA_FRAMES
+    from .sensor_io import CAMERA_FRAMES, load_manifest
     from .tactile_image import (build_tactile_image, camera_frame_image,
                                 compute_bounds, normalize)
 
     mode = config.get_str("dataset", "mode")
-    manifest_bounds = None
+    input_width = config.get_int("transform", "input_width", None)
     if mode == "synthetic":
-        train_streams, test_streams = _synthetic_streams(config)
+        manifest = bounds = None
     elif mode == "manifest":
-        train_streams, test_streams, manifest = _manifest_streams(config)
-        manifest_bounds = manifest.norm_bounds
+        man_path = config.get_str("dataset", "manifest")
+        manifest = load_manifest(man_path)
+        bounds = manifest.norm_bounds
     else:
         raise ValidationError(f"[dataset] mode must be synthetic or manifest, got {mode!r}")
-    if not train_streams:
+    if bounds is None or input_width is None:
+        splits = ("train", *splits)
+    if manifest is None:
+        streams = _synthetic_streams(config, splits)
+        has_train = bool(streams["train"])
+    else:
+        streams = _manifest_streams(man_path, manifest, splits)
+        has_train = bool(manifest.split("train"))
+    if not has_train:
         raise ValidationError("dataset has no training samples")
 
-    bounds = manifest_bounds or compute_bounds(train_streams)
+    bounds = bounds or compute_bounds(streams["train"])
     window_start = config.get_int("transform", "window_start", None)
     window_end = config.get_int("transform", "window_end", None)
     frame_index = config.get_int("transform", "frame_index", 0)
@@ -186,19 +212,20 @@ def _load_bundle(config) -> _Bundle:
             return camera_frame_image(stream, frame_index)
         return build_tactile_image(stream, window_start, window_end)
 
-    def prepare(streams):
+    def prepare(split):
         images, labels, cons = [], [], []
-        for s in streams:
+        for s in streams.get(split, ()):
             images.append(normalize(build(s), *bounds))
             labels.append(str(s.label))
             cons.append(s.constituents)
         return images, labels, cons
 
-    train_images, train_labels, train_cons = prepare(train_streams)
-    test_images, test_labels, test_cons = prepare(test_streams) if test_streams else ([], [], [])
-    input_width = config.get_int("transform", "input_width", train_images[0].width)
-    return _Bundle(train_images, train_labels, train_cons,
-                   test_images, test_labels, test_cons, input_width)
+    train_images, train_labels, train_cons = prepare("train")
+    test_images, test_labels, test_cons = prepare("test")
+    if input_width is None:
+        input_width = train_images[0].width
+    return _Bundle(train_images, train_labels, train_cons, test_images, test_labels,
+                   test_cons, input_width, bounds, manifest)
 
 
 def _augment_config(config, args, input_width, run_seed):
@@ -281,14 +308,15 @@ def cmd_ingest(args) -> int:
     mode = config.get_str("dataset", "mode")
 
     if mode == "synthetic":
-        train_streams, test_streams = _synthetic_streams(config)
+        streams = _synthetic_streams(config, ("train", "test"))
+        train_streams = streams["train"]
         bounds = compute_bounds(train_streams)
         out = _prepare_out(args, config, run_seed)
         (out / "streams").mkdir(exist_ok=True)
         entries = []
         per_class_counter: dict[str, int] = {}
-        for split, streams in (("train", train_streams), ("test", test_streams)):
-            for s in streams:
+        for split in ("train", "test"):
+            for s in streams[split]:
                 idx = per_class_counter.get(s.label, 0)
                 per_class_counter[s.label] = idx + 1
                 rel = f"streams/c{s.label}_s{idx:04d}.csv"
@@ -300,11 +328,11 @@ def cmd_ingest(args) -> int:
               f"path={out / 'manifest.txt'}")
         return 0
 
-    # manifest mode: validate every stream and image build, fill in bounds, re-emit
-    # with each sample path relative to --out, where the new manifest lives
-    _load_bundle(config)
-    train_streams, test_streams, manifest = _manifest_streams(config)
-    bounds = manifest.norm_bounds or compute_bounds(train_streams)
+    # manifest mode: parse every stream once, validate every image build, fill
+    # in bounds, re-emit with each sample path relative to --out, where the new
+    # manifest lives
+    bundle = _load_bundle(config)
+    manifest, bounds = bundle.manifest, bundle.bounds
     out = _prepare_out(args, config, run_seed)
     source = Path(config.get_str("dataset", "manifest")).parent
     entries = [replace(e, path=os.path.relpath(source / e.path, out)) for e in manifest.entries]
@@ -325,7 +353,7 @@ def cmd_train(args) -> int:
     task = config.get_str("train", "task", "classify")
     if task not in ("classify", "composition"):
         raise ValidationError(f"[train] task must be classify or composition, got {task!r}")
-    bundle = _load_bundle(config)
+    bundle = _load_bundle(config, ("train",))
     train_cfg = _train_config(config, run_seed, task)
     aug_cfg = _augment_config(config, args, bundle.input_width, run_seed)
     backend = _load_backend_for_train(config)
@@ -472,9 +500,9 @@ def cmd_eval(args) -> int:
 
     config = load_config(args.config)
     run_seed = _run_seed(config, args)
-    bundle = _load_bundle(config)
-    ckpt = load_checkpoint(args.checkpoint)
     mode = args.mode
+    bundle = _load_bundle(config, ("train", "test") if mode == "kfold" else ("test",))
+    ckpt = load_checkpoint(args.checkpoint)
 
     if mode != "kfold" and not bundle.test_images:
         raise ValidationError("dataset has no test split to evaluate")

@@ -3,8 +3,9 @@
 File formats
 ------------
 Stream CSV: a header line ``# taclearn-stream v1; channels=<n>; rate_hz=<r>``
-followed by one comma-separated row per reading. Values are written with
-Python's shortest round-tripping float repr, so a CSV round-trip is exact.
+followed by one comma-separated row per reading; blank lines are skipped.
+Values parse with Python ``float()`` semantics and are written with its
+shortest round-tripping repr, so a CSV round-trip is exact.
 
 Stream binary: magic ``TACL``, then little-endian u32 version, u32 channels,
 u32 length, then length*channels little-endian float32 values. Streams whose
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -118,7 +119,13 @@ class SensorStream:
         return self.readings.shape[0]
 
     def with_label(self, label, constituents=None) -> "SensorStream":
-        return replace(self, label=label, constituents=constituents)
+        """A relabelled copy; it shares the readings, checked and read-only already."""
+        stream = object.__new__(SensorStream)
+        # setting every field in __init__'s order keeps the instance dict key-shared
+        for name, value in (("spec", self.spec), ("readings", self.readings),
+                            ("label", label), ("constituents", constituents)):
+            object.__setattr__(stream, name, value)
+        return stream
 
 
 @dataclass(frozen=True)
@@ -270,14 +277,31 @@ def _load_csv(path: Path, spec: SensorSpec) -> SensorStream:
         raise DimensionMismatchError(
             f"{path}: header says {header_channels} channels, spec says {spec.channels}"
         )
-    rows = []
-    for i, line in enumerate(lines[1:]):
+    rows = [line for line in lines[1:] if line.strip()]
+    if not rows:
+        raise MalformedStreamError(f"{path}: no readings")
+    # One parse for the whole stream: numpy's str -> float64 conversion accepts
+    # and rejects exactly the strings float() does, so the bits match the
+    # per-row parse, which runs only to name the first bad row.
+    try:
+        if any(row.count(",") != spec.channels - 1 for row in rows):
+            raise ValueError("row width")
+        values = np.array(",".join(rows).split(","), dtype=np.float64)
+        return SensorStream(spec=spec, readings=values.reshape(len(rows), spec.channels))
+    except (ValueError, NonFiniteValueError):
+        _raise_first_bad_row(path, lines[1:], spec.channels)
+        raise
+
+
+def _raise_first_bad_row(path: Path, lines: list[str], channels: int) -> None:
+    """Raise the error of the first bad row; row i is ``lines[i]``, blanks included."""
+    for i, line in enumerate(lines):
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) != spec.channels:
+        if len(parts) != channels:
             raise DimensionMismatchError(
-                f"{path}: row {i} has {len(parts)} values, expected {spec.channels}"
+                f"{path}: row {i} has {len(parts)} values, expected {channels}"
             )
         try:
             row = [float(p) for p in parts]
@@ -285,10 +309,6 @@ def _load_csv(path: Path, spec: SensorSpec) -> SensorStream:
             raise MalformedStreamError(f"{path}: row {i} has a non-numeric value") from None
         if not all(math.isfinite(v) for v in row):
             raise NonFiniteValueError(f"{path}: non-finite value in reading {i}")
-        rows.append(row)
-    if not rows:
-        raise MalformedStreamError(f"{path}: no readings")
-    return SensorStream(spec=spec, readings=np.array(rows))
 
 
 def _parse_csv_header(path: Path, line: str) -> int:
@@ -322,11 +342,10 @@ def _load_binary(path: Path, spec: SensorSpec) -> SensorStream:
     if t < 1:
         raise MalformedStreamError(f"{path}: no readings")
     values = np.frombuffer(raw, dtype="<f4", offset=16).astype(np.float64)
-    readings = values.reshape(t, n)
-    bad = np.flatnonzero(~np.isfinite(readings).all(axis=1))
-    if bad.size:
-        raise NonFiniteValueError(f"{path}: non-finite value in reading {bad[0]}")
-    return SensorStream(spec=spec, readings=readings)
+    try:
+        return SensorStream(spec=spec, readings=values.reshape(t, n))
+    except NonFiniteValueError as exc:
+        raise NonFiniteValueError(f"{path}: {exc}") from None
 
 
 def write_stream(path, stream: SensorStream, fmt: str = "csv") -> None:

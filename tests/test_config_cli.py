@@ -487,6 +487,71 @@ def test_ingested_manifest_in_another_directory_trains(tmp_path):
                  "--out", str(tmp_path / "train"), "--no-augment"]) == 0
 
 
+@pytest.fixture()
+def ingested(tmp_path):
+    """An ingested manifest with bounds, a config reading it and a trained checkpoint."""
+    data = tmp_path / "data"
+    assert main(["ingest", "--config", str(_write_cfg(tmp_path)), "--out", str(data)]) == 0
+    cfg = tmp_path / "manifest.cfg"
+    cfg.write_text(f"[dataset]\nmode = manifest\nmanifest = {data / 'manifest.txt'}\n\n"
+                   "[transform]\ninput_width = 32\n\n"
+                   "[train]\nepochs = 1\nbatch_size = 8\nschedule = cosine\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "trained"),
+                 "--no-augment"]) == 0
+    return cfg, data, tmp_path / "trained" / "model.tacm"
+
+
+def _corrupt_first(data, split):
+    """Give the split's first stream a short row; returns the file name."""
+    entry = load_manifest(data / "manifest.txt").split(split)[0]
+    with open(data / entry.path, "a", encoding="utf-8") as fh:
+        fh.write("1.0\n")
+    return entry.path.split("/")[-1]
+
+
+def test_bad_test_stream_fails_only_the_commands_reading_it(tmp_path, capsys, ingested):
+    cfg, data, ckpt = ingested
+    name = _corrupt_first(data, "test")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "t"),
+                 "--no-augment"]) == 0
+    for argv in (["eval", "speed", "--checkpoint", str(ckpt)], ["ingest"]):
+        capsys.readouterr()
+        never = tmp_path / "never"
+        assert main([*argv, "--config", str(cfg), "--out", str(never)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err and "has 1 values" in err
+        assert not never.exists()
+
+
+def test_eval_reads_the_train_split_only_for_bounds_or_width(tmp_path, capsys, ingested):
+    cfg, data, ckpt = ingested
+    name = _corrupt_first(data, "train")
+    eval_speed = ["eval", "speed", "--config", str(cfg), "--checkpoint", str(ckpt)]
+    assert main([*eval_speed, "--out", str(tmp_path / "e")]) == 0
+    # without input_width its default is the first training image's width
+    cfg.write_text(cfg.read_text().replace("input_width = 32\n", ""))
+    capsys.readouterr()
+    assert main([*eval_speed, "--out", str(tmp_path / "never")]) == 1
+    assert name in capsys.readouterr().err
+
+
+def test_each_stream_is_parsed_once_per_reading_command(tmp_path, monkeypatch, ingested):
+    from taclearn import sensor_io
+
+    cfg, data, _ = ingested
+    entries = load_manifest(data / "manifest.txt").entries
+    calls = []
+    load_stream = sensor_io.load_stream
+    monkeypatch.setattr(sensor_io, "load_stream",
+                        lambda path, spec: calls.append(path) or load_stream(path, spec))
+    assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "re")]) == 0
+    assert sorted(calls) == sorted(data / e.path for e in entries)
+    calls.clear()
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "t"),
+                 "--no-augment"]) == 0
+    assert calls == [data / e.path for e in entries if e.split == "train"]
+
+
 def test_console_entry_point(tmp_path):
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "subproc"

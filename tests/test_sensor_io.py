@@ -1,7 +1,12 @@
 import hashlib
+import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from taclearn.errors import ValidationError
 from taclearn.sensor_io import (
@@ -19,6 +24,9 @@ from taclearn.sensor_io import (
     load_manifest,
     load_manifest_streams,
     load_stream,
+    _CSV_HEADER_PREFIX,
+    _parse_csv_header,
+    _read_lines,
     write_manifest,
     write_stream,
 )
@@ -242,3 +250,120 @@ def test_manifest_streams_load(tmp_path):
     _, streams = load_manifest_streams(mpath)
     assert len(streams) == 2
     assert streams[1].label == "1"
+
+
+def test_binary_non_finite_names_file_and_index(tmp_path):
+    p = tmp_path / "nan.bin"
+    values = [0.5, 0.25, float("nan"), 1.0]
+    p.write_bytes(struct.pack("<4sIII", b"TACL", 1, 2, 2) + struct.pack("<4f", *values))
+    spec = SensorSpec("s", channels=2, sample_rate_hz=1.0)
+    with pytest.raises(NonFiniteValueError, match=f"^{p}: non-finite value in reading 1$"):
+        load_stream(p, spec)
+
+
+def test_with_label_does_not_recheck_readings(monkeypatch):
+    stream = generate_synthetic(CFG, 1, index=0)
+    monkeypatch.setattr(SensorStream, "__post_init__", lambda self: pytest.fail("re-checked"))
+    relabelled = stream.with_label("1", frozenset({"Wool"}))
+    assert (relabelled.label, relabelled.constituents) == ("1", frozenset({"Wool"}))
+    assert relabelled.readings is stream.readings and not relabelled.readings.flags.writeable
+    assert (stream.label, stream.constituents) == (1, None)
+
+
+def _load_csv_reference(path, spec):
+    # The per-row loader the vectorised _load_csv replaced, kept verbatim as the
+    # oracle: the new loader must return the same bits and raise the same
+    # exception class and message, first bad row first.
+    lines = _read_lines(path)
+    if not lines or not lines[0].startswith(_CSV_HEADER_PREFIX):
+        raise MalformedStreamError(f"{path}: missing stream header line")
+    header_channels = _parse_csv_header(path, lines[0])
+    if header_channels != spec.channels:
+        raise DimensionMismatchError(
+            f"{path}: header says {header_channels} channels, spec says {spec.channels}"
+        )
+    rows = []
+    for i, line in enumerate(lines[1:]):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != spec.channels:
+            raise DimensionMismatchError(
+                f"{path}: row {i} has {len(parts)} values, expected {spec.channels}"
+            )
+        try:
+            row = [float(p) for p in parts]
+        except ValueError:
+            raise MalformedStreamError(f"{path}: row {i} has a non-numeric value") from None
+        if not all(math.isfinite(v) for v in row):
+            raise NonFiniteValueError(f"{path}: non-finite value in reading {i}")
+        rows.append(row)
+    if not rows:
+        raise MalformedStreamError(f"{path}: no readings")
+    return SensorStream(spec=spec, readings=np.array(rows))
+
+
+def _outcome(load, path, spec):
+    try:
+        readings = load(path, spec).readings
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return readings.shape, readings.tobytes()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda c: arrays(np.float64, st.tuples(st.integers(1, 12), st.just(c)), elements=_FINITE)))
+def test_csv_round_trip_is_bit_exact(tmp_path_factory, readings):
+    spec = SensorSpec("s", channels=readings.shape[1], sample_rate_hz=10.0)
+    p = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    write_stream(p, SensorStream(spec=spec, readings=readings))
+    loaded = load_stream(p, spec).readings
+    assert loaded.tobytes() == readings.tobytes()
+    assert _outcome(_load_csv_reference, p, spec) == (readings.shape, readings.tobytes())
+
+
+# float() accepts the first group as written; the loader must too.
+_ODD_NUMBERS = st.sampled_from(["1_000", "\u0661\u0662\u0663", " 2.5 ", "\t-0.0", "+.5",
+                                "1E+5", "\uff11\uff12", "1e-400", "\xa07"])
+_NON_NUMERIC = st.sampled_from(["abc", "", " ", "1.5.2", "0x10", "1e", "nan(1)", "\u22121",
+                                "1__0", "True"])
+_NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "1e500", "-Infinity", "NaN"])
+_NUMBER = st.one_of(_FINITE.map(repr), _ODD_NUMBERS)
+
+
+def _line(channels):
+    """One data line: mostly well formed, else one fault or blank."""
+    good = st.lists(_NUMBER, min_size=channels, max_size=channels)
+
+    def with_token(token):
+        return st.tuples(good, st.integers(0, channels - 1), token).map(
+            lambda t: t[0][:t[1]] + [t[2]] + t[0][t[1] + 1:])
+
+    rows = st.one_of(
+        good, good, good,
+        st.lists(_NUMBER, min_size=0, max_size=channels - 1),  # short
+        st.lists(_NUMBER, min_size=channels + 1, max_size=channels + 3),  # long
+        with_token(_NON_NUMERIC),
+        with_token(_NON_FINITE),
+    ).map(",".join)
+    return st.one_of(rows, st.sampled_from(["", "   ", "\t"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda c: st.tuples(st.just(c), st.lists(_line(c), min_size=0, max_size=8))))
+@example((2, ["1,2", "", "x,2", "nan,1"]))  # blank line counted; non-numeric wins
+@example((2, ["inf,1", "1"]))  # a non-finite row before a short row
+@example((3, ["1,2,3", "4,5", "", "6,7,8,9"]))  # short, then long
+@example((1, ["", "  "]))  # blank lines only
+def test_csv_loader_matches_per_row_oracle(tmp_path_factory, case):
+    channels, lines = case
+    spec = SensorSpec("s", channels=channels, sample_rate_hz=10.0)
+    p = tmp_path_factory.getbasetemp() / "mutated.csv"
+    header = f"{_CSV_HEADER_PREFIX} channels={channels}; rate_hz=10.0"
+    p.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    assert _outcome(load_stream, p, spec) == _outcome(_load_csv_reference, p, spec)
