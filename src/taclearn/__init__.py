@@ -10,7 +10,6 @@ ridge statistics plus exemplar-buffer fine-tuning).
 from .augment import (
     AugmentConfig,
     crop_temporal,
-    flip_channels,
     flip_temporal,
     jitter,
     random_augment,
@@ -89,7 +88,6 @@ __all__ = [
     "composition_score",
     "crop_temporal",
     "fine_tune",
-    "flip_channels",
     "flip_temporal",
     "generate_dataset",
     "generate_synthetic",

@@ -3,34 +3,51 @@
 Four families, each a physically meaningful perturbation of the collection
 process: temporal flipping (motion direction reversed), temporal resizing
 (motion speed), temporal cropping (motion duration) and jitter (sensor noise
-and drift). A data-axis flip is also provided for sensors whose channel
-layout is symmetric, but the default randomized pipeline flips time.
+and drift).
 
-All ops are pure: they never mutate their input and consume randomness only
-from an explicitly passed generator, so replaying the generator replays the
-augmentation stream. `random_augment` applies, in a fixed draw order:
-flip (one uniform draw), resize (one factor draw), crop (one length and one
-start draw), jitter (one bulk draw when the level is positive), then a final
-resize to the configured output width.
+The per-image ops are pure: they never mutate their input and consume
+randomness only from an explicitly passed generator. Augmented images drop
+the `window` metadata since their columns no longer map to raw reading
+indices. Jitter may push values outside [-1, 1] by up to its level; nothing
+re-clamps, because the noise-robustness suites measure exactly that
+excursion.
 
-Augmented images drop the `window` metadata since their columns no longer
-map to raw reading indices. Jitter may push values outside [-1, 1] by up to
-its level; nothing re-clamps, because the noise-robustness suites measure
-exactly that excursion.
+`random_augment` augments a whole training minibatch: normalized
+single-plane images of one sensor kind, of any widths, in and one float64
+array (B, H_out, W_out) out. Its result, and the generator state it leaves,
+are those of augmenting the images one after another with the per-image ops,
+each image drawing in this order: flip (one uniform draw), resize (one
+factor draw), crop (one length and one start draw), jitter (one uniform
+draw per entry of the cropped image, row-major, when the level is
+positive), then a final resize to the configured output width. Camera
+frames have no privileged time axis: they resize both axes by the drawn
+factor (rows, then columns), crop a window as tall as it is wide where the
+height allows (one extra start draw for the rows, after the column start)
+and are resized back to the native frame height and the output width.
 
-Camera frames have no privileged time axis: the randomized pipeline resizes
-both axes by the drawn factor and crops a square window (one extra start
-draw for the vertical offset), then restores the native frame size.
+The batch is computed in one vectorized pass. A short scalar loop makes
+each image's few draws in order and raises, for the first offending image,
+the error the per-image ops would raise. The generator is a counter
+(splitmix64), so an image's jitter block needs no draws in the loop: the
+loop records the state the block starts from and skips past it, and every
+block is then mixed at once from those counters (`prng.uniform_at`), bit
+for bit the values the scalar draws give. Flip, resize and crop compose into
+one gather per axis, and the final resize is a second: each output entry is
+the per-image ops' `a*(1-f) + b*f` on the same operands, and where those ops
+copy instead of interpolating (unchanged length, or a crop already at the
+output width) the entry is the copied value, which keeps a -0.0 that the
+interpolation formula would turn into +0.0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .prng import Prng
+from .prng import Prng, uniform_at
 from .sensor_io import CAMERA_FRAMES
 from .tactile_image import TactileImage
 
@@ -67,11 +84,6 @@ class AugmentConfig:
 def flip_temporal(image: TactileImage) -> TactileImage:
     """Mirror the temporal axis (reverses the direction of motion)."""
     return image.with_data(image.data[..., ::-1].copy(), window=None)
-
-
-def flip_channels(image: TactileImage) -> TactileImage:
-    """Mirror the data axis; optional, for symmetric channel layouts."""
-    return image.with_data(np.flip(image.data, axis=-2).copy(), window=None)
 
 
 def _resample_axis(data: np.ndarray, new_len: int, axis: int) -> np.ndarray:
@@ -154,39 +166,105 @@ def jitter(image: TactileImage, level: float, rng: Prng) -> TactileImage:
     return image.with_data(image.data + noise, window=None)
 
 
-def random_augment(image: TactileImage, cfg: AugmentConfig, rng: Prng) -> TactileImage:
-    """Randomized flip / resize / crop / jitter, then resize to the output width."""
-    is_camera = image.source is not None and image.source.kind == CAMERA_FRAMES
-    out_h = image.height
-    out_w = cfg.output_width if cfg.output_width is not None else image.width
+def _resample_maps(old_len, new_len, positions):
+    """`_resample_axis`'s (left, right, frac) for output `positions` (B, K)
+    of per-image resamples from old_len[b] to new_len[b] entries."""
+    old, new = old_len[:, None], new_len[:, None]
+    pos = np.where(new == 1, (old - 1) / 2.0, positions * ((old - 1) / np.maximum(new - 1, 1)))
+    left = np.minimum(pos.astype(np.int64), old - 1)
+    right = np.minimum(left + 1, old - 1)
+    return left, right, pos - left
 
-    if rng.random() < cfg.flip_prob:
-        image = flip_temporal(image)
 
-    factor = rng.uniform(*cfg.resize_factor_range)
-    if is_camera:
-        new_h = max(1, int(np.floor(image.height * factor + 0.5)))
-        new_w = max(1, int(np.floor(image.width * factor + 0.5)))
-        image = resize_frame(image, new_h, new_w)
-    else:
-        image = resize_temporal(image, factor)
+def _gather(data, left, right, frac, copy):
+    """Per-image linear interpolation along axis 1 of (B, N, M) data, giving
+    (B, K, M); images whose `copy` flag is set take the `left` rows unchanged."""
+    rows = data.reshape(-1, data.shape[2])
+    base = (np.arange(len(data)) * data.shape[1])[:, None]
+    a = rows[base + left]
+    if copy.all():
+        return a
+    b = rows[base + right]
+    frac = frac[:, :, None]
+    return np.where(copy[:, None, None], a, a * (1.0 - frac) + b * frac)
 
+
+def random_augment(images, cfg: AugmentConfig, rng: Prng) -> np.ndarray:
+    """Randomized flip / resize / crop / jitter of a minibatch, then resize
+    to the output width; see the module docstring for the draw order."""
+    images = list(images)
+    if not images:
+        raise ValidationError("random_augment needs at least one image")
+    kinds = {img.source is not None and img.source.kind == CAMERA_FRAMES for img in images}
+    if len(kinds) > 1:
+        raise ValidationError("minibatch mixes camera frames and vector streams")
+    is_camera = kinds.pop()
+    if any(img.channels != 1 for img in images):
+        raise ValidationError("random_augment takes single-plane images")
+    out_shapes = {(img.height, cfg.output_width or img.width) for img in images}
+    if len(out_shapes) > 1:
+        raise ValidationError(f"minibatch augments to mixed shapes: {sorted(out_shapes)}")
+    out_h, out_w = out_shapes.pop()
+
+    # Scalar pass: each image's draws in order; jitter blocks are skipped.
     lo, hi = cfg.crop_len_range
-    hi = min(hi, image.width)
-    if image.width < lo:
-        raise ValidationError(
-            f"image width {image.width} after resize is below minimum crop length {lo}"
-        )
-    length = lo + rng.randint(hi - lo + 1)
-    start = rng.randint(image.width - length + 1)
-    image = crop_temporal(image, start, length)
-    if is_camera:
-        row_len = min(length, image.height)
-        row_start = rng.randint(image.height - row_len + 1)
-        image = crop_rows(image, row_start, row_len)
+    draws, noise_states = [], []
+    for img in images:
+        flip = rng.random() < cfg.flip_prob
+        factor = rng.uniform(*cfg.resize_factor_range)
+        new_w = int(math.floor(img.width * factor + 0.5))
+        if is_camera:
+            new_h = max(1, int(math.floor(img.height * factor + 0.5)))
+            new_w = max(1, new_w)
+        elif new_w < 1:
+            raise ValidationError(f"resize factor {factor} collapses width {img.width} to zero")
+        else:
+            new_h = img.height
+        if new_w < lo:
+            raise ValidationError(
+                f"image width {new_w} after resize is below minimum crop length {lo}"
+            )
+        length = lo + rng.randint(min(hi, new_w) - lo + 1)
+        start = rng.randint(new_w - length + 1)
+        rows, row_start = new_h, 0
+        if is_camera:
+            rows = min(length, new_h)
+            row_start = rng.randint(new_h - rows + 1)
+        noise_states.append(rng.skip(rows * length) if cfg.jitter_level > 0 else 0)
+        draws.append((flip, img.width, new_h, new_w, length, start, rows, row_start))
+    flip, width, new_h, new_w, length, start, rows, row_start = np.array(draws, np.int64).T
 
-    image = jitter(image, cfg.jitter_level, rng)
+    # Images are held transposed, (B, columns, rows), so each gather picks
+    # whole rows of memory; camera frames transpose around their row passes.
+    data = np.zeros((len(images), width.max(), out_h))
+    for i, img in enumerate(images):
+        data[i, : img.width] = img.data.T
+    height = np.full(len(images), out_h)
+
+    # Flip, resize and crop as one gather per axis (rows only for camera frames).
+    if is_camera:
+        r = row_start[:, None] + np.minimum(np.arange(rows.max()), rows[:, None] - 1)
+        data = _gather(data.transpose(0, 2, 1), *_resample_maps(height, new_h, r),
+                       new_h == height).transpose(0, 2, 1)
+    c = start[:, None] + np.minimum(np.arange(length.max()), length[:, None] - 1)
+    left, right, frac = _resample_maps(width, new_w, c)
+    last = np.where(flip, width - 1, 0)[:, None]
+    sign = np.where(flip, -1, 1)[:, None]
+    data = _gather(data, last + sign * left, last + sign * right, frac, new_w == width)
+
+    if cfg.jitter_level > 0:
+        c = np.arange(data.shape[1])[None, :, None]
+        r = np.arange(data.shape[2])[None, None, :]
+        step = (r * length[:, None, None] + c + 1).astype(np.uint64)
+        u = uniform_at(np.array(noise_states, np.uint64)[:, None, None], step)
+        level_lo, level_hi = -cfg.jitter_level, cfg.jitter_level
+        data = data + (level_lo + (level_hi - level_lo) * u)
 
     if is_camera:
-        return resize_frame(image, out_h, out_w)
-    return resize_to_width(image, out_w)
+        r = np.broadcast_to(np.arange(out_h), (len(images), out_h))
+        data = _gather(data.transpose(0, 2, 1), *_resample_maps(rows, height, r),
+                       rows == out_h).transpose(0, 2, 1)
+    c = np.broadcast_to(np.arange(out_w), (len(images), out_w))
+    data = _gather(data, *_resample_maps(length, np.full(len(images), out_w), c),
+                   length == out_w)
+    return np.ascontiguousarray(data.transpose(0, 2, 1))

@@ -8,10 +8,10 @@
 Each command reads only the dataset splits it uses: ``train`` the train
 split, ``cl`` and ``eval kfold`` both, the other eval modes the test split,
 plus the train split when the normalization bounds (synthetic mode, or a
-manifest without norm_lo/norm_hi) or the default input width (unset
-``[transform] input_width``) come from it. ``ingest`` validates a whole
-dataset, parsing each stream file once, so a bad file in a split a command
-does not read surfaces there.
+manifest without norm_lo/norm_hi) come from it, or, for ``eval length``,
+the default input width (unset ``[transform] input_width``). ``ingest``
+validates a whole dataset, parsing each stream file once, so a bad file in
+a split a command does not read surfaces there.
 
 Exit codes: 0 success, 1 validation error (bad config, files, parameters),
 2 runtime failure. Validation runs before anything is written. At a fixed
@@ -117,7 +117,7 @@ class _Bundle:
     test_images: list
     test_labels: list
     test_cons: list
-    input_width: int
+    input_width: int | None
     bounds: tuple[float, float]
     manifest: object  # the sensor_io.Manifest read in manifest mode, else None
 
@@ -172,10 +172,12 @@ def _manifest_streams(man_path, manifest, splits):
     return streams
 
 
-def _load_bundle(config, splits=("train", "test")) -> _Bundle:
+def _load_bundle(config, splits=("train", "test"), width=True) -> _Bundle:
     """Images of `splits`, plus the train split when the normalization bounds
-    (synthetic mode, or a manifest without norm_lo/norm_hi) or the input
-    width default (unset ``[transform] input_width``) come from it."""
+    (synthetic mode, or a manifest without norm_lo/norm_hi) or, for a command
+    that uses the input `width`, its default (unset ``[transform]
+    input_width``) come from it. Without `width` an unset input width stays
+    None."""
     from .errors import ValidationError
     from .sensor_io import CAMERA_FRAMES, load_manifest
     from .tactile_image import (build_tactile_image, camera_frame_image,
@@ -191,7 +193,8 @@ def _load_bundle(config, splits=("train", "test")) -> _Bundle:
         bounds = manifest.norm_bounds
     else:
         raise ValidationError(f"[dataset] mode must be synthetic or manifest, got {mode!r}")
-    if bounds is None or input_width is None:
+    width = width and input_width is None
+    if bounds is None or width:
         splits = ("train", *splits)
     if manifest is None:
         streams = _synthetic_streams(config, splits)
@@ -222,7 +225,7 @@ def _load_bundle(config, splits=("train", "test")) -> _Bundle:
 
     train_images, train_labels, train_cons = prepare("train")
     test_images, test_labels, test_cons = prepare("test")
-    if input_width is None:
+    if width:
         input_width = train_images[0].width
     return _Bundle(train_images, train_labels, train_cons, test_images, test_labels,
                    test_cons, input_width, bounds, manifest)
@@ -501,7 +504,8 @@ def cmd_eval(args) -> int:
     config = load_config(args.config)
     run_seed = _run_seed(config, args)
     mode = args.mode
-    bundle = _load_bundle(config, ("train", "test") if mode == "kfold" else ("test",))
+    bundle = _load_bundle(config, ("train", "test") if mode == "kfold" else ("test",),
+                          width=mode in ("kfold", "length"))
     ckpt = load_checkpoint(args.checkpoint)
 
     if mode != "kfold" and not bundle.test_images:

@@ -26,7 +26,7 @@ from .. import fabric
 from ..augment import AugmentConfig, random_augment, resize_to_width
 from ..errors import RuntimeFailure, ValidationError
 from ..prng import Prng
-from ..tactile_image import TactileImage, prepare_for_model
+from ..tactile_image import MODEL_CHANNELS, NotNormalizedError, TactileImage
 from . import layers
 from .backend import ConvNetBackend, LinearHead
 
@@ -94,19 +94,35 @@ def _cosine_lr(base, epoch, total):
     return base * 0.5 * (1.0 + math.cos(math.pi * epoch / max(1, total)))
 
 
+def _model_planes(planes: np.ndarray) -> np.ndarray:
+    """(N, H, W) single planes as the backend's (N, 3, H, W) input: a
+    read-only view that replicates each plane, since the backend copies its
+    input anyway."""
+    n, h, w = planes.shape
+    return np.broadcast_to(planes[:, None], (n, MODEL_CHANNELS, h, w))
+
+
+def _check_normalized(images) -> None:
+    if not all(img.normalized for img in images):
+        raise NotNormalizedError("image must be normalized to [-1, 1] before model preparation")
+
+
 def prepare_batch(images, input_width: int | None = None) -> np.ndarray:
-    """Resize (optionally), channel-prepare and stack images into (N, 3, H, W)."""
-    arrays = []
-    for img in images:
-        if input_width is not None and img.width != input_width:
-            img = resize_to_width(img, input_width)
-        if img.channels == 1:
-            img = prepare_for_model(img)
-        arrays.append(img.data)
-    shapes = {a.shape for a in arrays}
+    """Resize (optionally) and stack normalized images into (N, 3, H, W).
+
+    Single planes are stacked once and replicated as a read-only view;
+    3-channel images pass through.
+    """
+    _check_normalized(images)
+    arrays = [img.data if input_width is None or img.width == input_width
+              else resize_to_width(img, input_width).data for img in images]
+    shapes = {(MODEL_CHANNELS, *a.shape) if a.ndim == 2 else a.shape for a in arrays}
     if len(shapes) != 1:
         raise ValidationError(f"batch mixes image shapes: {sorted(shapes)}")
-    return np.stack(arrays)
+    if all(a.ndim == 2 for a in arrays):
+        return _model_planes(np.stack(arrays))
+    (shape,) = shapes
+    return np.stack([np.broadcast_to(a, shape) for a in arrays])
 
 
 def embed_images(backend: ConvNetBackend, images, input_width: int | None = None,
@@ -187,9 +203,12 @@ def _train_loop(images, targets, cfg, aug_cfg, backend, head, loss, val_eval=Non
         for bi, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
             batch_images = [images[i] for i in idx]
-            if aug_cfg is not None:
-                batch_images = [random_augment(im, aug_cfg, aug_rng) for im in batch_images]
-            emb, cache = backend.forward(prepare_batch(batch_images))
+            if aug_cfg is None:
+                x = prepare_batch(batch_images)
+            else:
+                _check_normalized(batch_images)
+                x = _model_planes(random_augment(batch_images, aug_cfg, aug_rng))
+            emb, cache = backend.forward(x)
             value, dlogits = loss(layers.linear_forward(emb, head.weights, head.bias),
                                   targets[idx])
             if not np.isfinite(value):

@@ -82,6 +82,13 @@ class Prng:
     def uniform(self, lo: float = 0.0, hi: float = 1.0, size=None):
         return lo + (hi - lo) * self.random(size)
 
+    def skip(self, n: int) -> int:
+        """Advance past n draws without making them; returns the state they
+        count from, for `uniform_at`."""
+        state = self._state
+        self._state = (state + _GAMMA * n) & _MASK64
+        return state
+
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n)."""
         if n <= 0:
@@ -106,12 +113,16 @@ def random_rows(rngs, n: int) -> np.ndarray:
     All rows come from one vectorized pass over the counters, and each
     generator advances by n draws, exactly as that call would advance it.
     """
-    states = np.array([rng._state for rng in rngs], dtype=np.uint64)
+    states = np.array([rng.skip(n) for rng in rngs], dtype=np.uint64)
+    return uniform_at(states[:, None], np.arange(1, n + 1, dtype=np.uint64))
+
+
+def uniform_at(states: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """The uniform double a generator in state ``states`` yields as its
+    ``draws``-th draw (1-based); uint64 arrays, broadcast together."""
     with np.errstate(over="ignore"):
-        counters = states[:, None] + np.uint64(_GAMMA) * np.arange(1, n + 1, dtype=np.uint64)
+        counters = states + np.uint64(_GAMMA) * draws
         z = (counters ^ (counters >> np.uint64(30))) * np.uint64(_MIX1)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
         z = z ^ (z >> np.uint64(31))
-    for rng in rngs:
-        rng._state = (rng._state + _GAMMA * n) & _MASK64
     return (z >> np.uint64(11)).astype(np.float64) * _TWO53_INV

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from taclearn.augment import (
     AugmentConfig,
+    crop_rows,
     crop_temporal,
-    flip_channels,
     flip_temporal,
     jitter,
     random_augment,
@@ -29,13 +31,6 @@ def test_flip_is_involution_and_preserves_shape():
     assert flipped.data.shape == (19, 400)
     assert np.array_equal(flipped.data[:, 0], img.data[:, -1])
     assert np.array_equal(flip_temporal(flipped).data, img.data)
-
-
-def test_flip_channels_mirrors_data_axis():
-    img = _image(h=5, w=7)
-    flipped = flip_channels(img)
-    assert np.array_equal(flipped.data[0], img.data[-1])
-    assert np.array_equal(flip_channels(flipped).data, img.data)
 
 
 def test_resize_identity_and_halving():
@@ -104,8 +99,8 @@ def test_random_augment_neutral_config_is_identity():
         crop_len_range=(32, 32),
         jitter_level=0.0,
     )
-    out = random_augment(img, cfg, Prng(0))
-    assert np.array_equal(out.data, img.data)
+    out = random_augment([img], cfg, Prng(0))[0]
+    assert np.array_equal(out, img.data)
 
 
 def test_random_augment_shape_contract_and_finiteness():
@@ -119,9 +114,9 @@ def test_random_augment_shape_contract_and_finiteness():
         output_width=64,
     )
     for _ in range(50):
-        out = random_augment(img, cfg, rng)
-        assert out.data.shape == (8, 64)
-        assert np.isfinite(out.data).all()
+        out = random_augment([img], cfg, rng)[0]
+        assert out.shape == (8, 64)
+        assert np.isfinite(out).all()
 
 
 def test_random_augment_too_short_after_resize():
@@ -133,7 +128,7 @@ def test_random_augment_too_short_after_resize():
         jitter_level=0.0,
     )
     with pytest.raises(ValidationError, match="below minimum crop"):
-        random_augment(img, cfg, Prng(0))
+        random_augment([img], cfg, Prng(0))
 
 
 def test_flip_rate_matches_binomial():
@@ -147,7 +142,7 @@ def test_flip_rate_matches_binomial():
     )
     rng = Prng(2024)
     flips = sum(
-        not np.array_equal(random_augment(img, cfg, rng).data, img.data)
+        not np.array_equal(random_augment([img], cfg, rng)[0], img.data)
         for _ in range(10_000)
     )
     assert abs(flips - 5000) <= 150
@@ -165,7 +160,7 @@ def test_random_augment_matches_documented_draw_order():
         output_width=48,
     )
     for trial in range(20):
-        out = random_augment(img, cfg, Prng(trial))
+        out = random_augment([img], cfg, Prng(trial))[0]
         rng = Prng(trial)
         step = img
         if rng.random() < cfg.flip_prob:
@@ -178,7 +173,7 @@ def test_random_augment_matches_documented_draw_order():
         step = crop_temporal(step, start, length)
         step = jitter(step, cfg.jitter_level, rng)
         step = resize_to_width(step, 48)
-        assert np.array_equal(out.data, step.data)
+        assert np.array_equal(out, step.data)
 
 
 def test_camera_augment_restores_frame_shape():
@@ -193,11 +188,11 @@ def test_camera_augment_restores_frame_shape():
     )
     rng = Prng(3)
     for _ in range(10):
-        out = random_augment(img, cfg, rng)
-        assert out.data.shape == (12, 16)
-    a = random_augment(img, cfg, Prng(7))
-    b = random_augment(img, cfg, Prng(7))
-    assert np.array_equal(a.data, b.data)
+        out = random_augment([img], cfg, rng)[0]
+        assert out.shape == (12, 16)
+    a = random_augment([img], cfg, Prng(7))[0]
+    b = random_augment([img], cfg, Prng(7))[0]
+    assert np.array_equal(a, b)
 
 
 def test_resize_frame_both_axes():
@@ -216,3 +211,145 @@ def test_config_validation():
         AugmentConfig(crop_len_range=(0, 4))
     with pytest.raises(ValidationError):
         AugmentConfig(jitter_level=-0.2)
+
+
+def _random_augment_one(image, cfg, rng):
+    # The per-image random_augment the batched one replaced, kept verbatim as
+    # the oracle: a batch must give the bytes, errors and generator state of
+    # augmenting its images one after another with this.
+    is_camera = image.source is not None and image.source.kind == CAMERA_FRAMES
+    out_h = image.height
+    out_w = cfg.output_width if cfg.output_width is not None else image.width
+
+    if rng.random() < cfg.flip_prob:
+        image = flip_temporal(image)
+
+    factor = rng.uniform(*cfg.resize_factor_range)
+    if is_camera:
+        new_h = max(1, int(np.floor(image.height * factor + 0.5)))
+        new_w = max(1, int(np.floor(image.width * factor + 0.5)))
+        image = resize_frame(image, new_h, new_w)
+    else:
+        image = resize_temporal(image, factor)
+
+    lo, hi = cfg.crop_len_range
+    hi = min(hi, image.width)
+    if image.width < lo:
+        raise ValidationError(
+            f"image width {image.width} after resize is below minimum crop length {lo}"
+        )
+    length = lo + rng.randint(hi - lo + 1)
+    start = rng.randint(image.width - length + 1)
+    image = crop_temporal(image, start, length)
+    if is_camera:
+        row_len = min(length, image.height)
+        row_start = rng.randint(image.height - row_len + 1)
+        image = crop_rows(image, row_start, row_len)
+
+    image = jitter(image, cfg.jitter_level, rng)
+
+    if is_camera:
+        return resize_frame(image, out_h, out_w)
+    return resize_to_width(image, out_w)
+
+
+_CAMERA = SensorSpec("cam", channels=9 * 13, sample_rate_hz=10.0, kind=CAMERA_FRAMES,
+                     frame_h=9, frame_w=13, value_range=(0.0, 1.0))
+
+
+def _assert_batch_matches_oracle(images, cfg, seed):
+    oracle_rng, batch_rng = Prng(seed), Prng(seed)
+    try:
+        expected = np.stack([_random_augment_one(img, cfg, oracle_rng).data for img in images])
+    except ValidationError as exc:
+        with pytest.raises(type(exc)) as raised:
+            random_augment(images, cfg, batch_rng)
+        assert str(raised.value) == str(exc)
+    else:
+        out = random_augment(images, cfg, batch_rng)
+        assert out.dtype == np.float64 and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+    assert batch_rng._state == oracle_rng._state
+
+
+def _batch(camera, height, widths, seed, negative_zero_rate):
+    images = []
+    for i, w in enumerate(widths):
+        draw = Prng(seed).spawn(i)
+        data = draw.uniform(-1, 1, size=(height, w))
+        # the per-image ops copy a -0.0 where they do not interpolate
+        data[draw.random((height, w)) < negative_zero_rate] = -0.0
+        images.append(TactileImage(data=data, source=_CAMERA if camera else None,
+                                   normalized=True))
+    return images
+
+
+@st.composite
+def _augment_cases(draw):
+    camera = draw(st.booleans())
+    height = draw(st.integers(1, 9 if camera else 6))
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        widths = [draw(st.integers(1, 40))] * n
+    else:
+        widths = draw(st.lists(st.integers(1, 40), min_size=n, max_size=n))
+    if draw(st.booleans()):  # identity settings: factor 1, full-width crop, no jitter
+        cfg = AugmentConfig(flip_prob=draw(st.sampled_from([0.0, 1.0])),
+                            resize_factor_range=(1.0, 1.0),
+                            crop_len_range=(min(widths), min(widths)), jitter_level=0.0,
+                            output_width=None if len(set(widths)) == 1 else min(widths))
+    else:
+        factor = draw(st.floats(0.02, 2.5))
+        crop_min = draw(st.integers(1, 12))
+        cfg = AugmentConfig(
+            flip_prob=draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)),
+            resize_factor_range=(factor, factor * draw(st.sampled_from([1.0, 1.5, 3.0]))),
+            crop_len_range=(crop_min, crop_min + draw(st.integers(0, 30))),
+            jitter_level=draw(st.sampled_from([0.0, 0.1, 0.5])),
+            output_width=draw(st.integers(1, 40))
+            if len(set(widths)) > 1 or draw(st.booleans()) else None,
+        )
+    images = _batch(camera, height, widths, draw(st.integers(0, 2**32)),
+                    draw(st.sampled_from([0.0, 0.3])))
+    return images, cfg, draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_augment_cases())
+def test_batched_augment_matches_per_image_oracle(case):
+    _assert_batch_matches_oracle(*case)
+
+
+@pytest.mark.parametrize("camera, widths, cfg", [
+    # ragged vector widths, every op active
+    (False, [17, 30, 9, 24], AugmentConfig(0.5, (0.6, 1.8), (4, 20), 0.3, output_width=16)),
+    # camera frames of equal and of ragged widths
+    (True, [13] * 4, AugmentConfig(0.5, (0.7, 1.4), (5, 13), 0.2)),
+    (True, [13, 8, 11], AugmentConfig(0.5, (0.7, 1.4), (3, 9), 0.2, output_width=12)),
+    # no jitter, and copying and interpolating images in one batch
+    (False, [12] * 6, AugmentConfig(0.5, (0.9, 1.1), (10, 12), 0.0, output_width=12)),
+    # identity settings, flips forced on
+    (False, [12] * 3, AugmentConfig(1.0, (1.0, 1.0), (12, 12), 0.0)),
+    (True, [13] * 3, AugmentConfig(1.0, (1.0, 1.0), (13, 13), 0.0)),
+    # the second image's width collapses to zero; the third falls below the crop
+    (False, [20, 2, 20], AugmentConfig(0.5, (0.2, 0.2), (1, 4), 0.1, output_width=5)),
+    (False, [20, 20, 4], AugmentConfig(0.5, (0.5, 0.5), (3, 8), 0.1, output_width=8)),
+    (True, [13, 13], AugmentConfig(0.5, (0.25, 0.25), (6, 8), 0.1)),
+])
+@pytest.mark.parametrize("negative_zero_rate", [0.0, 0.5])
+def test_batched_augment_oracle_cases(camera, widths, cfg, negative_zero_rate):
+    images = _batch(camera, 9 if camera else 5, widths, 4, negative_zero_rate)
+    for seed in range(5):
+        _assert_batch_matches_oracle(images, cfg, seed)
+
+
+def test_batched_augment_rejects_batches_it_cannot_stack():
+    vector = _batch(False, 5, [12, 12], 1, 0.0)
+    camera = _batch(True, 9, [13], 1, 0.0)
+    cfg = AugmentConfig(0.5, (1.0, 1.0), (4, 12), 0.0)
+    with pytest.raises(ValidationError, match="mixes camera frames"):
+        random_augment(vector + camera, cfg, Prng(0))
+    with pytest.raises(ValidationError, match="mixed shapes"):
+        random_augment(vector + _batch(False, 5, [16], 1, 0.0), cfg, Prng(0))
+    with pytest.raises(ValidationError, match="single-plane"):
+        random_augment([TactileImage(data=np.zeros((3, 5, 12)), channels=3)], cfg, Prng(0))

@@ -528,11 +528,16 @@ def test_eval_reads_the_train_split_only_for_bounds_or_width(tmp_path, capsys, i
     name = _corrupt_first(data, "train")
     eval_speed = ["eval", "speed", "--config", str(cfg), "--checkpoint", str(ckpt)]
     assert main([*eval_speed, "--out", str(tmp_path / "e")]) == 0
-    # without input_width its default is the first training image's width
+    # without input_width, eval length takes its default from the first
+    # training image's width; eval speed does not use the width
     cfg.write_text(cfg.read_text().replace("input_width = 32\n", ""))
+    assert main([*eval_speed, "--out", str(tmp_path / "e2")]) == 0
     capsys.readouterr()
-    assert main([*eval_speed, "--out", str(tmp_path / "never")]) == 1
+    never = tmp_path / "never"
+    assert main(["eval", "length", "--config", str(cfg), "--checkpoint", str(ckpt),
+                 "--out", str(never)]) == 1
     assert name in capsys.readouterr().err
+    assert not never.exists()
 
 
 def test_each_stream_is_parsed_once_per_reading_command(tmp_path, monkeypatch, ingested):
@@ -611,28 +616,36 @@ def test_composition_eval_reads_six_head_checkpoints(tmp_path):
                  "--out", str(tmp_path / "eval_five")]) == 1
 
 
-def test_camera_frame_manifest_end_to_end(tmp_path):
+def _camera_manifest(directory, frame_h, frame_w):
+    """3 classes x 12 camera-frame streams (9 train, 3 test) of 4 frames each."""
     import numpy as np
 
     from taclearn.prng import Prng
     from taclearn.sensor_io import (CAMERA_FRAMES, Manifest, ManifestEntry, SensorSpec,
                                     SensorStream, write_manifest, write_stream)
 
-    spec = SensorSpec("cam", channels=120, sample_rate_hz=30.0, kind=CAMERA_FRAMES,
-                      frame_h=10, frame_w=12, value_range=(0.0, 1.0))
-    rows, cols = np.mgrid[0:10, 0:12]
-    data = tmp_path / "frames"
-    data.mkdir()
+    size = frame_h * frame_w
+    spec = SensorSpec("cam", channels=size, sample_rate_hz=30.0, kind=CAMERA_FRAMES,
+                      frame_h=frame_h, frame_w=frame_w, value_range=(0.0, 1.0))
+    rows, cols = np.mgrid[0:frame_h, 0:frame_w]
+    directory.mkdir()
     entries = []
     for c in range(3):
         # a class is a spatial frequency of the pressed texture
         pattern = 0.5 + 0.4 * np.sin((c + 1) * 0.6 * cols + 0.3 * rows).ravel()
         for i in range(12):
-            noise = np.asarray(Prng(100 * c + i).uniform(-0.05, 0.05, size=(4, 120)))
+            noise = np.asarray(Prng(100 * c + i).uniform(-0.05, 0.05, size=(4, size)))
             rel = f"c{c}_s{i:02d}.csv"
-            write_stream(data / rel, SensorStream(spec=spec, readings=pattern + noise))
+            write_stream(directory / rel, SensorStream(spec=spec, readings=pattern + noise))
             entries.append(ManifestEntry(rel, str(c), "train" if i < 9 else "test"))
-    write_manifest(data / "manifest.txt", Manifest(spec=spec, entries=entries))
+    write_manifest(directory / "manifest.txt", Manifest(spec=spec, entries=entries))
+    return directory / "manifest.txt"
+
+
+def test_camera_frame_manifest_end_to_end(tmp_path):
+    from taclearn.sensor_io import CAMERA_FRAMES
+
+    data = _camera_manifest(tmp_path / "frames", 10, 12).parent
     cfg = tmp_path / "cam.cfg"
     cfg.write_text(f"""
 [dataset]
@@ -674,3 +687,58 @@ noise_levels = 0,0.2
                  "--checkpoint", str(tmp_path / "train" / "model.tacm"),
                  "--out", str(tmp_path / "eval")]) == 0
     assert (tmp_path / "eval" / "noise_curve.csv").exists()
+
+
+def test_camera_frame_manifest_augmented_runs_rerun_identically(tmp_path, capsys):
+    # ingest, then train with all four augmentations on the ingested
+    # manifest (the batched camera-frame augmentation), then eval noise
+    import shutil
+
+    source = _camera_manifest(tmp_path / "frames", 12, 16)
+    runs = tmp_path / "runs"
+    ingest_cfg = tmp_path / "ingest.cfg"
+    ingest_cfg.write_text(f"[dataset]\nmode = manifest\nmanifest = {source}\n")
+    cfg = tmp_path / "cam.cfg"
+    cfg.write_text(f"""
+[dataset]
+mode = manifest
+manifest = {runs / 'ingest' / 'manifest.txt'}
+
+[transform]
+input_width = 16
+frame_index = 2
+
+[augment]
+flip_prob = 0.5
+resize_min = 0.8
+resize_max = 1.25
+crop_min = 8
+crop_max = 16
+jitter_level = 0.1
+
+[train]
+epochs = 3
+lr = 0.02
+batch_size = 9
+schedule = cosine
+
+[eval]
+noise_levels = 0,0.2
+""")
+
+    def run():
+        shutil.rmtree(runs, ignore_errors=True)
+        capsys.readouterr()
+        assert main(["ingest", "--config", str(ingest_cfg), "--out", str(runs / "ingest")]) == 0
+        assert main(["train", "--config", str(cfg), "--out", str(runs / "train")]) == 0
+        assert main(["eval", "noise", "--config", str(cfg),
+                     "--checkpoint", str(runs / "train" / "model.tacm"),
+                     "--out", str(runs / "eval")]) == 0
+        files = {str(p.relative_to(runs)): p.read_bytes()
+                 for p in sorted(runs.rglob("*")) if p.is_file()}
+        return files, capsys.readouterr().out
+
+    first = run()
+    assert {"ingest/manifest.txt", "train/model.tacm", "train/history.csv",
+            "eval/noise_curve.csv"} <= set(first[0])
+    assert first == run()

@@ -345,3 +345,29 @@ def test_malformed_checkpoint_is_validation_error(tmp_path, random_backend, corr
     path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(ValidationError, match=message):
         load_checkpoint(path)
+
+
+def test_augmented_epoch_augments_each_minibatch_as_one_array(tiny_dataset, monkeypatch):
+    # N = 24 images at batch size 5: ceil(24/5) = 5 augment calls, and the
+    # batches reach the backend without building a TactileImage
+    from taclearn.augment import AugmentConfig
+    from taclearn.model import train
+
+    images = [img for img, _ in tiny_dataset]
+    labels = [label for _, label in tiny_dataset]
+    targets = train._class_indices(labels, sorted(set(labels)))
+    calls, built = [], []
+    augment = train.random_augment
+    monkeypatch.setattr(train, "random_augment",
+                        lambda batch, cfg, rng: calls.append(len(batch)) or augment(batch, cfg, rng))
+    post_init = TactileImage.__post_init__
+    monkeypatch.setattr(TactileImage, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    aug = AugmentConfig(flip_prob=0.5, resize_factor_range=(0.8, 1.25), crop_len_range=(16, 32),
+                        jitter_level=0.1, seed=3, output_width=32)
+    backend = ConvNetBackend(seed=0)
+    head = LinearHead.zeros(backend.embed_dim, len(set(labels)))
+    cfg = TrainConfig(epochs=1, batch_size=5, lr_schedule="constant")
+    train._train_loop(images, targets, cfg, aug, backend, head, layers.softmax_cross_entropy)
+    assert calls == [5, 5, 5, 5, 4]
+    assert built == []
