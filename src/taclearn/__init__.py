@@ -24,7 +24,6 @@ from .continual import (
     fine_tune,
     ridge_solve,
     rls_update,
-    select_exemplars,
 )
 from .errors import RuntimeFailure, TaclearnError, ValidationError
 from .evaluate import (
@@ -105,7 +104,6 @@ __all__ = [
     "ridge_solve",
     "rls_update",
     "save_checkpoint",
-    "select_exemplars",
     "speed_sweep",
     "train_composition",
     "train_supervised",

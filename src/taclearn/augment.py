@@ -6,11 +6,9 @@ process: temporal flipping (motion direction reversed), temporal resizing
 and drift).
 
 The per-image ops are pure: they never mutate their input and consume
-randomness only from an explicitly passed generator. Augmented images drop
-the `window` metadata since their columns no longer map to raw reading
-indices. Jitter may push values outside [-1, 1] by up to its level; nothing
-re-clamps, because the noise-robustness suites measure exactly that
-excursion.
+randomness only from an explicitly passed generator. Jitter may push values
+outside [-1, 1] by up to its level; nothing re-clamps, because the
+noise-robustness suites measure exactly that excursion.
 
 `random_augment` augments a whole training minibatch: normalized
 single-plane images of one sensor kind, of any widths, in and one float64
@@ -83,7 +81,7 @@ class AugmentConfig:
 
 def flip_temporal(image: TactileImage) -> TactileImage:
     """Mirror the temporal axis (reverses the direction of motion)."""
-    return image.with_data(image.data[..., ::-1].copy(), window=None)
+    return image.with_data(image.data[..., ::-1].copy())
 
 
 def _resample_axis(data: np.ndarray, new_len: int, axis: int) -> np.ndarray:
@@ -119,7 +117,7 @@ def resize_to_width(image: TactileImage, width: int) -> TactileImage:
         raise ValidationError(f"target width must be >= 1, got {width}")
     if width == image.width:
         return image
-    return image.with_data(_resample_axis(image.data, width, axis=-1), window=None)
+    return image.with_data(_resample_axis(image.data, width, axis=-1))
 
 
 def resize_frame(image: TactileImage, height: int, width: int) -> TactileImage:
@@ -130,7 +128,7 @@ def resize_frame(image: TactileImage, height: int, width: int) -> TactileImage:
         return image
     data = _resample_axis(image.data, height, axis=-2)
     data = _resample_axis(data, width, axis=-1)
-    return image.with_data(data, window=None)
+    return image.with_data(data)
 
 
 def crop_temporal(image: TactileImage, start: int, length: int) -> TactileImage:
@@ -141,7 +139,7 @@ def crop_temporal(image: TactileImage, start: int, length: int) -> TactileImage:
         raise ValidationError(
             f"crop [{start}, {start + length}) out of range for width {image.width}"
         )
-    return image.with_data(image.data[..., start : start + length].copy(), window=None)
+    return image.with_data(image.data[..., start : start + length].copy())
 
 
 def crop_rows(image: TactileImage, start: int, length: int) -> TactileImage:
@@ -153,7 +151,7 @@ def crop_rows(image: TactileImage, start: int, length: int) -> TactileImage:
             f"row crop [{start}, {start + length}) out of range for height {image.height}"
         )
     moved = np.moveaxis(image.data, -2, 0)
-    return image.with_data(np.moveaxis(moved[start : start + length], 0, -2).copy(), window=None)
+    return image.with_data(np.moveaxis(moved[start : start + length], 0, -2).copy())
 
 
 def jitter(image: TactileImage, level: float, rng: Prng) -> TactileImage:
@@ -163,7 +161,7 @@ def jitter(image: TactileImage, level: float, rng: Prng) -> TactileImage:
     if level == 0:
         return image
     noise = rng.uniform(-level, level, size=image.data.shape)
-    return image.with_data(image.data + noise, window=None)
+    return image.with_data(image.data + noise)
 
 
 def _resample_maps(old_len, new_len, positions):

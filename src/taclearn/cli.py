@@ -1,7 +1,7 @@
 """Command-line entry point.
 
     taclearn ingest --config FILE --out DIR [--seed N]
-    taclearn train  --config FILE --out DIR [--seed N] [--no-augment] [--threads N]
+    taclearn train  --config FILE --out DIR [--seed N] [--no-augment]
     taclearn cl     --config FILE --out DIR [--seed N] [--no-augment] [--sweep]
     taclearn eval MODE --config FILE --checkpoint FILE --out DIR [--seed N]
 
@@ -17,9 +17,7 @@ Exit codes: 0 success, 1 validation error (bad config, files, parameters),
 2 runtime failure. Validation runs before anything is written. At a fixed
 BLAS thread count every output is a deterministic function of (config,
 seed), so reruns produce identical bytes; the thread count can change the
-last bits of GEMM results and with them a training history. Heavy imports
-happen after argument parsing so --threads can cap the BLAS pools via
-environment variables.
+last bits of GEMM results and with them a training history.
 """
 
 from __future__ import annotations
@@ -29,6 +27,24 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+
+import numpy as np
+
+from .augment import AugmentConfig
+from .config import load_config
+from .continual import cl_rows_to_csv, cl_sweep
+from .errors import RuntimeFailure, ValidationError
+from .evaluate import (EvalReport, composition_eval, curve_to_csv, kfold_eval, length_sweep,
+                       noise_sweep, ridge_classifier, speed_sweep)
+from .fabric import CONSTITUENTS
+from .model import (Checkpoint, Classifier, ConvNetBackend, LinearHead, TrainConfig,
+                    history_to_csv, load_checkpoint, save_checkpoint, train_composition,
+                    train_supervised)
+from .prng import Prng
+from .sensor_io import (CAMERA_FRAMES, Manifest, ManifestEntry, SyntheticTextureConfig,
+                        generate_dataset, load_manifest, load_manifest_streams,
+                        write_manifest, write_stream)
+from .tactile_image import build_tactile_image, camera_frame_image, compute_bounds, normalize
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,7 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the run seed")
-        p.add_argument("--threads", type=int, default=None, help="cap worker threads")
         if checkpoint:
             p.add_argument("--checkpoint", required=True, help="model checkpoint (.tacm)")
 
@@ -66,12 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
-
-    from .errors import RuntimeFailure, ValidationError
-
     commands = {
         "ingest": cmd_ingest,
         "train": cmd_train,
@@ -98,8 +107,6 @@ def _run_seed(config, args) -> int:
 
 
 def _sub_seed(run_seed: int, key: int) -> int:
-    from .prng import Prng
-
     return Prng(run_seed).spawn(key).next_u64()
 
 
@@ -107,8 +114,7 @@ def _sub_seed(run_seed: int, key: int) -> int:
 class _Bundle:
     """Loaded dataset: normalized tactile images split into train/test.
 
-    A split the command did not ask for, and did not need for the bounds or
-    the input width, is left unread and empty.
+    A split the command did not ask for is empty.
     """
 
     train_images: list
@@ -123,8 +129,6 @@ class _Bundle:
 
 
 def _synthetic_config(config):
-    from .sensor_io import SyntheticTextureConfig
-
     return SyntheticTextureConfig(
         num_classes=config.get_int("dataset", "num_classes"),
         channels=config.get_int("dataset", "channels", 12),
@@ -148,8 +152,6 @@ def _constituent_map(config):
 
 def _synthetic_streams(config, splits):
     """Generate `splits` only; the test split starts at index train_per_class."""
-    from .sensor_io import generate_dataset
-
     synth = _synthetic_config(config)
     train_n = config.get_int("dataset", "train_per_class", 40)
     test_n = config.get_int("dataset", "test_per_class", 10)
@@ -162,8 +164,6 @@ def _synthetic_streams(config, splits):
 
 def _manifest_streams(man_path, manifest, splits):
     """Parse the streams of `splits` once each, in manifest order."""
-    from .sensor_io import load_manifest_streams
-
     wanted = replace(manifest, entries=[e for e in manifest.entries if e.split in splits])
     _, loaded = load_manifest_streams(man_path, wanted)
     streams = {split: [] for split in splits}
@@ -173,16 +173,11 @@ def _manifest_streams(man_path, manifest, splits):
 
 
 def _load_bundle(config, splits=("train", "test"), width=True) -> _Bundle:
-    """Images of `splits`, plus the train split when the normalization bounds
-    (synthetic mode, or a manifest without norm_lo/norm_hi) or, for a command
-    that uses the input `width`, its default (unset ``[transform]
-    input_width``) come from it. Without `width` an unset input width stays
-    None."""
-    from .errors import ValidationError
-    from .sensor_io import CAMERA_FRAMES, load_manifest
-    from .tactile_image import (build_tactile_image, camera_frame_image,
-                                compute_bounds, normalize)
-
+    """Images of `splits`. The train split is also read when the normalization
+    bounds (synthetic mode, or a manifest without norm_lo/norm_hi) or, for a
+    command that uses the input `width`, its default (unset ``[transform]
+    input_width``) come from it; read only for those, it yields no images.
+    Without `width` an unset input width stays None."""
     mode = config.get_str("dataset", "mode")
     input_width = config.get_int("transform", "input_width", None)
     if mode == "synthetic":
@@ -194,13 +189,12 @@ def _load_bundle(config, splits=("train", "test"), width=True) -> _Bundle:
     else:
         raise ValidationError(f"[dataset] mode must be synthetic or manifest, got {mode!r}")
     width = width and input_width is None
-    if bounds is None or width:
-        splits = ("train", *splits)
+    read = ("train", *splits) if bounds is None or width else splits
     if manifest is None:
-        streams = _synthetic_streams(config, splits)
+        streams = _synthetic_streams(config, read)
         has_train = bool(streams["train"])
     else:
-        streams = _manifest_streams(man_path, manifest, splits)
+        streams = _manifest_streams(man_path, manifest, read)
         has_train = bool(manifest.split("train"))
     if not has_train:
         raise ValidationError("dataset has no training samples")
@@ -217,7 +211,7 @@ def _load_bundle(config, splits=("train", "test"), width=True) -> _Bundle:
 
     def prepare(split):
         images, labels, cons = [], [], []
-        for s in streams.get(split, ()):
+        for s in streams[split] if split in splits else ():
             images.append(normalize(build(s), *bounds))
             labels.append(str(s.label))
             cons.append(s.constituents)
@@ -226,14 +220,12 @@ def _load_bundle(config, splits=("train", "test"), width=True) -> _Bundle:
     train_images, train_labels, train_cons = prepare("train")
     test_images, test_labels, test_cons = prepare("test")
     if width:
-        input_width = train_images[0].width
+        input_width = build(streams["train"][0]).width
     return _Bundle(train_images, train_labels, train_cons, test_images, test_labels,
                    test_cons, input_width, bounds, manifest)
 
 
 def _augment_config(config, args, input_width, run_seed):
-    from .augment import AugmentConfig
-
     if getattr(args, "no_augment", False):
         return None
     if not config.get_bool("augment", "enabled", True):
@@ -257,8 +249,6 @@ def _augment_config(config, args, input_width, run_seed):
 
 
 def _train_config(config, run_seed, task):
-    from .model import TrainConfig
-
     default_epochs = 50 if task == "composition" else 100
     return TrainConfig(
         epochs=config.get_int("train", "epochs", default_epochs),
@@ -283,8 +273,6 @@ def _prepare_out(args, config, run_seed) -> Path:
 
 def _model_checkpoint(backend, task, head, input_width, classes=None):
     """A checkpoint holding one head, named after its task, and the run meta."""
-    from .model import Checkpoint
-
     meta = {"task": task}
     if classes is not None:
         meta["classes"] = ";".join(classes)
@@ -293,8 +281,6 @@ def _model_checkpoint(backend, task, head, input_width, classes=None):
 
 
 def _load_backend_for_train(config):
-    from .model import load_checkpoint
-
     pretrained = config.get_str("train", "pretrained", None)
     if pretrained is None:
         return None
@@ -302,10 +288,6 @@ def _load_backend_for_train(config):
 
 
 def cmd_ingest(args) -> int:
-    from .config import load_config
-    from .sensor_io import Manifest, ManifestEntry, write_manifest, write_stream
-    from .tactile_image import compute_bounds
-
     config = load_config(args.config)
     run_seed = _run_seed(config, args)
     mode = config.get_str("dataset", "mode")
@@ -347,10 +329,6 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .config import load_config
-    from .errors import ValidationError
-    from .model import history_to_csv, save_checkpoint, train_composition, train_supervised
-
     config = load_config(args.config)
     run_seed = _run_seed(config, args)
     task = config.get_str("train", "task", "classify")
@@ -390,11 +368,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_cl(args) -> int:
-    from .config import load_config
-    from .continual import cl_rows_to_csv, cl_sweep
-    from .errors import ValidationError
-    from .model import ConvNetBackend, TrainConfig, load_checkpoint, save_checkpoint
-
     config = load_config(args.config)
     run_seed = _run_seed(config, args)
     bundle = _load_bundle(config)
@@ -459,9 +432,6 @@ def cmd_cl(args) -> int:
 
 
 def _classifier_from_checkpoint(ckpt):
-    from .errors import ValidationError
-    from .model import Classifier
-
     if "classify" not in ckpt.heads:
         raise ValidationError("checkpoint has no classification head")
     classes = tuple(ckpt.meta.get("classes", "").split(";"))
@@ -478,12 +448,6 @@ def _classifier_from_checkpoint(ckpt):
 def _composition_head(ckpt):
     """The checkpoint's 6-column composition head. Older files hold six
     constituent-named 128x1 heads instead; those are stacked in vocabulary order."""
-    import numpy as np
-
-    from .errors import ValidationError
-    from .fabric import CONSTITUENTS
-    from .model import LinearHead
-
     if "composition" in ckpt.heads:
         return ckpt.heads["composition"]
     parts = [ckpt.heads.get(name) for name in CONSTITUENTS]
@@ -495,12 +459,6 @@ def _composition_head(ckpt):
 
 
 def cmd_eval(args) -> int:
-    from .config import load_config
-    from .errors import ValidationError
-    from .evaluate import (composition_eval, curve_to_csv, kfold_eval, length_sweep,
-                           noise_sweep, ridge_classifier, speed_sweep)
-    from .model import load_checkpoint
-
     config = load_config(args.config)
     run_seed = _run_seed(config, args)
     mode = args.mode
@@ -548,8 +506,6 @@ def cmd_eval(args) -> int:
         else:
             levels = config.get_float_list("eval", "noise_levels", [0.0, 0.1, 0.2, 0.3, 0.5])
             curve = noise_sweep(clf, images, labels, levels, seed=run_seed)
-        from .evaluate import EvalReport
-
         report = EvalReport(task_id=mode, curves={mode: curve})
 
     out = _prepare_out(args, config, run_seed)

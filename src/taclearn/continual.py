@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from .augment import AugmentConfig
 from .errors import RuntimeFailure, ValidationError
@@ -52,10 +51,6 @@ class RlsState:
     @property
     def classes(self) -> tuple:
         return tuple(sorted(self.c))
-
-    @property
-    def total_count(self) -> int:
-        return sum(self.counts.values())
 
     def copy(self) -> "RlsState":
         return RlsState(
@@ -106,14 +101,15 @@ def ridge_solve(state: RlsState) -> LinearHead:
     m = state.A + state.ridge_lambda * np.eye(state.dim)
     targets = np.stack([state.c[y] for y in classes], axis=1)
     try:
-        factor = scipy.linalg.cho_factor(m, lower=True)
-    except scipy.linalg.LinAlgError:
+        lower = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
         cond = float(np.linalg.cond(m))
         raise RuntimeFailure(
             f"A + lambda*I numerically singular (condition estimate {cond:.3e}); "
             f"increase ridge_lambda"
         ) from None
-    weights = scipy.linalg.cho_solve(factor, targets)
+    # L L^T W = C; numpy has no triangular solver, so its general one does both halves
+    weights = np.linalg.solve(lower.T, np.linalg.solve(lower, targets))
     if not np.isfinite(weights).all():
         raise RuntimeFailure("ridge solution is non-finite")
     return LinearHead(weights, np.zeros(len(classes)))
@@ -215,33 +211,6 @@ def herding_order(embeddings: np.ndarray) -> list[int]:
     return order
 
 
-def select_exemplars(buffer: MemoryBuffer, images, labels, backend: ConvNetBackend,
-                     embeddings: np.ndarray | None = None,
-                     input_width: int | None = None) -> MemoryBuffer:
-    """Herd a new class's samples into the buffer and rebalance budgets.
-
-    Existing classes are truncated to the new equal per-class budget, keeping
-    their earliest-selected exemplars (the herding priority prefix).
-    """
-    images = list(images)
-    labels = list(labels)
-    if len(images) != len(labels):
-        raise ValidationError("images and labels length mismatch")
-    if not images:
-        raise ValidationError("cannot select exemplars from an empty batch")
-    if embeddings is None:
-        embeddings = embed_images(backend, images, input_width)
-
-    per_class = dict(buffer.per_class)
-    for label in sorted(set(labels)):
-        if label in per_class:
-            raise ValidationError(f"class {label!r} already has stored exemplars")
-        idx = [i for i, l in enumerate(labels) if l == label]
-        order = herding_order(embeddings[idx])
-        per_class[label] = [images[idx[i]] for i in order]
-    return MemoryBuffer.rebalanced(buffer.capacity, per_class)
-
-
 @dataclass
 class ClSnapshot:
     """State after one continual step: the ridge floor and the adapted model."""
@@ -330,22 +299,13 @@ def _shared_pass(batches, backend, ridge_lambda, test_images, test_labels, input
     if test_images is not None:
         test_emb = embed_images(backend, test_images, input_width)
     herded: dict = {}
-    seen: list[tuple[RlsState, dict]] = []
+    steps: list[_SharedStep] = []
     for label, images in batches:
         if label in herded:
             raise ValidationError(f"class {label!r} appears twice in the sequence")
         embeddings = embed_images(backend, images, input_width)
         state = rls_update(state, embeddings, [label] * len(images))
         herded[label] = [images[i] for i in herding_order(embeddings)]
-        seen.append((state, dict(herded)))
-
-    # Every solve runs after every embedding. scipy's LAPACK has its own
-    # BLAS thread pool, which keeps spinning for a moment after a solve, and
-    # an embedding GEMM issued meanwhile shares the CPUs with it (on 2 CPUs a
-    # 600-image embedding took 147 ms right after a 128x128 cho_factor, 105
-    # ms otherwise).
-    steps: list[_SharedStep] = []
-    for state, herded in seen:
         ridge_clf = Classifier(backend, ridge_solve(state), state.classes, input_width)
         test = acc_ridge = None
         if test_emb is not None:
@@ -353,7 +313,7 @@ def _shared_pass(batches, backend, ridge_lambda, test_images, test_labels, input
             if eval_idx:
                 test = ([test_images[i] for i in eval_idx], [test_labels[i] for i in eval_idx])
                 acc_ridge = ridge_clf.accuracy(*test, embeddings=test_emb[eval_idx])
-        steps.append(_SharedStep(ridge_clf, herded, test, acc_ridge))
+        steps.append(_SharedStep(ridge_clf, dict(herded), test, acc_ridge))
     return steps
 
 

@@ -10,11 +10,9 @@ from .train import (
     Classifier,
     EpochStats,
     TrainConfig,
-    composition_forward,
     composition_probs,
     embed_images,
     history_to_csv,
-    predict_constituents,
     prepare_batch,
     sgd_step,
     train_composition,
@@ -29,12 +27,10 @@ __all__ = [
     "LinearHead",
     "MIN_INPUT",
     "TrainConfig",
-    "composition_forward",
     "composition_probs",
     "embed_images",
     "history_to_csv",
     "load_checkpoint",
-    "predict_constituents",
     "prepare_batch",
     "save_checkpoint",
     "sgd_step",

@@ -26,7 +26,7 @@ from .. import fabric
 from ..augment import AugmentConfig, random_augment, resize_to_width
 from ..errors import RuntimeFailure, ValidationError
 from ..prng import Prng
-from ..tactile_image import MODEL_CHANNELS, NotNormalizedError, TactileImage
+from ..tactile_image import MODEL_CHANNELS, NotNormalizedError
 from . import layers
 from .backend import ConvNetBackend, LinearHead
 
@@ -329,13 +329,3 @@ def composition_probs(backend: ConvNetBackend, head: LinearHead, images) -> np.n
         )
     return layers.sigmoid(head.logits(embed_images(backend, images)))
 
-
-def composition_forward(backend: ConvNetBackend, head: LinearHead,
-                        image: TactileImage) -> np.ndarray:
-    """Six independent constituent probabilities for one image."""
-    return composition_probs(backend, head, [image])[0]
-
-
-def predict_constituents(backend, head, image, threshold: float = 0.5) -> frozenset[str]:
-    probs = composition_forward(backend, head, image)
-    return fabric.from_indicator(probs, threshold)

@@ -7,17 +7,11 @@ bounds, then channel-replicated to the three-plane layout the models expect.
 
 Multi-modal sensors keep whatever channel order the manifest delivered; the
 loader does not reorder modalities.
-
-Single-plane images serialize to the stream binary layout with an ``IMG1``
-sub-magic in place of the version field: ``TACL`` + ``IMG1`` + u32 flags
-(bit 0: normalized) + u32 H + u32 W + H*W little-endian float32 values.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -25,9 +19,6 @@ from .errors import ValidationError
 from .sensor_io import CAMERA_FRAMES, VECTOR_STREAM, SensorSpec, SensorStream
 
 MODEL_CHANNELS = 3
-
-_IMG_MAGIC = b"TACL"
-_IMG_SUBMAGIC = b"IMG1"
 
 
 class WindowError(ValidationError):
@@ -55,7 +46,6 @@ class TactileImage:
     data: np.ndarray
     channels: int = 1
     source: SensorSpec | None = None
-    window: tuple[int, int] | None = None
     normalized: bool = False
 
     def __post_init__(self):
@@ -102,7 +92,7 @@ def build_tactile_image(stream: SensorStream, j: int | None = None, k: int | Non
     if not (0 <= j <= k < t):
         raise WindowError(f"window [{j}, {k}] invalid for stream of length {t}")
     data = stream.readings[j : k + 1].T.copy()
-    return TactileImage(data=data, source=stream.spec, window=(j, k))
+    return TactileImage(data=data, source=stream.spec)
 
 
 def camera_frame_image(stream: SensorStream, index: int = 0) -> TactileImage:
@@ -113,7 +103,7 @@ def camera_frame_image(stream: SensorStream, index: int = 0) -> TactileImage:
     if not 0 <= index < stream.length:
         raise WindowError(f"frame index {index} invalid for stream of length {stream.length}")
     data = stream.readings[index].reshape(spec.frame_h, spec.frame_w)
-    return TactileImage(data=data, source=spec, window=(index, index))
+    return TactileImage(data=data, source=spec)
 
 
 def normalize(image: TactileImage, lo: float, hi: float) -> TactileImage:
@@ -155,27 +145,3 @@ def compute_bounds(streams) -> tuple[float, float]:
         raise ValidationError(f"degenerate data: min == max == {lo}")
     return lo, hi
 
-
-def write_image(path, image: TactileImage) -> None:
-    """Serialize a single-plane image; values quantize to float32."""
-    if image.channels != 1:
-        raise ValidationError("only single-plane images serialize; save before replication")
-    flags = 1 if image.normalized else 0
-    header = struct.pack(
-        "<4s4sIII", _IMG_MAGIC, _IMG_SUBMAGIC, flags, image.height, image.width
-    )
-    Path(path).write_bytes(header + image.data.astype("<f4").tobytes())
-
-
-def load_image(path) -> TactileImage:
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"image file not found: {path}")
-    raw = path.read_bytes()
-    if len(raw) < 20 or raw[:4] != _IMG_MAGIC or raw[4:8] != _IMG_SUBMAGIC:
-        raise ValidationError(f"{path}: not a taclearn image file")
-    flags, h, w = struct.unpack("<III", raw[8:20])
-    if len(raw) != 20 + 4 * h * w:
-        raise ValidationError(f"{path}: truncated image payload")
-    data = np.frombuffer(raw, dtype="<f4", offset=20).astype(np.float64).reshape(h, w)
-    return TactileImage(data=data, normalized=bool(flags & 1))

@@ -313,14 +313,28 @@ def test_cl_truncated_backend_checkpoint_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_threads_flag_overrides_preset_variables(tmp_path, monkeypatch):
-    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-    for name in names:
-        monkeypatch.setenv(name, "7")
-    # the command fails on the missing config; the flag is applied before that
-    assert main(["train", "--config", str(tmp_path / "nope.cfg"),
-                 "--out", str(tmp_path / "o"), "--threads", "1"]) == 1
-    assert all(os.environ[name] == "1" for name in names)
+def test_cli_import_leaves_scipy_out(tmp_path):
+    # numpy is the only runtime dependency
+    import taclearn
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(taclearn.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, taclearn.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+def test_threads_flag_is_rejected(tmp_path, capsys):
+    # BLAS reads its thread variables when numpy loads, before any argument
+    # is parsed, so the thread count is set in the environment instead
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(_write_cfg(tmp_path)), "--out", str(tmp_path / "o"),
+              "--threads", "1"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cl_rerun_bit_identical(tmp_path):
@@ -351,6 +365,25 @@ def test_eval_modes_produce_reports(tmp_path, trained, mode):
     assert (out / "summary.txt").exists()
     if mode != "kfold":
         assert (out / f"{mode}_curve.csv").exists()
+
+
+def test_synthetic_eval_noise_normalizes_only_test_images(tmp_path, trained, monkeypatch):
+    # the train split is generated for the normalization bounds only
+    from taclearn import cli, tactile_image
+
+    cfg, ckpt = trained
+    normalized = []
+    normalize = tactile_image.normalize
+
+    def counting(image, lo, hi):
+        normalized.append(image)
+        return normalize(image, lo, hi)
+
+    for module in (tactile_image, cli):
+        monkeypatch.setattr(module, "normalize", counting, raising=False)
+    assert main(["eval", "noise", "--config", str(cfg), "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "e")]) == 0
+    assert len(normalized) == 3 * 3  # num_classes x test_per_class
 
 
 def test_eval_rerun_bit_identical(tmp_path, trained):

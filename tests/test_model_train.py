@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from taclearn.errors import RuntimeFailure, ValidationError
-from taclearn.fabric import CONSTITUENTS
+from taclearn.fabric import CONSTITUENTS, from_indicator
 from taclearn.model import (
     Checkpoint,
     ConvNetBackend,
     LinearHead,
     TrainConfig,
-    composition_forward,
+    composition_probs,
     load_checkpoint,
-    predict_constituents,
     save_checkpoint,
     sgd_step,
     train_composition,
@@ -214,14 +213,15 @@ def test_plateau_lr_sequence_replays_from_val_acc(tiny_dataset):
     assert len(set(expected)) >= 2
 
 
-def test_composition_forward_contracts(random_backend):
+def test_composition_probs_contracts(random_backend):
     head = LinearHead.zeros(random_backend.embed_dim, 6)
-    img = _prepared_image(12, 40, seed=8)
-    probs = composition_forward(random_backend, head, img)
+    images = [_prepared_image(12, 40, seed=8), _prepared_image(12, 40, seed=10)]
+    probs = composition_probs(random_backend, head, images)
+    assert probs.shape == (2, 6)
     assert np.allclose(probs, 0.5)
     assert ((probs > 0) & (probs < 1)).all()
     with pytest.raises(ValidationError, match="6 heads"):
-        composition_forward(random_backend, LinearHead.zeros(random_backend.embed_dim, 5), img)
+        composition_probs(random_backend, LinearHead.zeros(random_backend.embed_dim, 5), images)
 
 
 def test_composition_threshold_rule(random_backend):
@@ -231,7 +231,7 @@ def test_composition_threshold_rule(random_backend):
     # craft heads with fixed logits via bias, zero weights
     biases = [3.0, 1.0, -2.0, -4.0, 0.2, -0.1]
     head = LinearHead(np.zeros((d, 6)), np.array(biases))
-    picked = predict_constituents(random_backend, head, img)
+    picked = from_indicator(composition_probs(random_backend, head, [img])[0])
     assert picked == frozenset({CONSTITUENTS[0], CONSTITUENTS[1], CONSTITUENTS[4]})
 
 
@@ -247,9 +247,8 @@ def test_train_composition_learns_constituents():
     cfg = TrainConfig(epochs=60, lr=0.05, batch_size=8, lr_schedule="cosine", seed=5)
     backend, head, history = train_composition(dataset, cfg)
     assert history[-1].loss < history[0].loss
-    correct = sum(
-        predict_constituents(backend, head, img) == truth for img, truth in dataset
-    )
+    probs = composition_probs(backend, head, [img for img, _ in dataset])
+    correct = sum(from_indicator(p) == truth for p, (_, truth) in zip(probs, dataset))
     assert correct / len(dataset) >= 0.8
 
 

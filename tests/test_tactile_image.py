@@ -33,7 +33,6 @@ def test_biotac_like_window_shape():
     stream = _stream(19, 400)
     img = build_tactile_image(stream, 0, 399)
     assert img.data.shape == (19, 400)
-    assert img.window == (0, 399)
 
 
 def test_contactile_like_full_stream_default():
@@ -148,30 +147,3 @@ def test_compute_bounds_from_streams():
     assert lo < hi
     for s in streams:
         assert lo <= s.readings.min() and s.readings.max() <= hi
-
-
-def test_image_binary_round_trip(tmp_path):
-    from taclearn.tactile_image import load_image, write_image
-
-    data = Prng(9).uniform(-1, 1, size=(7, 13)).astype(np.float32).astype(np.float64)
-    img = normalize(TactileImage(data=data), -1.0, 1.0)
-    p = tmp_path / "img.taci"
-    write_image(p, img)
-    loaded = load_image(p)
-    assert loaded.normalized
-    assert np.array_equal(loaded.data, img.data)
-    # an image file is not a valid sensor stream
-    from taclearn.sensor_io import MalformedStreamError, SensorSpec, load_stream
-
-    spec = SensorSpec("x", channels=13, sample_rate_hz=1.0)
-    with pytest.raises(MalformedStreamError):
-        load_stream(p, spec)
-
-
-def test_image_binary_rejects_garbage(tmp_path):
-    from taclearn.tactile_image import load_image
-
-    p = tmp_path / "junk.taci"
-    p.write_bytes(b"TACLJUNK" + b"\x00" * 16)
-    with pytest.raises(ValidationError, match="not a taclearn image"):
-        load_image(p)
