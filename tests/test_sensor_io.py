@@ -217,6 +217,11 @@ def test_binary_truncated_errors(tmp_path):
     p.write_bytes(p.read_bytes()[:-3])
     with pytest.raises(MalformedStreamError):
         load_stream(p, stream.spec)
+    write_stream(p, stream, fmt="binary")
+    raw = p.read_bytes()
+    p.write_bytes(raw[:4] + b"IMG1" + raw[8:])
+    with pytest.raises(MalformedStreamError, match="bad magic or version"):
+        load_stream(p, stream.spec)
 
 
 def test_manifest_round_trip(tmp_path):
