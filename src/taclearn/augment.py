@@ -10,9 +10,9 @@ randomness only from an explicitly passed generator. Jitter may push values
 outside [-1, 1] by up to its level; nothing re-clamps, because the
 noise-robustness suites measure exactly that excursion.
 
-`random_augment` augments a whole training minibatch: normalized
-single-plane images of one sensor kind, of any widths, in and one float64
-array (B, H_out, W_out) out. Its result, and the generator state it leaves,
+`random_augment` augments a whole training minibatch: normalized images
+of one sensor kind, of any widths, in and one float64 array
+(B, H_out, W_out) out. Its result, and the generator state it leaves,
 are those of augmenting the images one after another with the per-image ops,
 each image drawing in this order: flip (one uniform draw), resize (one
 factor draw), crop (one length and one start draw), jitter (one uniform
@@ -143,15 +143,14 @@ def crop_temporal(image: TactileImage, start: int, length: int) -> TactileImage:
 
 
 def crop_rows(image: TactileImage, start: int, length: int) -> TactileImage:
-    """Keep rows [start, start+length) along the data axis."""
+    """Keep rows [start, start+length)."""
     if length < 1:
         raise ValidationError(f"crop length must be >= 1, got {length}")
     if start < 0 or start + length > image.height:
         raise ValidationError(
             f"row crop [{start}, {start + length}) out of range for height {image.height}"
         )
-    moved = np.moveaxis(image.data, -2, 0)
-    return image.with_data(np.moveaxis(moved[start : start + length], 0, -2).copy())
+    return image.with_data(image.data[start : start + length].copy())
 
 
 def jitter(image: TactileImage, level: float, rng: Prng) -> TactileImage:
@@ -197,8 +196,6 @@ def random_augment(images, cfg: AugmentConfig, rng: Prng) -> np.ndarray:
     if len(kinds) > 1:
         raise ValidationError("minibatch mixes camera frames and vector streams")
     is_camera = kinds.pop()
-    if any(img.channels != 1 for img in images):
-        raise ValidationError("random_augment takes single-plane images")
     out_shapes = {(img.height, cfg.output_width or img.width) for img in images}
     if len(out_shapes) > 1:
         raise ValidationError(f"minibatch augments to mixed shapes: {sorted(out_shapes)}")

@@ -353,7 +353,8 @@ def cmd_train(args) -> int:
         classes = None
         trainer = train_composition
 
-    backend, head, history = trainer(dataset, train_cfg, aug_cfg, backend=backend)
+    backend, head, history = trainer(dataset, train_cfg, aug_cfg, backend=backend,
+                                     input_width=bundle.input_width)
     out = _prepare_out(args, config, run_seed)
 
     for row in history:
@@ -440,9 +441,17 @@ def _classifier_from_checkpoint(ckpt):
         raise ValidationError(
             f"checkpoint lists {len(classes)} classes for a {head.out_dim}-way head"
         )
+    return Classifier(ckpt.backend, head, classes, _checkpoint_width(ckpt))
+
+
+def _checkpoint_width(ckpt):
+    """The input width the checkpoint's model was trained at; None if unrecorded."""
     width = ckpt.meta.get("input_width")
-    return Classifier(ckpt.backend, head, classes,
-                      int(width) if width is not None else None)
+    if width is None:
+        return None
+    if not (width.isdecimal() and int(width) >= 1):
+        raise ValidationError(f"checkpoint input_width must be a positive integer, got {width!r}")
+    return int(width)
 
 
 def _composition_head(ckpt):
@@ -491,7 +500,8 @@ def cmd_eval(args) -> int:
                 raise ValidationError("test sample without constituent truth")
             items.append((img, cons))
         threshold = config.get_float("eval", "threshold", 0.5)
-        report = composition_eval(ckpt.backend, head, items, threshold)
+        report = composition_eval(ckpt.backend, head, items, threshold,
+                                  input_width=_checkpoint_width(ckpt))
     else:
         clf = _classifier_from_checkpoint(ckpt)
         images, labels = bundle.test_images, bundle.test_labels

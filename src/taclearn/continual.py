@@ -237,7 +237,7 @@ def fine_tune(ridge_clf: Classifier, buffer: MemoryBuffer, cfg: TrainConfig,
     items = buffer.items()
     train_supervised(
         items, cfg, aug_cfg, backend=clone.backend, head=clone.head,
-        classes=clone.classes,
+        classes=clone.classes, input_width=clone.input_width,
     )
     return clone
 

@@ -217,12 +217,12 @@ def composition_score(predicted, truth) -> float:
 
 
 def composition_eval(backend: ConvNetBackend, head: LinearHead, items, threshold: float = 0.5,
-                     task_id: str = "composition") -> EvalReport:
+                     task_id: str = "composition", input_width: int | None = None) -> EvalReport:
     """Score the composition head's predictions over (image, truth set) pairs."""
     items = list(items)
     if not items:
         raise ValidationError("composition evaluation needs at least one item")
-    probs = composition_probs(backend, head, [image for image, _ in items])
+    probs = composition_probs(backend, head, [image for image, _ in items], input_width)
     counts = {name: [0, 0] for name in fabric.CONSTITUENTS}
     scores = []
     for (_, truth), p in zip(items, probs):

@@ -21,7 +21,6 @@ import numpy as np
 
 from ..errors import ValidationError
 from ..prng import Prng
-from ..tactile_image import TactileImage
 from . import layers
 
 _CKPT_MAGIC = b"TACM"
@@ -128,19 +127,22 @@ class ConvNetBackend:
         return other
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
+        """(N, H, W) planes, each fed to every input channel as one read-only
+        view (conv_forward copies its input), or (N, in_channels, H, W) input."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 3:
-            x = x[None]
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
+        if x.ndim not in (3, 4) or (x.ndim == 4 and x.shape[1] != self.in_channels):
             raise ValidationError(
-                f"expected (N, {self.in_channels}, H, W) input, got shape {x.shape}"
+                f"expected (N, H, W) planes or (N, {self.in_channels}, H, W) input, "
+                f"got shape {x.shape}"
             )
-        if x.shape[2] < MIN_INPUT or x.shape[3] < MIN_INPUT:
+        if x.shape[-2] < MIN_INPUT or x.shape[-1] < MIN_INPUT:
             raise ValidationError(
-                f"input {x.shape[2]}x{x.shape[3]} below minimum {MIN_INPUT}x{MIN_INPUT}"
+                f"input {x.shape[-2]}x{x.shape[-1]} below minimum {MIN_INPUT}x{MIN_INPUT}"
             )
         if not np.isfinite(x).all():
             raise ValidationError("backend input contains non-finite values")
+        if x.ndim == 3:
+            x = np.broadcast_to(x[:, None], (len(x), self.in_channels, *x.shape[1:]))
         return x
 
     def forward(self, x: np.ndarray):
@@ -174,13 +176,9 @@ class ConvNetBackend:
         emb, _ = self.forward(x)
         return emb
 
-    def embed_image(self, image: TactileImage) -> np.ndarray:
-        """Embedding of one channel-prepared tactile image."""
-        if image.channels != self.in_channels:
-            raise ValidationError(
-                f"image has {image.channels} channels; prepare_for_model first"
-            )
-        return self.embed_batch(image.data[None])[0]
+    def embed_image(self, plane: np.ndarray) -> np.ndarray:
+        """Embedding of one (H, W) plane, as `prepare_for_model` returns it."""
+        return self.embed_batch(np.asarray(plane)[None])[0]
 
     def arch_header(self) -> str:
         widths = ",".join(str(w) for w in self.widths)

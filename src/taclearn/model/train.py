@@ -26,11 +26,12 @@ from .. import fabric
 from ..augment import AugmentConfig, random_augment, resize_to_width
 from ..errors import RuntimeFailure, ValidationError
 from ..prng import Prng
-from ..tactile_image import MODEL_CHANNELS, NotNormalizedError
+from ..tactile_image import prepare_for_model
 from . import layers
 from .backend import ConvNetBackend, LinearHead
 
 SCHEDULES = ("plateau", "cosine", "constant")
+PLATEAU_FACTOR = 0.5  # the plateau schedule's lr cut
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,6 @@ class TrainConfig:
     seed: int = 0
     val_fraction: float = 0.1
     plateau_patience: int = 10
-    plateau_factor: float = 0.5
     freeze_backend: bool = False
 
     def __post_init__(self):
@@ -94,35 +94,14 @@ def _cosine_lr(base, epoch, total):
     return base * 0.5 * (1.0 + math.cos(math.pi * epoch / max(1, total)))
 
 
-def _model_planes(planes: np.ndarray) -> np.ndarray:
-    """(N, H, W) single planes as the backend's (N, 3, H, W) input: a
-    read-only view that replicates each plane, since the backend copies its
-    input anyway."""
-    n, h, w = planes.shape
-    return np.broadcast_to(planes[:, None], (n, MODEL_CHANNELS, h, w))
-
-
-def _check_normalized(images) -> None:
-    if not all(img.normalized for img in images):
-        raise NotNormalizedError("image must be normalized to [-1, 1] before model preparation")
-
-
 def prepare_batch(images, input_width: int | None = None) -> np.ndarray:
-    """Resize (optionally) and stack normalized images into (N, 3, H, W).
-
-    Single planes are stacked once and replicated as a read-only view;
-    3-channel images pass through.
-    """
-    _check_normalized(images)
-    arrays = [img.data if input_width is None or img.width == input_width
-              else resize_to_width(img, input_width).data for img in images]
-    shapes = {(MODEL_CHANNELS, *a.shape) if a.ndim == 2 else a.shape for a in arrays}
+    """Resize (optionally) and stack normalized images into (N, H, W) planes."""
+    planes = [prepare_for_model(img if input_width is None else resize_to_width(img, input_width))
+              for img in images]
+    shapes = {a.shape for a in planes}
     if len(shapes) != 1:
         raise ValidationError(f"batch mixes image shapes: {sorted(shapes)}")
-    if all(a.ndim == 2 for a in arrays):
-        return _model_planes(np.stack(arrays))
-    (shape,) = shapes
-    return np.stack([np.broadcast_to(a, shape) for a in arrays])
+    return np.stack(planes)
 
 
 def embed_images(backend: ConvNetBackend, images, input_width: int | None = None,
@@ -179,7 +158,8 @@ def _stratified_val_split(labels_idx, n_classes, val_fraction, rng):
     return train, sorted(val)
 
 
-def _train_loop(images, targets, cfg, aug_cfg, backend, head, loss, val_eval=None):
+def _train_loop(images, targets, cfg, aug_cfg, backend, head, loss, val_eval=None,
+                input_width=None):
     """Minibatch SGD of `head` on the backend's embeddings for cfg.epochs.
 
     `loss(logits, targets) -> (value, dlogits)`. The backend is updated too
@@ -204,10 +184,11 @@ def _train_loop(images, targets, cfg, aug_cfg, backend, head, loss, val_eval=Non
             idx = order[start : start + cfg.batch_size]
             batch_images = [images[i] for i in idx]
             if aug_cfg is None:
-                x = prepare_batch(batch_images)
+                x = prepare_batch(batch_images, input_width)
             else:
-                _check_normalized(batch_images)
-                x = _model_planes(random_augment(batch_images, aug_cfg, aug_rng))
+                for img in batch_images:
+                    prepare_for_model(img)  # the normalization check
+                x = random_augment(batch_images, aug_cfg, aug_rng)
             emb, cache = backend.forward(x)
             value, dlogits = loss(layers.linear_forward(emb, head.weights, head.bias),
                                   targets[idx])
@@ -227,20 +208,23 @@ def _train_loop(images, targets, cfg, aug_cfg, backend, head, loss, val_eval=Non
             else:
                 stale += 1
                 if stale >= cfg.plateau_patience:
-                    lr *= cfg.plateau_factor
+                    lr *= PLATEAU_FACTOR
                     stale = 0
     return history
 
 
 def train_supervised(dataset, cfg: TrainConfig, aug_cfg: AugmentConfig | None = None,
                      backend: ConvNetBackend | None = None,
-                     head: LinearHead | None = None, classes=None):
+                     head: LinearHead | None = None, classes=None,
+                     input_width: int | None = None):
     """Train a classifier on labeled tactile images.
 
     Returns (backend, head, history); column c of the head corresponds to
     classes[c] with classes sorted. Pass a backend (and optionally a matching
     head and class order) to fine-tune an existing model in place; otherwise
-    fresh parameters are initialized from cfg.seed.
+    fresh parameters are initialized from cfg.seed. Unaugmented images reach
+    the encoder resized to `input_width` (None keeps their widths), augmented
+    ones at aug_cfg.output_width.
     """
     dataset = list(dataset)
     if not dataset:
@@ -275,7 +259,7 @@ def train_supervised(dataset, cfg: TrainConfig, aug_cfg: AugmentConfig | None = 
         val_y = y_all[val_idx]
 
         def val_eval():
-            emb = embed_images(backend, val_images)
+            emb = embed_images(backend, val_images, input_width)
             pred = np.argmax(head.logits(emb), axis=1)
             return float(np.mean(pred == val_y))
 
@@ -290,12 +274,12 @@ def train_supervised(dataset, cfg: TrainConfig, aug_cfg: AugmentConfig | None = 
             raise ValidationError(f"class {classes[c]!r} has no training samples")
 
     history = _train_loop(train_images, y_train, cfg, aug_cfg, backend, head,
-                          layers.softmax_cross_entropy, val_eval)
+                          layers.softmax_cross_entropy, val_eval, input_width)
     return backend, head, history
 
 
 def train_composition(dataset, cfg: TrainConfig, aug_cfg: AugmentConfig | None = None,
-                      backend: ConvNetBackend | None = None):
+                      backend: ConvNetBackend | None = None, input_width: int | None = None):
     """Train the composition head: one independent sigmoid logit per constituent.
 
     Dataset items are (image, constituent set). Returns (backend, head, history);
@@ -315,11 +299,12 @@ def train_composition(dataset, cfg: TrainConfig, aug_cfg: AugmentConfig | None =
         backend = ConvNetBackend(seed=cfg.seed)
     head = LinearHead.zeros(backend.embed_dim, len(fabric.CONSTITUENTS))
     history = _train_loop(images, targets, cfg, aug_cfg, backend, head,
-                          layers.binary_cross_entropy_logits)
+                          layers.binary_cross_entropy_logits, input_width=input_width)
     return backend, head, history
 
 
-def composition_probs(backend: ConvNetBackend, head: LinearHead, images) -> np.ndarray:
+def composition_probs(backend: ConvNetBackend, head: LinearHead, images,
+                      input_width: int | None = None) -> np.ndarray:
     """(N, 6) independent constituent probabilities, one row per image."""
     n = len(fabric.CONSTITUENTS)
     if head.out_dim != n:
@@ -327,5 +312,5 @@ def composition_probs(backend: ConvNetBackend, head: LinearHead, images) -> np.n
             f"composition head has {head.out_dim} columns; expected {n} heads, "
             "one column per constituent"
         )
-    return layers.sigmoid(head.logits(embed_images(backend, images)))
+    return layers.sigmoid(head.logits(embed_images(backend, images, input_width)))
 

@@ -2,8 +2,8 @@
 
 Vector-stream sensors become 2-D images by stacking consecutive readings as
 columns (channel axis x time axis); camera sensors pass their frames through
-natively. Images are normalized to [-1, 1] with dataset-level calibration
-bounds, then channel-replicated to the three-plane layout the models expect.
+natively. An image is one (H, W) plane, normalized to [-1, 1] with
+dataset-level calibration bounds before it reaches the model.
 
 Multi-modal sensors keep whatever channel order the manifest delivered; the
 loader does not reorder modalities.
@@ -17,8 +17,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .sensor_io import CAMERA_FRAMES, VECTOR_STREAM, SensorSpec, SensorStream
-
-MODEL_CHANNELS = 3
 
 
 class WindowError(ValidationError):
@@ -35,7 +33,7 @@ class NotNormalizedError(ValidationError):
 
 @dataclass(frozen=True)
 class TactileImage:
-    """2-D tactile input; `data` is (H, W), or (channels, H, W) once replicated.
+    """2-D tactile input; `data` is one (H, W) plane.
 
     `normalized` records that the entries were calibrated into [-1, 1].
     Later additive noise (the test-time jitter suites) may push values
@@ -44,22 +42,14 @@ class TactileImage:
     """
 
     data: np.ndarray
-    channels: int = 1
     source: SensorSpec | None = None
     normalized: bool = False
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float64)
         object.__setattr__(self, "data", data)
-        if self.channels == 1:
-            if data.ndim != 2:
-                raise ValidationError(f"single-channel image must be 2-D, got {data.shape}")
-        else:
-            if data.ndim != 3 or data.shape[0] != self.channels:
-                raise ValidationError(
-                    f"{self.channels}-channel image must be ({self.channels}, H, W), "
-                    f"got {data.shape}"
-                )
+        if data.ndim != 2:
+            raise ValidationError(f"image must be 2-D, got {data.shape}")
         if self.height < 1 or self.width < 1:
             raise ValidationError(f"image must be at least 1x1, got {data.shape}")
         if not np.isfinite(data).all():
@@ -68,11 +58,11 @@ class TactileImage:
 
     @property
     def height(self) -> int:
-        return self.data.shape[-2]
+        return self.data.shape[0]
 
     @property
     def width(self) -> int:
-        return self.data.shape[-1]
+        return self.data.shape[1]
 
     def with_data(self, data: np.ndarray, **changes) -> "TactileImage":
         return replace(self, data=data, **changes)
@@ -120,18 +110,11 @@ def normalize(image: TactileImage, lo: float, hi: float) -> TactileImage:
     return image.with_data(data, normalized=True)
 
 
-def prepare_for_model(image: TactileImage) -> TactileImage:
-    """Replicate the single plane three times; 3-channel input passes through."""
+def prepare_for_model(image: TactileImage) -> np.ndarray:
+    """The (H, W) plane of a normalized image, as the encoder takes it."""
     if not image.normalized:
-        raise NotNormalizedError(
-            "image must be normalized to [-1, 1] before model preparation"
-        )
-    if image.channels == MODEL_CHANNELS:
-        return image
-    if image.channels != 1:
-        raise ValidationError(f"cannot prepare an image with {image.channels} channels")
-    data = np.repeat(image.data[None, :, :], MODEL_CHANNELS, axis=0)
-    return image.with_data(data, channels=MODEL_CHANNELS)
+        raise NotNormalizedError("image must be normalized to [-1, 1] before model preparation")
+    return image.data
 
 
 def compute_bounds(streams) -> tuple[float, float]:

@@ -351,5 +351,3 @@ def test_batched_augment_rejects_batches_it_cannot_stack():
         random_augment(vector + camera, cfg, Prng(0))
     with pytest.raises(ValidationError, match="mixed shapes"):
         random_augment(vector + _batch(False, 5, [16], 1, 0.0), cfg, Prng(0))
-    with pytest.raises(ValidationError, match="single-plane"):
-        random_augment([TactileImage(data=np.zeros((3, 5, 12)), channels=3)], cfg, Prng(0))

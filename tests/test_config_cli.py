@@ -367,6 +367,21 @@ def test_eval_modes_produce_reports(tmp_path, trained, mode):
         assert (out / f"{mode}_curve.csv").exists()
 
 
+@pytest.mark.parametrize("width", ["abc", "0"])
+def test_bad_checkpoint_input_width_exits_one(tmp_path, trained, capsys, width):
+    from taclearn.model import load_checkpoint, save_checkpoint
+
+    cfg, ckpt = trained
+    model = load_checkpoint(ckpt)
+    model.meta["input_width"] = width
+    save_checkpoint(ckpt, model)
+    out = tmp_path / "never"
+    assert main(["eval", "noise", "--config", str(cfg), "--checkpoint", str(ckpt),
+                 "--out", str(out)]) == 1
+    assert "input_width" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synthetic_eval_noise_normalizes_only_test_images(tmp_path, trained, monkeypatch):
     # the train split is generated for the normalization bounds only
     from taclearn import cli, tactile_image
@@ -454,6 +469,44 @@ def test_composition_without_schedule_exits_one(tmp_path, capsys):
     assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
     assert "cosine or constant" in capsys.readouterr().err
     assert not out.exists()
+
+
+_NARROW = ("input_width = 32", "input_width = 16")
+
+
+@pytest.mark.parametrize("case", ["classify-plateau", "cl-fine-tune", "composition",
+                                  "composition-augmented"])
+def test_encoder_sees_the_configured_input_width(tmp_path, monkeypatch, case):
+    # 32-reading streams at [transform] input_width = 16: every model input,
+    # augmented or not, in training, validation, fine-tuning and scoring, is
+    # 16 columns wide
+    from taclearn.model import ConvNetBackend
+
+    if case == "classify-plateau":
+        text = SYNTH_CFG.format(num_classes=3, train_per_class=6, test_per_class=3).replace(
+            "enabled = true", "enabled = false").replace("schedule = cosine", "schedule = plateau")
+        commands = [["train"], ["eval", "noise"]]
+    elif case == "cl-fine-tune":
+        text = SYNTH_CFG.format(num_classes=3, train_per_class=6, test_per_class=3).replace(
+            "sweep_capacities", "ft_augment = false\nsweep_capacities")
+        commands = [["cl"]]
+    else:
+        text = COMPOSITION_CFG.replace("epochs = 30", "epochs = 2")
+        if case == "composition-augmented":
+            text += "\n[augment]\nenabled = true\n"
+        commands = [["train"], ["eval", "composition"]]
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text(text.replace(*_NARROW))
+    widths = set()
+    forward = ConvNetBackend.forward
+    monkeypatch.setattr(ConvNetBackend, "forward",
+                        lambda self, x: widths.add(x.shape[-1]) or forward(self, x))
+    checkpoint = tmp_path / "train" / "model.tacm"
+    for command in commands:
+        extra = ["--checkpoint", str(checkpoint)] if command[0] == "eval" else []
+        out = tmp_path / command[-1]
+        assert main([*command, "--config", str(cfg), "--out", str(out), *extra]) == 0
+    assert widths == {16}
 
 
 def test_eval_sweeps_agree_at_neutral_points(tmp_path, trained):
@@ -591,12 +644,17 @@ def test_each_stream_is_parsed_once_per_reading_command(tmp_path, monkeypatch, i
 
 
 def test_console_entry_point(tmp_path):
+    import taclearn
+
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "subproc"
+    # the child imports the package from where this test did, installed or not
+    src = os.path.dirname(os.path.dirname(taclearn.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     result = subprocess.run(
         [sys.executable, "-m", "taclearn.cli", "ingest",
          "--config", str(cfg), "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert result.returncode == 0, result.stderr
     assert (out / "manifest.txt").exists()

@@ -17,17 +17,18 @@ from taclearn.model import (
 )
 from taclearn.model import layers
 from taclearn.prng import Prng
-from taclearn.tactile_image import TactileImage
+from taclearn.tactile_image import TactileImage, prepare_for_model
 
 from conftest import synth_images
 
 
-def _prepared_image(h=12, w=40, seed=0):
+def _normalized_image(h=12, w=40, seed=0):
     data = np.clip(Prng(seed).uniform(-1, 1, size=(h, w)), -1, 1)
-    img = TactileImage(data=data, normalized=True)
-    from taclearn.tactile_image import prepare_for_model
+    return TactileImage(data=data, normalized=True)
 
-    return prepare_for_model(img)
+
+def _prepared_image(h=12, w=40, seed=0):
+    return prepare_for_model(_normalized_image(h, w, seed))
 
 
 def test_zero_head_gives_zero_logits():
@@ -76,17 +77,29 @@ def test_embed_rejects_below_minimum():
 
 def test_embed_constant_zero_image_finite():
     backend = ConvNetBackend(seed=3)
-    img = TactileImage(data=np.zeros((12, 20)), channels=1, normalized=True)
-    from taclearn.tactile_image import prepare_for_model
-
+    img = TactileImage(data=np.zeros((12, 20)), normalized=True)
     emb = backend.embed_image(prepare_for_model(img))
     assert np.isfinite(emb).all()
+
+
+def test_planes_feed_every_input_channel():
+    # (N, H, W) planes give the bytes of their explicit copy to the encoder's
+    # three input channels: embeddings and every parameter gradient
+    backend = ConvNetBackend(seed=4)
+    planes = Prng(15).uniform(-1, 1, size=(3, 12, 20))
+    emb, cache = backend.forward(planes)
+    emb3, cache3 = backend.forward(np.repeat(planes[:, None], backend.in_channels, axis=1))
+    assert np.array_equal(emb, emb3)
+    demb = Prng(16).uniform(-1, 1, size=emb.shape)
+    for g, g3 in zip(backend.backward(demb, cache), backend.backward(demb, cache3)):
+        assert np.array_equal(g, g3)
+    with pytest.raises(ValidationError, match="planes"):
+        backend.forward(np.zeros((3, 2, 12, 20)))
 
 
 def test_model_accepts_jitter_beyond_unit_range():
     # noise suites push values past [-1, 1]; nothing may re-clamp or reject
     from taclearn.augment import jitter
-    from taclearn.tactile_image import prepare_for_model
 
     backend = ConvNetBackend(seed=3)
     img = TactileImage(data=np.clip(Prng(13).uniform(-1, 1, size=(12, 24)), -1, 1),
@@ -94,7 +107,7 @@ def test_model_accepts_jitter_beyond_unit_range():
     noisy = jitter(img, 0.5, Prng(14))
     assert noisy.data.max() > 1.0 or noisy.data.min() < -1.0
     prepped = prepare_for_model(noisy)
-    assert float(np.abs(prepped.data).max()) == float(np.abs(noisy.data).max())
+    assert float(np.abs(prepped).max()) == float(np.abs(noisy.data).max())
     emb = backend.embed_image(prepped)
     assert np.isfinite(emb).all()
 
@@ -195,6 +208,8 @@ def test_plateau_schedule_halves_lr(tiny_dataset):
 
 
 def test_plateau_lr_sequence_replays_from_val_acc(tiny_dataset):
+    from taclearn.model.train import PLATEAU_FACTOR
+
     cfg = TrainConfig(epochs=12, lr=0.01, batch_size=8, lr_schedule="plateau",
                       seed=3, val_fraction=0.2, plateau_patience=2)
     _, _, history = train_supervised(tiny_dataset, cfg)
@@ -207,7 +222,7 @@ def test_plateau_lr_sequence_replays_from_val_acc(tiny_dataset):
         else:
             stale += 1
             if stale >= cfg.plateau_patience:
-                lr *= cfg.plateau_factor
+                lr *= PLATEAU_FACTOR
                 stale = 0
     assert [row.lr for row in history] == expected
     assert len(set(expected)) >= 2
@@ -215,7 +230,7 @@ def test_plateau_lr_sequence_replays_from_val_acc(tiny_dataset):
 
 def test_composition_probs_contracts(random_backend):
     head = LinearHead.zeros(random_backend.embed_dim, 6)
-    images = [_prepared_image(12, 40, seed=8), _prepared_image(12, 40, seed=10)]
+    images = [_normalized_image(12, 40, seed=8), _normalized_image(12, 40, seed=10)]
     probs = composition_probs(random_backend, head, images)
     assert probs.shape == (2, 6)
     assert np.allclose(probs, 0.5)
@@ -226,8 +241,8 @@ def test_composition_probs_contracts(random_backend):
 
 def test_composition_threshold_rule(random_backend):
     d = random_backend.embed_dim
-    img = _prepared_image(12, 40, seed=9)
-    emb = random_backend.embed_image(img)
+    img = _normalized_image(12, 40, seed=9)
+    emb = random_backend.embed_image(prepare_for_model(img))
     # craft heads with fixed logits via bias, zero weights
     biases = [3.0, 1.0, -2.0, -4.0, 0.2, -0.1]
     head = LinearHead(np.zeros((d, 6)), np.array(biases))

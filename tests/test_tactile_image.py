@@ -119,19 +119,16 @@ def test_normalize_monotone():
     assert (na.data <= nb.data).all()
 
 
-def test_prepare_replicates_channels():
+def test_prepare_returns_the_plane():
+    # the encoder, not the image, feeds the plane to its input channels
     img = normalize(TactileImage(data=Prng(5).uniform(-1, 1, size=(19, 40))), -1.0, 1.0)
-    prepped = prepare_for_model(img)
-    assert prepped.channels == 3
-    assert prepped.data.shape == (3, 19, 40)
-    assert np.array_equal(prepped.data[0], prepped.data[2])
-    assert np.array_equal(prepped.data[0], img.data)
+    assert prepare_for_model(img) is img.data
 
 
-def test_prepare_three_channel_pass_through():
-    data = np.clip(Prng(6).uniform(-1, 1, size=(3, 4, 5)), -1, 1)
-    img = TactileImage(data=data, channels=3, normalized=True)
-    assert prepare_for_model(img) is img
+def test_image_is_one_plane():
+    for shape in [(3, 4, 5), (1, 4, 5), (5,)]:
+        with pytest.raises(ValidationError, match="2-D"):
+            TactileImage(data=np.zeros(shape), normalized=True)
 
 
 def test_prepare_requires_normalization():
