@@ -10,10 +10,10 @@ randomness only from an explicitly passed generator. Jitter may push values
 outside [-1, 1] by up to its level; nothing re-clamps, because the
 noise-robustness suites measure exactly that excursion.
 
-`random_augment` augments a whole training minibatch: normalized images
-of one sensor kind, of any widths, in and one float64 array
-(B, H_out, W_out) out. Its result, and the generator state it leaves,
-are those of augmenting the images one after another with the per-image ops,
+`random_augment` augments a whole training minibatch: one normalized stack
+(B, H, W) in and one float64 array (B, H, W_out) out. Its result, and the
+generator state it leaves, are those of augmenting the planes one after
+another with the per-image ops,
 each image drawing in this order: flip (one uniform draw), resize (one
 factor draw), crop (one length and one start draw), jitter (one uniform
 draw per entry of the cropped image, row-major, when the level is
@@ -150,7 +150,7 @@ def crop_rows(image: TactileImage, start: int, length: int) -> TactileImage:
         raise ValidationError(
             f"row crop [{start}, {start + length}) out of range for height {image.height}"
         )
-    return image.with_data(image.data[start : start + length].copy())
+    return image.with_data(image.data[..., start : start + length, :].copy())
 
 
 def jitter(image: TactileImage, level: float, rng: Prng) -> TactileImage:
@@ -186,35 +186,27 @@ def _gather(data, left, right, frac, copy):
     return np.where(copy[:, None, None], a, a * (1.0 - frac) + b * frac)
 
 
-def random_augment(images, cfg: AugmentConfig, rng: Prng) -> np.ndarray:
-    """Randomized flip / resize / crop / jitter of a minibatch, then resize
-    to the output width; see the module docstring for the draw order."""
-    images = list(images)
-    if not images:
-        raise ValidationError("random_augment needs at least one image")
-    kinds = {img.source is not None and img.source.kind == CAMERA_FRAMES for img in images}
-    if len(kinds) > 1:
-        raise ValidationError("minibatch mixes camera frames and vector streams")
-    is_camera = kinds.pop()
-    out_shapes = {(img.height, cfg.output_width or img.width) for img in images}
-    if len(out_shapes) > 1:
-        raise ValidationError(f"minibatch augments to mixed shapes: {sorted(out_shapes)}")
-    out_h, out_w = out_shapes.pop()
+def random_augment(images: TactileImage, cfg: AugmentConfig, rng: Prng) -> np.ndarray:
+    """Randomized flip / resize / crop / jitter of a minibatch stack, then
+    resize to the output width; see the module docstring for the draw order."""
+    is_camera = images.source is not None and images.source.kind == CAMERA_FRAMES
+    n, out_h, in_w = images.data.shape
+    out_w = cfg.output_width or in_w
 
     # Scalar pass: each image's draws in order; jitter blocks are skipped.
     lo, hi = cfg.crop_len_range
     draws, noise_states = [], []
-    for img in images:
+    for _ in range(n):
         flip = rng.random() < cfg.flip_prob
         factor = rng.uniform(*cfg.resize_factor_range)
-        new_w = int(math.floor(img.width * factor + 0.5))
+        new_w = int(math.floor(in_w * factor + 0.5))
         if is_camera:
-            new_h = max(1, int(math.floor(img.height * factor + 0.5)))
+            new_h = max(1, int(math.floor(out_h * factor + 0.5)))
             new_w = max(1, new_w)
         elif new_w < 1:
-            raise ValidationError(f"resize factor {factor} collapses width {img.width} to zero")
+            raise ValidationError(f"resize factor {factor} collapses width {in_w} to zero")
         else:
-            new_h = img.height
+            new_h = out_h
         if new_w < lo:
             raise ValidationError(
                 f"image width {new_w} after resize is below minimum crop length {lo}"
@@ -226,15 +218,13 @@ def random_augment(images, cfg: AugmentConfig, rng: Prng) -> np.ndarray:
             rows = min(length, new_h)
             row_start = rng.randint(new_h - rows + 1)
         noise_states.append(rng.skip(rows * length) if cfg.jitter_level > 0 else 0)
-        draws.append((flip, img.width, new_h, new_w, length, start, rows, row_start))
-    flip, width, new_h, new_w, length, start, rows, row_start = np.array(draws, np.int64).T
+        draws.append((flip, new_h, new_w, length, start, rows, row_start))
+    flip, new_h, new_w, length, start, rows, row_start = np.array(draws, np.int64).T
+    width, height = np.full(n, in_w), np.full(n, out_h)
 
     # Images are held transposed, (B, columns, rows), so each gather picks
     # whole rows of memory; camera frames transpose around their row passes.
-    data = np.zeros((len(images), width.max(), out_h))
-    for i, img in enumerate(images):
-        data[i, : img.width] = img.data.T
-    height = np.full(len(images), out_h)
+    data = images.data.transpose(0, 2, 1)
 
     # Flip, resize and crop as one gather per axis (rows only for camera frames).
     if is_camera:
@@ -256,10 +246,10 @@ def random_augment(images, cfg: AugmentConfig, rng: Prng) -> np.ndarray:
         data = data + (level_lo + (level_hi - level_lo) * u)
 
     if is_camera:
-        r = np.broadcast_to(np.arange(out_h), (len(images), out_h))
+        r = np.broadcast_to(np.arange(out_h), (n, out_h))
         data = _gather(data.transpose(0, 2, 1), *_resample_maps(rows, height, r),
                        rows == out_h).transpose(0, 2, 1)
-    c = np.broadcast_to(np.arange(out_w), (len(images), out_w))
-    data = _gather(data, *_resample_maps(length, np.full(len(images), out_w), c),
+    c = np.broadcast_to(np.arange(out_w), (n, out_w))
+    data = _gather(data, *_resample_maps(length, np.full(n, out_w), c),
                    length == out_w)
     return np.ascontiguousarray(data.transpose(0, 2, 1))

@@ -41,10 +41,10 @@ from .model import (Checkpoint, Classifier, ConvNetBackend, LinearHead, TrainCon
                     history_to_csv, load_checkpoint, save_checkpoint, train_composition,
                     train_supervised)
 from .prng import Prng
-from .sensor_io import (CAMERA_FRAMES, Manifest, ManifestEntry, SyntheticTextureConfig,
+from .sensor_io import (Manifest, ManifestEntry, SyntheticTextureConfig,
                         generate_dataset, load_manifest, load_manifest_streams,
                         write_manifest, write_stream)
-from .tactile_image import build_tactile_image, camera_frame_image, compute_bounds, normalize
+from .tactile_image import TactileImage, compute_bounds, image_plane, normalize
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,15 +112,16 @@ def _sub_seed(run_seed: int, key: int) -> int:
 
 @dataclass
 class _Bundle:
-    """Loaded dataset: normalized tactile images split into train/test.
+    """Loaded dataset: each split one normalized (N, H, W) stack plus its
+    parallel labels and constituent sets.
 
-    A split the command did not ask for is empty.
+    A split the command did not ask for, or an empty one, has images None.
     """
 
-    train_images: list
+    train_images: TactileImage | None
     train_labels: list
     train_cons: list
-    test_images: list
+    test_images: TactileImage | None
     test_labels: list
     test_cons: list
     input_width: int | None
@@ -162,22 +163,13 @@ def _synthetic_streams(config, splits):
             for split in ("train", "test") if split in splits}
 
 
-def _manifest_streams(man_path, manifest, splits):
-    """Parse the streams of `splits` once each, in manifest order."""
-    wanted = replace(manifest, entries=[e for e in manifest.entries if e.split in splits])
-    _, loaded = load_manifest_streams(man_path, wanted)
-    streams = {split: [] for split in splits}
-    for entry, stream in zip(wanted.entries, loaded):
-        streams[entry.split].append(stream)
-    return streams
-
-
 def _load_bundle(config, splits=("train", "test"), width=True) -> _Bundle:
     """Images of `splits`. The train split is also read when the normalization
     bounds (synthetic mode, or a manifest without norm_lo/norm_hi) or, for a
     command that uses the input `width`, its default (unset ``[transform]
     input_width``) come from it; read only for those, it yields no images.
-    Without `width` an unset input width stays None."""
+    Without `width` an unset input width stays None. Every image read must
+    have one shape."""
     mode = config.get_str("dataset", "mode")
     input_width = config.get_int("transform", "input_width", None)
     if mode == "synthetic":
@@ -189,40 +181,55 @@ def _load_bundle(config, splits=("train", "test"), width=True) -> _Bundle:
     else:
         raise ValidationError(f"[dataset] mode must be synthetic or manifest, got {mode!r}")
     width = width and input_width is None
-    read = ("train", *splits) if bounds is None or width else splits
+    read = tuple(dict.fromkeys(("train", *splits))) if bounds is None or width else splits
     if manifest is None:
         streams = _synthetic_streams(config, read)
         has_train = bool(streams["train"])
     else:
-        streams = _manifest_streams(man_path, manifest, read)
+        # parse the streams of `read` once each, in manifest order
+        wanted = replace(manifest, entries=[e for e in manifest.entries if e.split in read])
+        streams = {split: [] for split in read}
+        for entry, stream in zip(wanted.entries, load_manifest_streams(man_path, wanted)[1]):
+            streams[entry.split].append(stream)
         has_train = bool(manifest.split("train"))
     if not has_train:
         raise ValidationError("dataset has no training samples")
 
     bounds = bounds or compute_bounds(streams["train"])
-    window_start = config.get_int("transform", "window_start", None)
-    window_end = config.get_int("transform", "window_end", None)
-    frame_index = config.get_int("transform", "frame_index", 0)
+    window = (config.get_int("transform", "window_start", None),
+              config.get_int("transform", "window_end", None),
+              config.get_int("transform", "frame_index", 0))
+    planes = {split: [image_plane(s, *window) for s in streams[split]] for split in read}
+    shape = next((p.shape for split in read for p in planes[split]), None)
+    odd = next(((split, i, p.shape) for split in read for i, p in enumerate(planes[split])
+                if p.shape != shape), None)
+    if odd is not None:
+        split, i, (h, w) = odd
+        where = manifest.split(split)[i].path if manifest else f"{split} stream {i}"
+        raise ValidationError(
+            f"{where}: image is {h}x{w}, the dataset's first is {shape[0]}x{shape[1]}; every "
+            f"image must have one shape (set [transform] window_start and window_end to cut "
+            f"every stream to one window)")
 
-    def build(stream):
-        if stream.spec.kind == CAMERA_FRAMES:
-            return camera_frame_image(stream, frame_index)
-        return build_tactile_image(stream, window_start, window_end)
+    def stack(split):
+        group = streams[split] if split in splits else []
+        if not group:
+            return None, [], []
+        # np.array, unlike np.stack, lays the transposed views out row-major
+        images = normalize(np.array(planes[split]), *bounds, source=group[0].spec)
+        return images, [str(s.label) for s in group], [s.constituents for s in group]
 
-    def prepare(split):
-        images, labels, cons = [], [], []
-        for s in streams[split] if split in splits else ():
-            images.append(normalize(build(s), *bounds))
-            labels.append(str(s.label))
-            cons.append(s.constituents)
-        return images, labels, cons
-
-    train_images, train_labels, train_cons = prepare("train")
-    test_images, test_labels, test_cons = prepare("test")
+    train, test = stack("train"), stack("test")
+    # The streams go back to the OS; then freeing one 10 MB block raises glibc's
+    # adaptive mmap threshold to 10 MB, so malloc keeps up to 20 MB of freed heap.
+    # A 64-image encoder chunk at 12x64 frees and reallocates ~14 MB, which would
+    # otherwise fault in afresh for every chunk: cl --sweep on 6400 images took
+    # 500k page faults and 40 % longer to embed. Other allocators just make it.
+    del streams, planes
+    np.empty(10 << 20, dtype=np.uint8)
     if width:
-        input_width = build(streams["train"][0]).width
-    return _Bundle(train_images, train_labels, train_cons, test_images, test_labels,
-                   test_cons, input_width, bounds, manifest)
+        input_width = shape[1]
+    return _Bundle(*train, *test, input_width, bounds, manifest)
 
 
 def _augment_config(config, args, input_width, run_seed):
@@ -340,8 +347,8 @@ def cmd_train(args) -> int:
     backend = _load_backend_for_train(config)
 
     if task == "classify":
-        dataset = list(zip(bundle.train_images, bundle.train_labels))
-        classes = tuple(sorted(set(bundle.train_labels)))
+        targets = bundle.train_labels
+        classes = tuple(sorted(set(targets)))
         trainer = train_supervised
     else:
         missing = [i for i, c in enumerate(bundle.train_cons) if c is None]
@@ -349,12 +356,12 @@ def cmd_train(args) -> int:
             raise ValidationError(
                 f"composition training needs constituent sets; sample {missing[0]} has none"
             )
-        dataset = list(zip(bundle.train_images, bundle.train_cons))
+        targets = bundle.train_cons
         classes = None
         trainer = train_composition
 
-    backend, head, history = trainer(dataset, train_cfg, aug_cfg, backend=backend,
-                                     input_width=bundle.input_width)
+    backend, head, history = trainer(bundle.train_images, targets, train_cfg, aug_cfg,
+                                     backend=backend, input_width=bundle.input_width)
     out = _prepare_out(args, config, run_seed)
 
     for row in history:
@@ -404,15 +411,13 @@ def cmd_cl(args) -> int:
                                   input_width=bundle.input_width, run_seed=run_seed)
     warm_start = config.get_bool("cl", "warm_start", False)
 
-    by_class: dict[str, list] = {}
-    for img, label in zip(bundle.train_images, bundle.train_labels):
-        by_class.setdefault(label, []).append(img)
-    batches = [(label, by_class[label]) for label in sorted(by_class)]
+    labels = np.array(bundle.train_labels)
+    batches = [(label, np.flatnonzero(labels == label)) for label in sorted(set(labels))]
 
     # the capacity-independent pass and every validation run before any output
     runs = cl_sweep(
-        batches, backend, capacities, ridge_lambda=ridge_lambda, fine_tune_cfg=ft_cfg,
-        aug_cfg=aug_cfg, test_images=bundle.test_images or None,
+        bundle.train_images, batches, backend, capacities, ridge_lambda=ridge_lambda,
+        fine_tune_cfg=ft_cfg, aug_cfg=aug_cfg, test_images=bundle.test_images,
         test_labels=bundle.test_labels or None, input_width=bundle.input_width,
         warm_start=warm_start,
     )
@@ -475,13 +480,15 @@ def cmd_eval(args) -> int:
                           width=mode in ("kfold", "length"))
     ckpt = load_checkpoint(args.checkpoint)
 
-    if mode != "kfold" and not bundle.test_images:
+    if mode != "kfold" and bundle.test_images is None:
         raise ValidationError("dataset has no test split to evaluate")
 
     curve = None
     if mode == "kfold":
         k = config.get_int("eval", "k", 5)
-        images = bundle.train_images + bundle.test_images
+        images = bundle.train_images
+        if bundle.test_images is not None:
+            images = images.with_data(np.concatenate([images.data, bundle.test_images.data]))
         labels = bundle.train_labels + bundle.test_labels
         lam = config.get_float("eval", "ridge_lambda", 1.0)
 
@@ -494,14 +501,11 @@ def cmd_eval(args) -> int:
                             task_id=f"kfold-k{k}")
     elif mode == "composition":
         head = _composition_head(ckpt)
-        items = []
-        for img, cons in zip(bundle.test_images, bundle.test_cons):
-            if cons is None:
-                raise ValidationError("test sample without constituent truth")
-            items.append((img, cons))
+        if None in bundle.test_cons:
+            raise ValidationError("test sample without constituent truth")
         threshold = config.get_float("eval", "threshold", 0.5)
-        report = composition_eval(ckpt.backend, head, items, threshold,
-                                  input_width=_checkpoint_width(ckpt))
+        report = composition_eval(ckpt.backend, head, bundle.test_images, bundle.test_cons,
+                                  threshold, input_width=_checkpoint_width(ckpt))
     else:
         clf = _classifier_from_checkpoint(ckpt)
         images, labels = bundle.test_images, bundle.test_labels

@@ -135,7 +135,7 @@ def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
         text = path.read_text(encoding="utf-8")

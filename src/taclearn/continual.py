@@ -25,7 +25,6 @@ from .augment import AugmentConfig
 from .errors import RuntimeFailure, ValidationError
 from .model import Classifier, ConvNetBackend, LinearHead, TrainConfig, embed_images
 from .model.train import train_supervised
-from .tactile_image import TactileImage
 
 
 @dataclass
@@ -125,7 +124,8 @@ def batch_ridge_head(embeddings, labels, ridge_lambda: float = 1.0) -> tuple[Lin
 
 @dataclass
 class MemoryBuffer:
-    """Bounded per-class exemplar store; lists keep herding priority order."""
+    """Bounded per-class exemplar store: each class's sample indices into
+    the training stack, in herding priority order."""
 
     capacity: int
     per_class: dict = field(default_factory=dict)
@@ -145,11 +145,10 @@ class MemoryBuffer:
     def sizes(self) -> dict:
         return {k: len(v) for k, v in self.per_class.items()}
 
-    def items(self) -> list[tuple[TactileImage, object]]:
-        out = []
-        for label in self.classes:
-            out.extend((img, label) for img in self.per_class[label])
-        return out
+    def items(self) -> tuple[np.ndarray, list]:
+        """Every stored index, class by class in sorted order, and its label."""
+        return (np.concatenate([self.per_class[label] for label in self.classes]),
+                [label for label in self.classes for _ in self.per_class[label]])
 
     @staticmethod
     def budget(capacity: int, n_classes: int) -> int:
@@ -221,9 +220,10 @@ class ClSnapshot:
     buffer_sizes: dict
 
 
-def fine_tune(ridge_clf: Classifier, buffer: MemoryBuffer, cfg: TrainConfig,
+def fine_tune(ridge_clf: Classifier, images, buffer: MemoryBuffer, cfg: TrainConfig,
               aug_cfg: AugmentConfig | None = None) -> Classifier:
-    """Adapt a copy of the ridge model on the buffer; the input is untouched.
+    """Adapt a copy of the ridge model on the buffer's samples of the stack
+    `images`; the input is untouched.
 
     Requires the cosine schedule. Zero epochs returns an identical copy.
     """
@@ -234,9 +234,9 @@ def fine_tune(ridge_clf: Classifier, buffer: MemoryBuffer, cfg: TrainConfig,
     clone = ridge_clf.clone()
     if cfg.epochs == 0:
         return clone
-    items = buffer.items()
+    idx, labels = buffer.items()
     train_supervised(
-        items, cfg, aug_cfg, backend=clone.backend, head=clone.head,
+        images[idx], labels, cfg, aug_cfg, backend=clone.backend, head=clone.head,
         classes=clone.classes, input_width=clone.input_width,
     )
     return clone
@@ -247,20 +247,21 @@ class _SharedStep:
     """The capacity-independent part of one continual step."""
 
     ridge: Classifier
-    herded: dict  # label -> that class's images in herding order, classes seen so far
-    test: tuple | None  # (images, labels) of the test items of the classes seen so far
+    herded: dict  # label -> that class's indices in herding order, classes seen so far
+    test: tuple | None  # (indices, labels) of the test items of the classes seen so far
     acc_ridge: float | None
 
 
-def cl_sweep(batches, backend: ConvNetBackend, capacities, ridge_lambda: float = 1.0,
+def cl_sweep(images, batches, backend: ConvNetBackend, capacities, ridge_lambda: float = 1.0,
              fine_tune_cfg: TrainConfig | None = None, aug_cfg: AugmentConfig | None = None,
              test_images=None, test_labels=None, input_width: int | None = None,
              warm_start: bool = False):
     """Run the incremental protocol once per buffer capacity.
 
-    `batches` is a sequence of (label, images) pairs, one new material each.
-    Training at step t sees only that batch and the buffer; earlier batches
-    are gone by construction.
+    `images` is the training stack and `batches` a sequence of (label,
+    indices into `images`) pairs, one new material each. Training at step t
+    sees only that batch and the buffer; earlier batches are gone by
+    construction.
 
     The ridge statistics and heads, each class's full herding order and the
     ridge-floor accuracies do not depend on the capacity. They are computed
@@ -273,51 +274,54 @@ def cl_sweep(batches, backend: ConvNetBackend, capacities, ridge_lambda: float =
     accuracies over the test items belonging to classes seen so far (or None
     when no test set is supplied).
     """
-    batches = [(label, list(images)) for label, images in batches]
+    batches = [(label, np.asarray(idx, dtype=np.int64)) for label, idx in batches]
     capacities = list(capacities)
     n_classes = len({label for label, _ in batches})
     for capacity in capacities:
         MemoryBuffer.budget(capacity, max(n_classes, 1))
-    steps = _shared_pass(batches, backend, ridge_lambda, test_images, test_labels, input_width)
-    return (_capacity_pass(steps, capacity, fine_tune_cfg, aug_cfg, warm_start)
+    steps = _shared_pass(images, batches, backend, ridge_lambda, test_images, test_labels,
+                         input_width)
+    return (_capacity_pass(steps, images, test_images, capacity, fine_tune_cfg, aug_cfg,
+                           warm_start)
             for capacity in capacities)
 
 
-def cl_run(batches, backend: ConvNetBackend, buffer_capacity: int,
+def cl_run(images, batches, backend: ConvNetBackend, buffer_capacity: int,
            ridge_lambda: float = 1.0, fine_tune_cfg: TrainConfig | None = None,
            aug_cfg: AugmentConfig | None = None, test_images=None, test_labels=None,
            input_width: int | None = None, warm_start: bool = False):
     """`cl_sweep` over the one capacity; returns its (snapshots, rows)."""
-    [result] = cl_sweep(batches, backend, [buffer_capacity], ridge_lambda, fine_tune_cfg,
+    [result] = cl_sweep(images, batches, backend, [buffer_capacity], ridge_lambda, fine_tune_cfg,
                         aug_cfg, test_images, test_labels, input_width, warm_start)
     return result
 
 
-def _shared_pass(batches, backend, ridge_lambda, test_images, test_labels, input_width):
+def _shared_pass(images, batches, backend, ridge_lambda, test_images, test_labels,
+                 input_width):
     state = RlsState(dim=backend.embed_dim, ridge_lambda=ridge_lambda)
     test_emb = None
     if test_images is not None:
         test_emb = embed_images(backend, test_images, input_width)
     herded: dict = {}
     steps: list[_SharedStep] = []
-    for label, images in batches:
+    for label, idx in batches:
         if label in herded:
             raise ValidationError(f"class {label!r} appears twice in the sequence")
-        embeddings = embed_images(backend, images, input_width)
-        state = rls_update(state, embeddings, [label] * len(images))
-        herded[label] = [images[i] for i in herding_order(embeddings)]
+        embeddings = embed_images(backend, images[idx], input_width)
+        state = rls_update(state, embeddings, [label] * len(idx))
+        herded[label] = idx[herding_order(embeddings)]
         ridge_clf = Classifier(backend, ridge_solve(state), state.classes, input_width)
         test = acc_ridge = None
         if test_emb is not None:
             eval_idx = [i for i, l in enumerate(test_labels) if l in herded]
             if eval_idx:
-                test = ([test_images[i] for i in eval_idx], [test_labels[i] for i in eval_idx])
-                acc_ridge = ridge_clf.accuracy(*test, embeddings=test_emb[eval_idx])
+                test = (eval_idx, [test_labels[i] for i in eval_idx])
+                acc_ridge = ridge_clf.accuracy(None, test[1], embeddings=test_emb[eval_idx])
         steps.append(_SharedStep(ridge_clf, dict(herded), test, acc_ridge))
     return steps
 
 
-def _capacity_pass(steps, capacity, fine_tune_cfg, aug_cfg, warm_start):
+def _capacity_pass(steps, images, test_images, capacity, fine_tune_cfg, aug_cfg, warm_start):
     snapshots: list[ClSnapshot] = []
     rows: list[tuple] = []
     prev_tuned: Classifier | None = None
@@ -329,8 +333,9 @@ def _capacity_pass(steps, capacity, fine_tune_cfg, aug_cfg, warm_start):
             start = ridge_clf
             if warm_start and prev_tuned is not None:
                 start = replace(ridge_clf, backend=prev_tuned.backend)
-            tuned = fine_tune(start, buffer, fine_tune_cfg, aug_cfg)
-            acc_tuned = None if step.test is None else tuned.accuracy(*step.test)
+            tuned = fine_tune(start, images, buffer, fine_tune_cfg, aug_cfg)
+            acc_tuned = None if step.test is None else tuned.accuracy(
+                test_images[step.test[0]], step.test[1])
         else:
             # an unchanged copy of the ridge model scores exactly as it does
             tuned = ridge_clf.clone()

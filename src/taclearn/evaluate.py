@@ -1,7 +1,8 @@
 """Evaluation harness: cross-validation, robustness sweeps and scoring.
 
-Sweeps perturb only the test images (center crops, temporal resampling,
-seeded jitter) and re-measure accuracy; at the neutral point of every sweep
+Sweeps perturb only the test stack, once per level as a whole (center
+crops, temporal resampling, seeded jitter), and re-measure accuracy; at the
+neutral point of every sweep
 (full length, factor 1, level 0) the perturbation is the identity, so the
 measured value equals the plain test accuracy exactly. No smoothing is
 applied to curves.
@@ -131,35 +132,31 @@ def stratified_folds(labels, k: int, seed: int = 0) -> list[int]:
 
 def kfold_eval(images, labels, k: int, trainer, seed: int = 0,
                task_id: str = "kfold") -> EvalReport:
-    """Stratified k-fold cross-validation of a trainer callable.
+    """Stratified k-fold cross-validation of a trainer callable over a stack.
 
     `trainer(train_images, train_labels)` must return a predictor callable
-    mapping a list of images to predicted labels.
+    mapping a stack to predicted labels.
     """
-    images = list(images)
     labels = list(labels)
-    assignment = stratified_folds(labels, k, seed)
+    assignment = np.array(stratified_folds(labels, k, seed))
     fold_accs = []
     for fold in range(k):
-        train_idx = [i for i, f in enumerate(assignment) if f != fold]
-        test_idx = [i for i, f in enumerate(assignment) if f == fold]
-        predict = trainer([images[i] for i in train_idx], [labels[i] for i in train_idx])
-        predicted = predict([images[i] for i in test_idx])
+        train_idx = np.flatnonzero(assignment != fold)
+        test_idx = np.flatnonzero(assignment == fold)
+        predict = trainer(images[train_idx], [labels[i] for i in train_idx])
+        predicted = predict(images[test_idx])
         truth = [labels[i] for i in test_idx]
         fold_accs.append(float(np.mean([p == t for p, t in zip(predicted, truth)])))
     return EvalReport(task_id=task_id, fold_accuracies=fold_accs)
 
 
 def length_sweep(classifier: Classifier, images, labels, lengths) -> list[tuple[float, float]]:
-    """Accuracy after center-cropping test images to each temporal length."""
+    """Accuracy after center-cropping the test stack to each temporal length."""
     curve = []
     for length in lengths:
-        cropped = []
-        for img in images:
-            if not 1 <= length <= img.width:
-                raise ValidationError(f"length {length} invalid for width {img.width}")
-            start = (img.width - length) // 2
-            cropped.append(crop_temporal(img, start, length))
+        if not 1 <= length <= images.width:
+            raise ValidationError(f"length {length} invalid for width {images.width}")
+        cropped = crop_temporal(images, (images.width - length) // 2, length)
         curve.append((float(length), classifier.accuracy(cropped, labels)))
     return curve
 
@@ -174,18 +171,18 @@ def speed_sweep(classifier: Classifier, images, labels, factors) -> list[tuple[f
     for factor in factors:
         if factor <= 0:
             raise ValidationError(f"speed factor must be positive, got {factor}")
-        resized = [resize_temporal(img, 1.0 / factor) for img in images]
+        resized = resize_temporal(images, 1.0 / factor)
         curve.append((float(factor), classifier.accuracy(resized, labels)))
     return curve
 
 
 def noise_sweep(classifier: Classifier, images, labels, levels,
                 seed: int = 0) -> list[tuple[float, float]]:
-    """Accuracy under additive uniform sensor noise at each level."""
+    """Accuracy under additive uniform sensor noise at each level; one draw
+    over the stack gives each image the draws the images before it leave."""
     curve = []
     for li, level in enumerate(levels):
-        rng = Prng(seed).spawn(li)
-        noisy = [jitter(img, level, rng) for img in images]
+        noisy = jitter(images, level, Prng(seed).spawn(li))
         curve.append((float(level), classifier.accuracy(noisy, labels)))
     return curve
 
@@ -216,16 +213,18 @@ def composition_score(predicted, truth) -> float:
     return 1.0 - (fp + fn) / len(fabric.CONSTITUENTS)
 
 
-def composition_eval(backend: ConvNetBackend, head: LinearHead, items, threshold: float = 0.5,
-                     task_id: str = "composition", input_width: int | None = None) -> EvalReport:
-    """Score the composition head's predictions over (image, truth set) pairs."""
-    items = list(items)
-    if not items:
-        raise ValidationError("composition evaluation needs at least one item")
-    probs = composition_probs(backend, head, [image for image, _ in items], input_width)
+def composition_eval(backend: ConvNetBackend, head: LinearHead, images, truths,
+                     threshold: float = 0.5, task_id: str = "composition",
+                     input_width: int | None = None) -> EvalReport:
+    """Score the composition head's predictions over a stack and the
+    parallel true constituent sets."""
+    truths = list(truths)
+    if len(truths) != len(images):
+        raise ValidationError(f"{len(truths)} constituent sets for {len(images)} images")
+    probs = composition_probs(backend, head, images, input_width)
     counts = {name: [0, 0] for name in fabric.CONSTITUENTS}
     scores = []
-    for (_, truth), p in zip(items, probs):
+    for truth, p in zip(truths, probs):
         predicted = fabric.from_indicator(p, threshold)
         truth = fabric.validate_constituents(truth)
         scores.append(composition_score(predicted, truth))

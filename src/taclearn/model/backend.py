@@ -239,7 +239,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    if not Path(path).exists():
+    if not Path(path).is_file():
         raise ValidationError(f"checkpoint not found: {path}")
     with open(path, "rb") as fh:
         raw = fh.read()

@@ -95,23 +95,20 @@ def _cosine_lr(base, epoch, total):
 
 
 def prepare_batch(images, input_width: int | None = None) -> np.ndarray:
-    """Resize (optionally) and stack normalized images into (N, H, W) planes."""
-    planes = [prepare_for_model(img if input_width is None else resize_to_width(img, input_width))
-              for img in images]
-    shapes = {a.shape for a in planes}
-    if len(shapes) != 1:
-        raise ValidationError(f"batch mixes image shapes: {sorted(shapes)}")
-    return np.stack(planes)
+    """The (N, H, W) planes of a normalized stack, resized to `input_width`
+    (None keeps their width)."""
+    if input_width is not None:
+        images = resize_to_width(images, input_width)
+    return prepare_for_model(images)
 
 
 def embed_images(backend: ConvNetBackend, images, input_width: int | None = None,
                  batch_size: int = 64) -> np.ndarray:
-    """Embeddings for a list of images, batched for speed."""
-    images = list(images)
-    out = np.empty((len(images), backend.embed_dim))
-    for start in range(0, len(images), batch_size):
-        chunk = images[start : start + batch_size]
-        out[start : start + len(chunk)] = backend.embed_batch(prepare_batch(chunk, input_width))
+    """Embeddings of a normalized stack, one forward pass per `batch_size` planes."""
+    planes = prepare_batch(images, input_width)
+    out = np.empty((len(planes), backend.embed_dim))
+    for start in range(0, len(planes), batch_size):
+        out[start : start + batch_size] = backend.embed_batch(planes[start : start + batch_size])
     return out
 
 
@@ -125,8 +122,8 @@ class Classifier:
     input_width: int | None = None
 
     def predict(self, images, embeddings: np.ndarray | None = None) -> list:
-        """Predicted classes; pass `embeddings` (this backend's embeddings of
-        `images`) to skip the forward pass."""
+        """Predicted classes of a stack; pass `embeddings` (this backend's
+        embeddings of `images`) to skip the forward pass."""
         if embeddings is None:
             embeddings = embed_images(self.backend, images, self.input_width)
         idx = np.argmax(self.head.logits(embeddings), axis=1)
@@ -160,7 +157,8 @@ def _stratified_val_split(labels_idx, n_classes, val_fraction, rng):
 
 def _train_loop(images, targets, cfg, aug_cfg, backend, head, loss, val_eval=None,
                 input_width=None):
-    """Minibatch SGD of `head` on the backend's embeddings for cfg.epochs.
+    """Minibatch SGD of `head` on the backend's embeddings of the stack
+    `images` for cfg.epochs.
 
     `loss(logits, targets) -> (value, dlogits)`. The backend is updated too
     unless cfg.freeze_backend. Returns the per-epoch history; each row's lr
@@ -173,6 +171,10 @@ def _train_loop(images, targets, cfg, aug_cfg, backend, head, loss, val_eval=Non
     lr, best_val, stale = cfg.lr, -np.inf, 0
     history: list[EpochStats] = []
     n = len(images)
+    if aug_cfg is None:
+        planes = prepare_batch(images, input_width)
+    else:
+        prepare_for_model(images)  # the normalization check
     shuffle_root = Prng(cfg.seed).spawn(1)
     for epoch in range(cfg.epochs):
         if cfg.lr_schedule == "cosine":
@@ -182,13 +184,10 @@ def _train_loop(images, targets, cfg, aug_cfg, backend, head, loss, val_eval=Non
         total_loss = 0.0
         for bi, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
-            batch_images = [images[i] for i in idx]
             if aug_cfg is None:
-                x = prepare_batch(batch_images, input_width)
+                x = planes[idx]
             else:
-                for img in batch_images:
-                    prepare_for_model(img)  # the normalization check
-                x = random_augment(batch_images, aug_cfg, aug_rng)
+                x = random_augment(images[idx], aug_cfg, aug_rng)
             emb, cache = backend.forward(x)
             value, dlogits = loss(layers.linear_forward(emb, head.weights, head.bias),
                                   targets[idx])
@@ -213,11 +212,11 @@ def _train_loop(images, targets, cfg, aug_cfg, backend, head, loss, val_eval=Non
     return history
 
 
-def train_supervised(dataset, cfg: TrainConfig, aug_cfg: AugmentConfig | None = None,
+def train_supervised(images, labels, cfg: TrainConfig, aug_cfg: AugmentConfig | None = None,
                      backend: ConvNetBackend | None = None,
                      head: LinearHead | None = None, classes=None,
                      input_width: int | None = None):
-    """Train a classifier on labeled tactile images.
+    """Train a classifier on a normalized stack and its parallel labels.
 
     Returns (backend, head, history); column c of the head corresponds to
     classes[c] with classes sorted. Pass a backend (and optionally a matching
@@ -226,11 +225,9 @@ def train_supervised(dataset, cfg: TrainConfig, aug_cfg: AugmentConfig | None = 
     the encoder resized to `input_width` (None keeps their widths), augmented
     ones at aug_cfg.output_width.
     """
-    dataset = list(dataset)
-    if not dataset:
-        raise ValidationError("training dataset is empty")
-    images = [img for img, _ in dataset]
-    labels = [label for _, label in dataset]
+    labels = list(labels)
+    if len(labels) != len(images):
+        raise ValidationError(f"{len(labels)} labels for {len(images)} images")
     if classes is None:
         classes = tuple(sorted(set(labels)))
     else:
@@ -240,7 +237,7 @@ def train_supervised(dataset, cfg: TrainConfig, aug_cfg: AugmentConfig | None = 
             raise ValidationError(f"labels {sorted(stray)!r} missing from class order")
     if len(classes) < 2:
         raise ValidationError(f"need at least 2 classes, got {classes}")
-    y_all = _class_indices(labels, classes)
+    y = _class_indices(labels, classes)
 
     if backend is None:
         backend = ConvNetBackend(seed=cfg.seed)
@@ -252,49 +249,47 @@ def train_supervised(dataset, cfg: TrainConfig, aug_cfg: AugmentConfig | None = 
             f"{backend.embed_dim}x{len(classes)}"
         )
 
+    val_eval = None
     if cfg.lr_schedule == "plateau" and cfg.val_fraction > 0:
         split_rng = Prng(cfg.seed).spawn(2)
-        train_idx, val_idx = _stratified_val_split(y_all, len(classes), cfg.val_fraction, split_rng)
-        val_images = [images[i] for i in val_idx]
-        val_y = y_all[val_idx]
+        train_idx, val_idx = _stratified_val_split(y, len(classes), cfg.val_fraction, split_rng)
+        val_images, val_y = images[val_idx] if val_idx else None, y[val_idx]
 
         def val_eval():
+            if val_images is None:  # no class is large enough to give one up
+                return float("nan")
             emb = embed_images(backend, val_images, input_width)
             pred = np.argmax(head.logits(emb), axis=1)
             return float(np.mean(pred == val_y))
 
-    else:
-        train_idx = list(range(len(images)))
-        val_eval = None
-
-    train_images = [images[i] for i in train_idx]
-    y_train = y_all[train_idx]
+        images, y = images[train_idx], y[train_idx]
     for c in range(len(classes)):
-        if not np.any(y_train == c):
+        if not np.any(y == c):
             raise ValidationError(f"class {classes[c]!r} has no training samples")
 
-    history = _train_loop(train_images, y_train, cfg, aug_cfg, backend, head,
+    history = _train_loop(images, y, cfg, aug_cfg, backend, head,
                           layers.softmax_cross_entropy, val_eval, input_width)
     return backend, head, history
 
 
-def train_composition(dataset, cfg: TrainConfig, aug_cfg: AugmentConfig | None = None,
+def train_composition(images, constituents, cfg: TrainConfig,
+                      aug_cfg: AugmentConfig | None = None,
                       backend: ConvNetBackend | None = None, input_width: int | None = None):
     """Train the composition head: one independent sigmoid logit per constituent.
 
-    Dataset items are (image, constituent set). Returns (backend, head, history);
-    column c of the head scores fabric.CONSTITUENTS[c].
+    `constituents` holds one constituent set per image of the stack. Returns
+    (backend, head, history); column c of the head scores
+    fabric.CONSTITUENTS[c].
     """
     if cfg.lr_schedule == "plateau":
         raise ValidationError(
             "composition training has no validation split for the plateau schedule; "
             "set [train] schedule to cosine or constant"
         )
-    dataset = list(dataset)
-    if not dataset:
-        raise ValidationError("training dataset is empty")
-    images = [img for img, _ in dataset]
-    targets = np.stack([fabric.indicator(cons) for _, cons in dataset])
+    constituents = list(constituents)
+    if len(constituents) != len(images):
+        raise ValidationError(f"{len(constituents)} constituent sets for {len(images)} images")
+    targets = np.stack([fabric.indicator(cons) for cons in constituents])
     if backend is None:
         backend = ConvNetBackend(seed=cfg.seed)
     head = LinearHead.zeros(backend.embed_dim, len(fabric.CONSTITUENTS))
@@ -305,7 +300,7 @@ def train_composition(dataset, cfg: TrainConfig, aug_cfg: AugmentConfig | None =
 
 def composition_probs(backend: ConvNetBackend, head: LinearHead, images,
                       input_width: int | None = None) -> np.ndarray:
-    """(N, 6) independent constituent probabilities, one row per image."""
+    """(N, 6) independent constituent probabilities, one row per image of the stack."""
     n = len(fabric.CONSTITUENTS)
     if head.out_dim != n:
         raise ValidationError(

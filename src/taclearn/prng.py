@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -47,7 +49,7 @@ class Prng:
 
     def __init__(self, seed: int):
         if seed < 0:
-            raise ValueError(f"seed must be non-negative, got {seed}")
+            raise ValidationError(f"seed must be non-negative, got {seed}")
         self._state = seed & _MASK64
 
     @classmethod
@@ -65,7 +67,7 @@ class Prng:
         s = _mix64(self._state ^ 0x5851F42D4C957F2D)
         for k in keys:
             if k < 0:
-                raise ValueError(f"spawn keys must be non-negative, got {k}")
+                raise ValidationError(f"spawn keys must be non-negative, got {k}")
             s = _mix64((s + _GAMMA) ^ _mix64(k))
         return Prng._from_state(s)
 
@@ -92,7 +94,7 @@ class Prng:
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n)."""
         if n <= 0:
-            raise ValueError(f"randint bound must be positive, got {n}")
+            raise ValidationError(f"randint bound must be positive, got {n}")
         return (self.next_u64() * n) >> 64
 
     def shuffle(self, items: list) -> None:

@@ -252,7 +252,7 @@ def _generate_class(config: SyntheticTextureConfig, class_id: int, indices) -> l
 def load_stream(path, spec: SensorSpec) -> SensorStream:
     """Read a stream file (CSV or binary, sniffed by magic) against a spec."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ValidationError(f"stream file not found: {path}")
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -415,7 +415,7 @@ def write_manifest(path, manifest: Manifest) -> None:
 
 def load_manifest(path) -> Manifest:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ValidationError(f"manifest not found: {path}")
     lines = _read_lines(path)
     if not lines or lines[0].strip() != _MANIFEST_HEADER:

@@ -3,7 +3,9 @@
 Vector-stream sensors become 2-D images by stacking consecutive readings as
 columns (channel axis x time axis); camera sensors pass their frames through
 natively. An image is one (H, W) plane, normalized to [-1, 1] with
-dataset-level calibration bounds before it reaches the model.
+dataset-level calibration bounds before it reaches the model. A dataset
+split is one stack (N, H, W) of such planes, all of one shape, held in a
+single `TactileImage`.
 
 Multi-modal sensors keep whatever channel order the manifest delivered; the
 loader does not reorder modalities.
@@ -16,15 +18,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .sensor_io import CAMERA_FRAMES, VECTOR_STREAM, SensorSpec, SensorStream
+from .sensor_io import CAMERA_FRAMES, SensorSpec, SensorStream
 
 
 class WindowError(ValidationError):
     """Requested reading window falls outside the stream."""
-
-
-class WrongSensorKindError(ValidationError):
-    """Operation applied to an incompatible sensor kind."""
 
 
 class NotNormalizedError(ValidationError):
@@ -33,7 +31,8 @@ class NotNormalizedError(ValidationError):
 
 @dataclass(frozen=True)
 class TactileImage:
-    """2-D tactile input; `data` is one (H, W) plane.
+    """Tactile input: `data` is one (H, W) plane or a stack (N, H, W) of them;
+    the per-image ops take either, and `len` and indexing act on the first axis.
 
     `normalized` records that the entries were calibrated into [-1, 1].
     Later additive noise (the test-time jitter suites) may push values
@@ -48,70 +47,75 @@ class TactileImage:
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float64)
         object.__setattr__(self, "data", data)
-        if data.ndim != 2:
-            raise ValidationError(f"image must be 2-D, got {data.shape}")
-        if self.height < 1 or self.width < 1:
+        if data.ndim not in (2, 3):
+            raise ValidationError(f"image must be an (H, W) plane or stack, got {data.shape}")
+        if min(data.shape) < 1:
             raise ValidationError(f"image must be at least 1x1, got {data.shape}")
-        if not np.isfinite(data).all():
+        if not np.isfinite([data.min(), data.max()]).all():  # they meet NaN and infinities
             raise ValidationError("image contains non-finite values")
         data.setflags(write=False)
 
     @property
     def height(self) -> int:
-        return self.data.shape[0]
+        return self.data.shape[-2]
 
     @property
     def width(self) -> int:
-        return self.data.shape[1]
+        return self.data.shape[-1]
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def __getitem__(self, index) -> "TactileImage":
+        return self.with_data(self.data[index])
 
     def with_data(self, data: np.ndarray, **changes) -> "TactileImage":
         return replace(self, data=data, **changes)
 
 
-def build_tactile_image(stream: SensorStream, j: int | None = None, k: int | None = None) -> TactileImage:
-    """Stack readings j..k (inclusive) as columns; defaults to the full stream."""
-    if stream.spec.kind != VECTOR_STREAM:
-        raise WrongSensorKindError(
-            f"build_tactile_image needs a vector stream, got {stream.spec.kind}"
-        )
-    t = stream.length
-    if j is None:
-        j = 0
-    if k is None:
-        k = t - 1
-    if not (0 <= j <= k < t):
+def image_plane(stream: SensorStream, j: int | None = None, k: int | None = None,
+                frame_index: int = 0) -> np.ndarray:
+    """A stream's image as a read-only (H, W) view of its readings: for a
+    vector stream readings j..k (inclusive; default the whole stream) as
+    columns, for a camera stream frame `frame_index` in its native shape."""
+    t, spec = stream.length, stream.spec
+    if spec.kind == CAMERA_FRAMES:
+        if not 0 <= frame_index < t:
+            raise WindowError(f"frame index {frame_index} invalid for stream of length {t}")
+        return stream.readings[frame_index].reshape(spec.frame_h, spec.frame_w)
+    j, k = 0 if j is None else j, t - 1 if k is None else k
+    if not 0 <= j <= k < t:
         raise WindowError(f"window [{j}, {k}] invalid for stream of length {t}")
-    data = stream.readings[j : k + 1].T.copy()
-    return TactileImage(data=data, source=stream.spec)
+    return stream.readings[j : k + 1].T
 
 
-def camera_frame_image(stream: SensorStream, index: int = 0) -> TactileImage:
-    """One camera reading reshaped to its native frame."""
-    spec = stream.spec
-    if spec.kind != CAMERA_FRAMES:
-        raise WrongSensorKindError(f"camera_frame_image needs camera frames, got {spec.kind}")
-    if not 0 <= index < stream.length:
-        raise WindowError(f"frame index {index} invalid for stream of length {stream.length}")
-    data = stream.readings[index].reshape(spec.frame_h, spec.frame_w)
-    return TactileImage(data=data, source=spec)
+def build_tactile_image(stream: SensorStream, j: int | None = None, k: int | None = None,
+                        frame_index: int = 0) -> TactileImage:
+    """One stream's image, cut as `image_plane` cuts it."""
+    return TactileImage(data=image_plane(stream, j, k, frame_index).copy(), source=stream.spec)
 
 
-def normalize(image: TactileImage, lo: float, hi: float) -> TactileImage:
-    """Affine map [lo, hi] -> [-1, 1]; out-of-range values clamp to the ends."""
+def normalize(planes, lo: float, hi: float, source: SensorSpec | None = None) -> TactileImage:
+    """The normalized image of `planes` (one plane or a stack): the affine map
+    [lo, hi] -> [-1, 1], values beyond either end clamped to it. The map runs
+    in place on a float64 array, so a split's stack needs no second copy."""
     if not lo < hi:
         raise ValidationError(f"normalization bounds need lo < hi, got ({lo}, {hi})")
-    if lo == -1.0 and hi == 1.0:
-        # The map is the identity; evaluating the affine form would only add
-        # rounding, which would break normalize's idempotence.
-        data = np.clip(image.data, -1.0, 1.0)
-    else:
-        scale = 2.0 / (hi - lo)
-        data = np.clip((image.data - lo) * scale - 1.0, -1.0, 1.0)
-    return image.with_data(data, normalized=True)
+    planes = np.asarray(planes, dtype=np.float64)
+    if planes.size and not np.isfinite([planes.min(), planes.max()]).all():  # clamping hides inf
+        raise ValidationError("image contains non-finite values")
+    if lo != -1.0 or hi != 1.0:
+        # at (-1, 1) the map is the identity; evaluating it would only add
+        # rounding, which would break normalize's idempotence
+        planes -= lo
+        planes *= 2.0 / (hi - lo)
+        planes -= 1.0
+    np.clip(planes, -1.0, 1.0, out=planes)
+    return TactileImage(data=planes, source=source, normalized=True)
 
 
 def prepare_for_model(image: TactileImage) -> np.ndarray:
-    """The (H, W) plane of a normalized image, as the encoder takes it."""
+    """The planes of a normalized image or stack, as the encoder takes them."""
     if not image.normalized:
         raise NotNormalizedError("image must be normalized to [-1, 1] before model preparation")
     return image.data
@@ -127,4 +131,3 @@ def compute_bounds(streams) -> tuple[float, float]:
     if not lo < hi:
         raise ValidationError(f"degenerate data: min == max == {lo}")
     return lo, hi
-

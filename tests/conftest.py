@@ -6,20 +6,21 @@ class count from every downstream experiment) and then used frozen wherever
 a fixed representation is required.
 """
 
+import numpy as np
 import pytest
 
 from taclearn.augment import AugmentConfig
 from taclearn.model import ConvNetBackend, TrainConfig, train_supervised
 from taclearn.sensor_io import SyntheticTextureConfig, generate_synthetic
-from taclearn.tactile_image import build_tactile_image, compute_bounds, normalize
+from taclearn.tactile_image import compute_bounds, image_plane, normalize
 
 
 def synth_images(num_classes=5, per_class=10, channels=12, length=64, noise=0.05,
                  seed=0, start_index=0, bounds=None):
     """Labeled normalized tactile images from the synthetic generator.
 
-    Returns (images, labels, bounds). Pass `bounds` to reuse calibration
-    computed on a training split.
+    Returns (images, labels, bounds): one (N, H, W) stack and its labels.
+    Pass `bounds` to reuse calibration computed on a training split.
     """
     cfg = SyntheticTextureConfig(
         num_classes=num_classes,
@@ -35,7 +36,8 @@ def synth_images(num_classes=5, per_class=10, channels=12, length=64, noise=0.05
     ]
     if bounds is None:
         bounds = compute_bounds(streams)
-    images = [normalize(build_tactile_image(s), *bounds) for s in streams]
+    images = normalize(np.array([image_plane(s) for s in streams]), *bounds,
+                       source=streams[0].spec)
     labels = [s.label for s in streams]
     return images, labels, bounds
 
@@ -54,7 +56,7 @@ def pretrained_backend():
                         output_width=64)
     cfg = TrainConfig(epochs=60, lr=0.01, momentum=0.9, weight_decay=1e-4,
                       batch_size=16, lr_schedule="cosine", seed=777)
-    backend, _, _ = train_supervised(list(zip(images, labels)), cfg, aug)
+    backend, _, _ = train_supervised(images, labels, cfg, aug)
     return backend
 
 
@@ -65,6 +67,7 @@ def random_backend():
 
 @pytest.fixture
 def tiny_dataset():
+    """(images, labels): a 3-class stack of 24 images."""
     images, labels, _ = synth_images(num_classes=3, per_class=8, channels=10,
                                      length=32, seed=11)
-    return list(zip(images, labels))
+    return images, labels

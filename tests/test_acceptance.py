@@ -78,7 +78,7 @@ def plain_model(task):
     cfg = TrainConfig(epochs=40, lr=0.01, momentum=0.9, weight_decay=1e-4,
                       batch_size=16, lr_schedule="cosine", seed=0)
     started = time.monotonic()
-    backend, head, history = train_supervised(list(zip(train_images, train_labels)), cfg)
+    backend, head, history = train_supervised(train_images, train_labels, cfg)
     elapsed = time.monotonic() - started
     clf = Classifier(backend, head, tuple(sorted(set(train_labels))), input_width=64)
     return clf, cfg.epochs, elapsed
@@ -92,7 +92,7 @@ def augmented_model(task):
     aug = AugmentConfig(flip_prob=0.5, resize_factor_range=(0.5, 2.0),
                         crop_len_range=(16, 64), jitter_level=0.5, seed=1,
                         output_width=64)
-    backend, head, _ = train_supervised(list(zip(train_images, train_labels)), cfg, aug)
+    backend, head, _ = train_supervised(train_images, train_labels, cfg, aug)
     return Classifier(backend, head, tuple(sorted(set(train_labels))), input_width=64)
 
 
@@ -102,7 +102,7 @@ def budget_backend():
     images, labels, _ = synth_images(num_classes=6, per_class=20, seed=777)
     cfg = TrainConfig(epochs=20, lr=0.01, momentum=0.9, weight_decay=1e-4,
                       batch_size=16, lr_schedule="cosine", seed=777)
-    backend, _, _ = train_supervised(list(zip(images, labels)), cfg)
+    backend, _, _ = train_supervised(images, labels, cfg)
     return backend
 
 
@@ -315,17 +315,15 @@ def test_criterion_08_cl_buffer_trend(budget_backend):
             budget_backend, train_images, train_labels, test_images, test_labels,
             input_width=64,
         )
-        by_class = {}
-        for img, label in zip(train_images, train_labels):
-            by_class.setdefault(label, []).append(img)
-        batches = [(label, by_class[label]) for label in sorted(by_class)]
+        batches = [(c, np.flatnonzero([l == c for l in train_labels]))
+                   for c in sorted(set(train_labels))]
         ft_cfg = TrainConfig(epochs=15, lr=0.005, momentum=0.9, weight_decay=1e-4,
                              batch_size=16, lr_schedule="cosine", seed=0)
 
         floors, tuned = [], []
         for per_class in (5, 10, 20, 40):
             _, rows = cl_run(
-                batches, budget_backend, per_class * 5, ridge_lambda=1.0,
+                train_images, batches, budget_backend, per_class * 5, ridge_lambda=1.0,
                 fine_tune_cfg=ft_cfg, aug_cfg=None, test_images=test_images,
                 test_labels=test_labels, input_width=64,
             )
@@ -345,7 +343,7 @@ def test_criterion_08_cl_buffer_trend(budget_backend):
         joint_cfg = TrainConfig(epochs=30, lr=0.005, momentum=0.9, weight_decay=1e-4,
                                 batch_size=16, lr_schedule="cosine", seed=0)
         jb, jh, _ = train_supervised(
-            list(zip(train_images, train_labels)), joint_cfg, None,
+            train_images, train_labels, joint_cfg, None,
             backend=budget_backend.clone(),
         )
         joint = Classifier(jb, jh, tuple(sorted(set(train_labels))), input_width=64)

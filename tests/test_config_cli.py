@@ -390,15 +390,16 @@ def test_synthetic_eval_noise_normalizes_only_test_images(tmp_path, trained, mon
     normalized = []
     normalize = tactile_image.normalize
 
-    def counting(image, lo, hi):
-        normalized.append(image)
-        return normalize(image, lo, hi)
+    def counting(planes, *args, **kwargs):
+        normalized.append(planes)
+        return normalize(planes, *args, **kwargs)
 
     for module in (tactile_image, cli):
         monkeypatch.setattr(module, "normalize", counting, raising=False)
     assert main(["eval", "noise", "--config", str(cfg), "--checkpoint", str(ckpt),
                  "--out", str(tmp_path / "e")]) == 0
-    assert len(normalized) == 3 * 3  # num_classes x test_per_class
+    # one call, on the test stack of num_classes x test_per_class images
+    assert [len(planes) for planes in normalized] == [3 * 3]
 
 
 def test_eval_rerun_bit_identical(tmp_path, trained):
@@ -833,3 +834,83 @@ noise_levels = 0,0.2
     assert {"ingest/manifest.txt", "train/model.tacm", "train/history.csv",
             "eval/noise_curve.csv"} <= set(first[0])
     assert first == run()
+
+
+@pytest.mark.parametrize("command, edit", [
+    (["train", "--seed", "-1"], None),
+    (["cl", "--seed", "-3"], None),
+    (["train"], ("seed = 5", "seed = -4")),  # [dataset] seed
+    (["train"], ("jitter_level = 0.1", "jitter_level = 0.1\nseed = -1")),  # [augment] seed
+], ids=["train-seed", "cl-seed", "dataset-seed", "augment-seed"])
+def test_negative_seed_exits_one_before_outputs(tmp_path, capsys, command, edit):
+    cfg = _write_cfg(tmp_path)
+    if edit is not None:
+        cfg.write_text(cfg.read_text().replace(*edit, 1))
+    out = tmp_path / "never"
+    assert main([command[0], "--config", str(cfg), "--out", str(out), *command[1:]]) == 1
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _ragged_manifest(directory):
+    """2 classes x 6 streams (4 train, 2 test) of 10 channels; every third
+    stream has 44 readings, the others 40."""
+    import numpy as np
+
+    from taclearn.prng import Prng
+    from taclearn.sensor_io import (Manifest, ManifestEntry, SensorSpec, SensorStream,
+                                    write_manifest, write_stream)
+
+    spec = SensorSpec("s", channels=10, sample_rate_hz=50.0)
+    directory.mkdir()
+    entries = []
+    for c in range(2):
+        for i in range(6):
+            length = 44 if i % 3 == 2 else 40
+            readings = 0.5 * c + np.asarray(Prng(10 * c + i).uniform(-1, 1, size=(length, 10)))
+            rel = f"c{c}_s{i:02d}.csv"
+            write_stream(directory / rel, SensorStream(spec=spec, readings=readings))
+            entries.append(ManifestEntry(rel, str(c), "train" if i < 4 else "test"))
+    write_manifest(directory / "manifest.txt", Manifest(spec=spec, entries=entries))
+    return directory / "manifest.txt"
+
+
+def test_images_of_one_dataset_must_share_one_shape(tmp_path, capsys):
+    manifest = _ragged_manifest(tmp_path / "ragged")
+    ragged = tmp_path / "ragged.cfg"
+    ragged.write_text(f"""
+[dataset]
+mode = manifest
+manifest = {manifest}
+
+[train]
+epochs = 2
+batch_size = 4
+schedule = cosine
+
+[cl]
+capacity = 4
+ft_epochs = 1
+
+[eval]
+noise_levels = 0,0.2
+""")
+    for command in ("ingest", "train", "cl"):
+        out = tmp_path / "never"
+        assert main([command, "--config", str(ragged), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "c0_s02.csv" in err and "window_start" in err
+        assert not out.exists()
+
+    # cut to one window, the same streams train and evaluate
+    windowed = tmp_path / "windowed.cfg"
+    windowed.write_text(ragged.read_text() + "\n[transform]\nwindow_start = 0\nwindow_end = 39\n")
+    assert main(["train", "--config", str(windowed), "--out", str(tmp_path / "train")]) == 0
+    ckpt = tmp_path / "train" / "model.tacm"
+    assert main(["eval", "noise", "--config", str(windowed), "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "eval")]) == 0
+    out = tmp_path / "never"
+    assert main(["eval", "noise", "--config", str(ragged), "--checkpoint", str(ckpt),
+                 "--out", str(out)]) == 1
+    assert "c0_s02.csv" in capsys.readouterr().err
+    assert not out.exists()

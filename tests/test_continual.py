@@ -249,7 +249,7 @@ def test_herding_matches_reference_when_scores_overflow(embs):
 
 
 # The step-by-step buffer update that MemoryBuffer.rebalanced replaced, kept
-# verbatim as the oracle for it.
+# as the oracle for it; it stores indices into `images`, as the buffer does.
 def select_exemplars(buffer: MemoryBuffer, images, labels, backend: ConvNetBackend,
                      embeddings: np.ndarray | None = None,
                      input_width: int | None = None) -> MemoryBuffer:
@@ -258,12 +258,9 @@ def select_exemplars(buffer: MemoryBuffer, images, labels, backend: ConvNetBacke
     Existing classes are truncated to the new equal per-class budget, keeping
     their earliest-selected exemplars (the herding priority prefix).
     """
-    images = list(images)
     labels = list(labels)
     if len(images) != len(labels):
         raise ValidationError("images and labels length mismatch")
-    if not images:
-        raise ValidationError("cannot select exemplars from an empty batch")
     if embeddings is None:
         embeddings = embed_images(backend, images, input_width)
 
@@ -271,19 +268,15 @@ def select_exemplars(buffer: MemoryBuffer, images, labels, backend: ConvNetBacke
     for label in sorted(set(labels)):
         if label in per_class:
             raise ValidationError(f"class {label!r} already has stored exemplars")
-        idx = [i for i, l in enumerate(labels) if l == label]
+        idx = np.array([i for i, l in enumerate(labels) if l == label])
         order = herding_order(embeddings[idx])
-        per_class[label] = [images[idx[i]] for i in order]
+        per_class[label] = idx[order]
     return MemoryBuffer.rebalanced(buffer.capacity, per_class)
 
 
 def _image_batch(n, label, seed):
-    rng = Prng(seed)
-    images = [
-        TactileImage(data=rng.uniform(-1, 1, size=(10, 24)), normalized=True)
-        for _ in range(n)
-    ]
-    return images, [label] * n
+    data = Prng(seed).uniform(-1, 1, size=(n, 10, 24))
+    return TactileImage(data=data, normalized=True), [label] * n
 
 
 def test_select_exemplars_keeps_all_when_budget_allows(random_backend):
@@ -299,14 +292,14 @@ def test_select_exemplars_rebalances_and_truncates(random_backend):
     images_a, labels_a = _image_batch(10, "a", seed=7)
     buffer = select_exemplars(buffer, images_a, labels_a, random_backend)
     assert buffer.sizes() == {"a": 8}
-    kept_a = list(buffer.per_class["a"])
+    kept_a = buffer.per_class["a"].copy()
 
     images_b, labels_b = _image_batch(10, "b", seed=8)
     buffer = select_exemplars(buffer, images_b, labels_b, random_backend)
     assert buffer.sizes() == {"a": 4, "b": 4}
     assert buffer.total <= buffer.capacity
     # truncation keeps the earliest-selected prefix
-    assert all(x is y for x, y in zip(buffer.per_class["a"], kept_a[:4]))
+    assert np.array_equal(buffer.per_class["a"], kept_a[:4])
 
 
 def test_select_exemplars_budget_error(random_backend):
@@ -327,52 +320,51 @@ def test_select_exemplars_rejects_repeat_class(random_backend):
 
 
 def _small_cl_problem(backend, num_classes=3, per_class=6, seed=31):
+    """(train stack, its (label, indices) batches, test stack, test labels)."""
     images, labels, bounds = synth_images(
         num_classes=num_classes, per_class=per_class, channels=10, length=32, seed=seed
     )
-    by_class = {}
-    for img, label in zip(images, labels):
-        by_class.setdefault(label, []).append(img)
-    batches = [(label, by_class[label]) for label in sorted(by_class)]
+    batches = [(c, np.flatnonzero([l == c for l in labels])) for c in sorted(set(labels))]
     test_images, test_labels, _ = synth_images(
         num_classes=num_classes, per_class=3, channels=10, length=32, seed=seed,
         start_index=per_class, bounds=bounds,
     )
-    return batches, test_images, test_labels
+    return images, batches, test_images, test_labels
+
+
+def _two_class_ridge(backend, images, batches):
+    """The ridge classifier and its state on the first two batches, plus
+    their indices and labels."""
+    (label_a, idx_a), (label_b, idx_b) = batches[0], batches[1]
+    idx = np.concatenate([idx_a, idx_b])
+    labels = [label_a] * len(idx_a) + [label_b] * len(idx_b)
+    state = rls_update(RlsState(dim=backend.embed_dim), embed_images(backend, images[idx]),
+                       labels)
+    return Classifier(backend, ridge_solve(state), state.classes), state, idx, labels
 
 
 def test_fine_tune_zero_epochs_is_identity(random_backend):
-    batches, _, _ = _small_cl_problem(random_backend)
-    images, labels = batches[0][1], [batches[0][0]] * len(batches[0][1])
-    images2, labels2 = batches[1][1], [batches[1][0]] * len(batches[1][1])
-    emb = embed_images(random_backend, images + images2)
-    state = rls_update(RlsState(dim=random_backend.embed_dim), emb, labels + labels2)
-    head = ridge_solve(state)
-    clf = Classifier(random_backend, head, state.classes)
-    buffer = select_exemplars(MemoryBuffer(capacity=10), images, labels, random_backend)
+    images, batches, _, _ = _small_cl_problem(random_backend)
+    clf, _, _, _ = _two_class_ridge(random_backend, images, batches)
+    label, idx = batches[0]
+    buffer = select_exemplars(MemoryBuffer(capacity=10), images[idx], [label] * len(idx),
+                              random_backend)
     cfg = TrainConfig(epochs=0, lr_schedule="cosine")
-    tuned = fine_tune(clf, buffer, cfg)
+    tuned = fine_tune(clf, images[idx], buffer, cfg)
     assert tuned is not clf
     assert np.array_equal(tuned.head.weights, clf.head.weights)
     assert np.array_equal(tuned.backend.get_flat(), clf.backend.get_flat())
 
 
 def test_fine_tune_leaves_ridge_state_untouched(random_backend):
-    batches, _, _ = _small_cl_problem(random_backend)
-    (label_a, images_a), (label_b, images_b) = batches[0], batches[1]
-    emb = embed_images(random_backend, images_a + images_b)
-    labels = [label_a] * len(images_a) + [label_b] * len(images_b)
-    state = rls_update(RlsState(dim=random_backend.embed_dim), emb, labels)
+    images, batches, _, _ = _small_cl_problem(random_backend)
+    clf, state, idx, labels = _two_class_ridge(random_backend, images, batches)
     a_before = state.A.copy()
     c_before = {k: v.copy() for k, v in state.c.items()}
-    head = ridge_solve(state)
-    clf = Classifier(random_backend, head, state.classes)
-    buffer = select_exemplars(
-        MemoryBuffer(capacity=8), images_a + images_b, labels, random_backend
-    )
+    buffer = select_exemplars(MemoryBuffer(capacity=8), images[idx], labels, random_backend)
     backend_flat_before = random_backend.get_flat().copy()
     cfg = TrainConfig(epochs=3, lr=0.01, batch_size=4, lr_schedule="cosine", seed=1)
-    fine_tune(clf, buffer, cfg)
+    fine_tune(clf, images[idx], buffer, cfg)
     assert np.array_equal(state.A, a_before)
     for k in c_before:
         assert np.array_equal(state.c[k], c_before[k])
@@ -385,26 +377,27 @@ def test_fine_tune_validations(random_backend):
         rls_update(RlsState(dim=random_backend.embed_dim),
                    np.ones((2, random_backend.embed_dim)), [0, 1])
     ), (0, 1))
-    with pytest.raises(ValidationError, match="non-empty"):
-        fine_tune(clf, MemoryBuffer(capacity=4), TrainConfig(epochs=1, lr_schedule="cosine"))
     images, labels = _image_batch(3, 0, seed=13)
+    with pytest.raises(ValidationError, match="non-empty"):
+        fine_tune(clf, images, MemoryBuffer(capacity=4),
+                  TrainConfig(epochs=1, lr_schedule="cosine"))
     buffer = select_exemplars(MemoryBuffer(capacity=4), images, labels, random_backend)
     with pytest.raises(ValidationError, match="cosine"):
-        fine_tune(clf, buffer, TrainConfig(epochs=1, lr_schedule="constant"))
+        fine_tune(clf, images, buffer, TrainConfig(epochs=1, lr_schedule="constant"))
 
 
 def test_cl_run_single_step_equals_batch_baseline(random_backend):
-    batches, test_images, test_labels = _small_cl_problem(random_backend, num_classes=2)
-    label, images = batches[0]
-    label2, images2 = batches[1]
-    all_images = images + images2
-    all_labels = [label] * len(images) + [label2] * len(images2)
+    images, batches, test_images, test_labels = _small_cl_problem(random_backend,
+                                                                 num_classes=2)
+    (label, idx), (label2, idx2) = batches
+    all_idx = np.concatenate([idx, idx2])
+    all_labels = [label] * len(idx) + [label2] * len(idx2)
     snapshots, rows = cl_run(
-        [(label, images), (label2, images2)], random_backend, buffer_capacity=12,
+        images, [(label, idx), (label2, idx2)], random_backend, buffer_capacity=12,
         test_images=test_images, test_labels=test_labels,
     )
     head_direct, classes = batch_ridge_head(
-        embed_images(random_backend, all_images), all_labels
+        embed_images(random_backend, images[all_idx]), all_labels
     )
     assert np.allclose(snapshots[-1].ridge.head.weights, head_direct.weights, atol=1e-9)
     assert snapshots[-1].ridge.classes == classes
@@ -413,7 +406,8 @@ def test_cl_run_single_step_equals_batch_baseline(random_backend):
 
 def test_cl_run_single_batch_reduces_to_frozen_classification(random_backend):
     images, labels = _image_batch(6, "solo", seed=29)
-    snapshots, rows = cl_run([("solo", images)], random_backend, buffer_capacity=4)
+    snapshots, rows = cl_run(images, [("solo", np.arange(6))], random_backend,
+                             buffer_capacity=4)
     head_direct, classes = batch_ridge_head(embed_images(random_backend, images), labels)
     assert snapshots[0].ridge.classes == classes == ("solo",)
     assert np.allclose(snapshots[0].ridge.head.weights, head_direct.weights, atol=1e-12)
@@ -421,24 +415,25 @@ def test_cl_run_single_batch_reduces_to_frozen_classification(random_backend):
 
 
 def test_cl_run_order_invariant_head(random_backend):
-    batches, _, _ = _small_cl_problem(random_backend, num_classes=3)
-    snaps_fwd, _ = cl_run(batches, random_backend, buffer_capacity=9)
-    snaps_rev, _ = cl_run(batches[::-1], random_backend, buffer_capacity=9)
+    images, batches, _, _ = _small_cl_problem(random_backend, num_classes=3)
+    snaps_fwd, _ = cl_run(images, batches, random_backend, buffer_capacity=9)
+    snaps_rev, _ = cl_run(images, batches[::-1], random_backend, buffer_capacity=9)
     w1 = snaps_fwd[-1].ridge.head.weights
     w2 = snaps_rev[-1].ridge.head.weights
     assert np.linalg.norm(w1 - w2) <= 1e-6 * max(1.0, np.linalg.norm(w1))
 
 
 def test_cl_run_rejects_repeated_class(random_backend):
-    batches, _, _ = _small_cl_problem(random_backend, num_classes=2)
-    label, images = batches[0]
+    images, batches, _, _ = _small_cl_problem(random_backend, num_classes=2)
+    label, idx = batches[0]
     with pytest.raises(ValidationError, match="twice"):
-        cl_run([(label, images), (label, images)], random_backend, buffer_capacity=8)
+        cl_run(images, [(label, idx), (label, idx)], random_backend, buffer_capacity=8)
 
 
 def test_cl_rows_csv_shape(random_backend):
-    batches, test_images, test_labels = _small_cl_problem(random_backend, num_classes=2)
-    _, rows = cl_run(batches, random_backend, buffer_capacity=8,
+    images, batches, test_images, test_labels = _small_cl_problem(random_backend,
+                                                                 num_classes=2)
+    _, rows = cl_run(images, batches, random_backend, buffer_capacity=8,
                      test_images=test_images, test_labels=test_labels)
     csv = cl_rows_to_csv(rows)
     lines = csv.strip().splitlines()
@@ -448,15 +443,16 @@ def test_cl_rows_csv_shape(random_backend):
 
 @pytest.mark.parametrize("warm_start", [False, True])
 def test_cl_sweep_matches_independent_runs_bitwise(random_backend, warm_start):
-    batches, test_images, test_labels = _small_cl_problem(random_backend, num_classes=3)
+    images, batches, test_images, test_labels = _small_cl_problem(random_backend,
+                                                                 num_classes=3)
     ft_cfg = TrainConfig(epochs=2, lr=0.01, batch_size=4, lr_schedule="cosine", seed=3)
     kwargs = dict(fine_tune_cfg=ft_cfg, test_images=test_images, test_labels=test_labels,
                   warm_start=warm_start)
     capacities = [4, 9]  # smaller first: a buffer leaking forward would show
-    swept = list(cl_sweep(batches, random_backend, capacities, **kwargs))
+    swept = list(cl_sweep(images, batches, random_backend, capacities, **kwargs))
     assert len(swept) == len(capacities)
     for cap, (snapshots, rows) in zip(capacities, swept):
-        alone_snapshots, alone_rows = cl_run(batches, random_backend, cap, **kwargs)
+        alone_snapshots, alone_rows = cl_run(images, batches, random_backend, cap, **kwargs)
         assert rows == alone_rows
         assert len(snapshots) == len(alone_snapshots) == len(batches)
         for a, b in zip(snapshots, alone_snapshots):
@@ -470,10 +466,11 @@ def test_cl_sweep_matches_independent_runs_bitwise(random_backend, warm_start):
 
 
 def test_cl_warm_start_carries_the_tuned_backend(random_backend):
-    batches, test_images, test_labels = _small_cl_problem(random_backend, num_classes=3)
+    images, batches, _, _ = _small_cl_problem(random_backend, num_classes=3)
     ft_cfg = TrainConfig(epochs=2, lr=0.01, batch_size=4, lr_schedule="cosine", seed=3)
-    cold, _ = cl_run(batches, random_backend, 9, fine_tune_cfg=ft_cfg)
-    warm, _ = cl_run(batches, random_backend, 9, fine_tune_cfg=ft_cfg, warm_start=True)
+    cold, _ = cl_run(images, batches, random_backend, 9, fine_tune_cfg=ft_cfg)
+    warm, _ = cl_run(images, batches, random_backend, 9, fine_tune_cfg=ft_cfg,
+                     warm_start=True)
     frozen = random_backend.get_flat()
     # step 2 starts from the frozen backend either way; step 3 differs
     assert np.array_equal(cold[1].fine_tuned.backend.get_flat(),
@@ -489,12 +486,12 @@ def test_cl_warm_start_carries_the_tuned_backend(random_backend):
 def test_cl_sweep_validates_every_capacity_before_any_work(random_backend, monkeypatch):
     import taclearn.continual as continual
 
-    batches, _, _ = _small_cl_problem(random_backend, num_classes=3)
+    images, batches, _, _ = _small_cl_problem(random_backend, num_classes=3)
     monkeypatch.setattr(continual, "embed_images", lambda *a, **k: pytest.fail("embedded"))
     with pytest.raises(ValidationError, match="capacity 2 leaves no budget for 3 classes"):
-        cl_sweep(batches, random_backend, [9, 2])
+        cl_sweep(images, batches, random_backend, [9, 2])
     with pytest.raises(ValidationError, match="capacity 0"):
-        cl_run(batches, random_backend, 0)
+        cl_run(images, batches, random_backend, 0)
 
 
 def test_rebalanced_buffer_equals_stepwise_selection(random_backend):
@@ -503,9 +500,8 @@ def test_rebalanced_buffer_equals_stepwise_selection(random_backend):
     for label, seed in [("a", 14), ("b", 15), ("c", 16)]:
         images, labels = _image_batch(5, label, seed)
         buffer = select_exemplars(buffer, images, labels, random_backend)
-        order = herding_order(embed_images(random_backend, images))
-        herded[label] = [images[i] for i in order]
+        herded[label] = np.array(herding_order(embed_images(random_backend, images)))
         rebalanced = MemoryBuffer.rebalanced(7, herded)
         assert rebalanced.sizes() == buffer.sizes()
         for k in herded:
-            assert all(x is y for x, y in zip(rebalanced.per_class[k], buffer.per_class[k]))
+            assert np.array_equal(rebalanced.per_class[k], buffer.per_class[k])

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from taclearn.augment import crop_temporal, jitter, resize_temporal
 from taclearn.continual import batch_ridge_head
 from taclearn.errors import ValidationError
 from taclearn.evaluate import (
@@ -20,6 +21,8 @@ from taclearn.evaluate import (
 )
 from taclearn.fabric import CONSTITUENTS, UnknownConstituentError
 from taclearn.model import LinearHead, embed_images
+from taclearn.prng import Prng
+from taclearn.tactile_image import TactileImage
 
 from conftest import synth_images
 
@@ -71,10 +74,10 @@ def test_stratified_folds_small_class_errors():
 def test_kfold_perfect_trainer_scores_one():
     images, labels, _ = synth_images(num_classes=2, per_class=10, channels=10,
                                      length=32, seed=40)
-    truth = {id(img): label for img, label in zip(images, labels)}
+    truth = {plane.tobytes(): label for plane, label in zip(images.data, labels)}
 
     def trainer(train_images, train_labels):
-        return lambda imgs: [truth[id(im)] for im in imgs]
+        return lambda stack: [truth[plane.tobytes()] for plane in stack.data]
 
     report = kfold_eval(images, labels, k=5, trainer=trainer, seed=1)
     assert report.fold_accuracies == [1.0] * 5
@@ -146,6 +149,70 @@ def test_length_sweep_validates(fitted):
         length_sweep(clf, test_images, test_labels, [1000])
 
 
+# The per-image sweeps the stacked ones replaced, kept verbatim as the
+# oracle: over a list of the stack's planes they must perturb every image to
+# the same bytes, level by level, and give the same curve.
+def _length_sweep_one(classifier, images, labels, lengths):
+    curve = []
+    for length in lengths:
+        cropped = []
+        for img in images:
+            if not 1 <= length <= img.width:
+                raise ValidationError(f"length {length} invalid for width {img.width}")
+            start = (img.width - length) // 2
+            cropped.append(crop_temporal(img, start, length))
+        curve.append((float(length), classifier.accuracy(cropped, labels)))
+    return curve
+
+
+def _speed_sweep_one(classifier, images, labels, factors):
+    curve = []
+    for factor in factors:
+        if factor <= 0:
+            raise ValidationError(f"speed factor must be positive, got {factor}")
+        resized = [resize_temporal(img, 1.0 / factor) for img in images]
+        curve.append((float(factor), classifier.accuracy(resized, labels)))
+    return curve
+
+
+def _noise_sweep_one(classifier, images, labels, levels, seed=0):
+    curve = []
+    for li, level in enumerate(levels):
+        rng = Prng(seed).spawn(li)
+        noisy = [jitter(img, level, rng) for img in images]
+        curve.append((float(level), classifier.accuracy(noisy, labels)))
+    return curve
+
+
+class _Recorder:
+    """Scores with `classifier`, keeping the planes of every perturbed set."""
+
+    def __init__(self, classifier):
+        self.classifier, self.planes = classifier, []
+
+    def accuracy(self, images, labels):
+        if not isinstance(images, TactileImage):  # the oracle's list of images
+            images = TactileImage(data=np.stack([img.data for img in images]), normalized=True)
+        self.planes.append(images.data)
+        return self.classifier.accuracy(images, labels)
+
+
+@pytest.mark.parametrize("sweep, oracle, levels, kwargs", [
+    (length_sweep, _length_sweep_one, [8, 17, 48], {}),
+    (speed_sweep, _speed_sweep_one, [0.5, 1.0, 1.7, 3.0], {}),
+    (noise_sweep, _noise_sweep_one, [0.0, 0.1, 0.5], {"seed": 5}),
+], ids=["length", "speed", "noise"])
+def test_stacked_sweeps_match_per_image_oracle(fitted, sweep, oracle, levels, kwargs):
+    clf, _, _, test_images, test_labels = fitted
+    stacked, per_image = _Recorder(clf), _Recorder(clf)
+    planes = [test_images[i] for i in range(len(test_images))]
+    curve = sweep(stacked, test_images, test_labels, levels, **kwargs)
+    assert curve == oracle(per_image, planes, test_labels, levels, **kwargs)
+    assert len(stacked.planes) == len(per_image.planes) == len(levels)
+    for a, b in zip(stacked.planes, per_image.planes):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_baseline_matches_normal_equations_oracle(random_backend, fitted):
     _, train_images, train_labels, test_images, test_labels = fitted
     acc = least_squares_baseline(
@@ -191,9 +258,8 @@ def test_composition_eval_counts(random_backend):
     # a head with fixed logits: always predict {Linen} (first constituent)
     biases = [5.0, -5.0, -5.0, -5.0, -5.0, -5.0]
     head = LinearHead(np.zeros((d, 6)), np.array(biases))
-    items = [(img, frozenset({"Linen"}) if l == 0 else frozenset({"Wool"}))
-             for img, l in zip(images, labels)]
-    report = composition_eval(random_backend, head, items)
+    truths = [frozenset({"Linen"}) if l == 0 else frozenset({"Wool"}) for l in labels]
+    report = composition_eval(random_backend, head, images, truths)
     # class-1 items: Linen is a false positive and Wool a false negative
     assert report.constituent_counts["Linen"] == (4, 0)
     assert report.constituent_counts["Wool"] == (0, 4)

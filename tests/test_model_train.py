@@ -27,6 +27,10 @@ def _normalized_image(h=12, w=40, seed=0):
     return TactileImage(data=data, normalized=True)
 
 
+def _normalized_stack(*images):
+    return TactileImage(data=np.stack([img.data for img in images]), normalized=True)
+
+
 def _prepared_image(h=12, w=40, seed=0):
     return prepare_for_model(_normalized_image(h, w, seed))
 
@@ -144,13 +148,12 @@ def test_batch_loss_permutation_invariant():
 
 def test_training_reduces_loss_and_fits(tiny_dataset):
     cfg = TrainConfig(epochs=40, lr=0.02, batch_size=8, lr_schedule="cosine", seed=0)
-    backend, head, history = train_supervised(tiny_dataset, cfg)
+    images, labels = tiny_dataset
+    backend, head, history = train_supervised(images, labels, cfg)
     assert history[-1].loss < history[0].loss
     from taclearn.model import Classifier
 
-    clf = Classifier(backend, head, tuple(sorted({l for _, l in tiny_dataset})))
-    images = [img for img, _ in tiny_dataset]
-    labels = [l for _, l in tiny_dataset]
+    clf = Classifier(backend, head, tuple(sorted(set(labels))))
     assert clf.accuracy(images, labels) >= 0.9
 
 
@@ -158,7 +161,7 @@ def test_training_lr_zero_is_identity(tiny_dataset):
     cfg = TrainConfig(epochs=3, lr=0.0, batch_size=8, lr_schedule="constant", seed=1)
     backend_before = ConvNetBackend(seed=1)
     flat_before = backend_before.get_flat().copy()
-    backend, head, history = train_supervised(tiny_dataset, cfg, backend=backend_before)
+    backend, head, history = train_supervised(*tiny_dataset, cfg, backend=backend_before)
     assert np.array_equal(backend.get_flat(), flat_before)
     assert np.array_equal(head.weights, np.zeros_like(head.weights))
     losses = [round(h.loss, 12) for h in history]
@@ -167,25 +170,25 @@ def test_training_lr_zero_is_identity(tiny_dataset):
 
 def test_training_deterministic_given_seed(tiny_dataset):
     cfg = TrainConfig(epochs=4, lr=0.01, batch_size=8, lr_schedule="cosine", seed=9)
-    b1, h1, hist1 = train_supervised(tiny_dataset, cfg)
-    b2, h2, hist2 = train_supervised(tiny_dataset, cfg)
+    b1, h1, hist1 = train_supervised(*tiny_dataset, cfg)
+    b2, h2, hist2 = train_supervised(*tiny_dataset, cfg)
     assert np.array_equal(b1.get_flat(), b2.get_flat())
     assert np.array_equal(h1.weights, h2.weights)
     assert [h.loss for h in hist1] == [h.loss for h in hist2]
 
 
 def test_training_rejects_single_class(tiny_dataset):
-    one_class = [(img, 0) for img, _ in tiny_dataset]
+    images, _ = tiny_dataset
     cfg = TrainConfig(epochs=1, lr_schedule="constant")
     with pytest.raises(ValidationError, match="2 classes"):
-        train_supervised(one_class, cfg)
+        train_supervised(images, [0] * len(images), cfg)
 
 
 def test_training_diverged_loss_reports_position(tiny_dataset):
     cfg = TrainConfig(epochs=6, lr=1e155, weight_decay=1e-4, batch_size=8,
                       lr_schedule="constant", seed=2)
     with np.errstate(all="ignore"), pytest.raises(RuntimeFailure, match="epoch"):
-        train_supervised(tiny_dataset, cfg)
+        train_supervised(*tiny_dataset, cfg)
 
 
 def test_freeze_backend_flag(tiny_dataset):
@@ -193,7 +196,7 @@ def test_freeze_backend_flag(tiny_dataset):
     flat_before = backend.get_flat().copy()
     cfg = TrainConfig(epochs=3, lr=0.05, batch_size=8, lr_schedule="constant",
                       seed=7, freeze_backend=True)
-    backend_out, head, _ = train_supervised(tiny_dataset, cfg, backend=backend)
+    backend_out, head, _ = train_supervised(*tiny_dataset, cfg, backend=backend)
     assert backend_out is backend
     assert np.array_equal(backend.get_flat(), flat_before)
     assert not np.array_equal(head.weights, np.zeros_like(head.weights))
@@ -202,7 +205,7 @@ def test_freeze_backend_flag(tiny_dataset):
 def test_plateau_schedule_halves_lr(tiny_dataset):
     cfg = TrainConfig(epochs=8, lr=0.01, batch_size=8, lr_schedule="plateau",
                       seed=3, val_fraction=0.2, plateau_patience=2)
-    _, _, history = train_supervised(tiny_dataset, cfg)
+    _, _, history = train_supervised(*tiny_dataset, cfg)
     assert all(h.val_acc is not None for h in history)
     assert min(h.lr for h in history) <= 0.01
 
@@ -212,7 +215,7 @@ def test_plateau_lr_sequence_replays_from_val_acc(tiny_dataset):
 
     cfg = TrainConfig(epochs=12, lr=0.01, batch_size=8, lr_schedule="plateau",
                       seed=3, val_fraction=0.2, plateau_patience=2)
-    _, _, history = train_supervised(tiny_dataset, cfg)
+    _, _, history = train_supervised(*tiny_dataset, cfg)
     # each row shows the lr its epoch trained with; a cut shows from the next row
     expected, lr, best, stale = [], cfg.lr, -np.inf, 0
     for row in history:
@@ -230,7 +233,8 @@ def test_plateau_lr_sequence_replays_from_val_acc(tiny_dataset):
 
 def test_composition_probs_contracts(random_backend):
     head = LinearHead.zeros(random_backend.embed_dim, 6)
-    images = [_normalized_image(12, 40, seed=8), _normalized_image(12, 40, seed=10)]
+    images = _normalized_stack(_normalized_image(12, 40, seed=8),
+                               _normalized_image(12, 40, seed=10))
     probs = composition_probs(random_backend, head, images)
     assert probs.shape == (2, 6)
     assert np.allclose(probs, 0.5)
@@ -246,7 +250,7 @@ def test_composition_threshold_rule(random_backend):
     # craft heads with fixed logits via bias, zero weights
     biases = [3.0, 1.0, -2.0, -4.0, 0.2, -0.1]
     head = LinearHead(np.zeros((d, 6)), np.array(biases))
-    picked = from_indicator(composition_probs(random_backend, head, [img])[0])
+    picked = from_indicator(composition_probs(random_backend, head, _normalized_stack(img))[0])
     assert picked == frozenset({CONSTITUENTS[0], CONSTITUENTS[1], CONSTITUENTS[4]})
 
 
@@ -258,21 +262,21 @@ def test_train_composition_learns_constituents():
         1: frozenset({"Linen"}),
         2: frozenset({"Polyester", "Elastane", "Viscose"}),
     }
-    dataset = [(img, mapping[l]) for img, l in zip(images, labels)]
+    truths = [mapping[l] for l in labels]
     cfg = TrainConfig(epochs=60, lr=0.05, batch_size=8, lr_schedule="cosine", seed=5)
-    backend, head, history = train_composition(dataset, cfg)
+    backend, head, history = train_composition(images, truths, cfg)
     assert history[-1].loss < history[0].loss
-    probs = composition_probs(backend, head, [img for img, _ in dataset])
-    correct = sum(from_indicator(p) == truth for p, (_, truth) in zip(probs, dataset))
-    assert correct / len(dataset) >= 0.8
+    probs = composition_probs(backend, head, images)
+    correct = sum(from_indicator(p) == truth for p, truth in zip(probs, truths))
+    assert correct / len(truths) >= 0.8
 
 
 def test_train_composition_rejects_plateau_schedule():
     images, _, _ = synth_images(num_classes=2, per_class=2, channels=10, length=32, seed=3)
-    dataset = [(img, frozenset({"Linen"})) for img in images]
+    truths = [frozenset({"Linen"})] * len(images)
     # plateau needs a validation split, which composition training never carves
     with pytest.raises(ValidationError, match="cosine or constant"):
-        train_composition(dataset, TrainConfig(epochs=2, lr_schedule="plateau"))
+        train_composition(images, truths, TrainConfig(epochs=2, lr_schedule="plateau"))
 
 
 def test_checkpoint_round_trip(tmp_path, random_backend):
@@ -362,13 +366,12 @@ def test_malformed_checkpoint_is_validation_error(tmp_path, random_backend, corr
 
 
 def test_augmented_epoch_augments_each_minibatch_as_one_array(tiny_dataset, monkeypatch):
-    # N = 24 images at batch size 5: ceil(24/5) = 5 augment calls, and the
-    # batches reach the backend without building a TactileImage
+    # N = 24 images at batch size 5: ceil(24/5) = 5 augment calls, each on
+    # one indexed sub-stack; no TactileImage is built per image
     from taclearn.augment import AugmentConfig
     from taclearn.model import train
 
-    images = [img for img, _ in tiny_dataset]
-    labels = [label for _, label in tiny_dataset]
+    images, labels = tiny_dataset
     targets = train._class_indices(labels, sorted(set(labels)))
     calls, built = [], []
     augment = train.random_augment
@@ -384,4 +387,4 @@ def test_augmented_epoch_augments_each_minibatch_as_one_array(tiny_dataset, monk
     cfg = TrainConfig(epochs=1, batch_size=5, lr_schedule="constant")
     train._train_loop(images, targets, cfg, aug, backend, head, layers.softmax_cross_entropy)
     assert calls == [5, 5, 5, 5, 4]
-    assert built == []
+    assert [len(stack) for stack in built] == calls

@@ -14,9 +14,7 @@ from taclearn.tactile_image import (
     NotNormalizedError,
     TactileImage,
     WindowError,
-    WrongSensorKindError,
     build_tactile_image,
-    camera_frame_image,
     compute_bounds,
     normalize,
     prepare_for_model,
@@ -68,45 +66,38 @@ def test_window_bounds_errors():
         build_tactile_image(stream, -1, 3)
 
 
-def test_wrong_kind_rejected():
-    cam = SensorSpec("cam", channels=12, sample_rate_hz=10.0, kind=CAMERA_FRAMES,
-                     frame_h=3, frame_w=4, value_range=(0.0, 1.0))
-    stream = SensorStream(spec=cam, readings=np.zeros((2, 12)))
-    with pytest.raises(WrongSensorKindError):
-        build_tactile_image(stream)
-    with pytest.raises(WrongSensorKindError):
-        camera_frame_image(_stream(4, 10))
-
-
 def test_camera_frame_pass_through():
     cam = SensorSpec("cam", channels=12, sample_rate_hz=10.0, kind=CAMERA_FRAMES,
                      frame_h=3, frame_w=4, value_range=(0.0, 1.0))
     readings = np.arange(24, dtype=float).reshape(2, 12)
     stream = SensorStream(spec=cam, readings=readings)
-    img = camera_frame_image(stream, 1)
+    img = build_tactile_image(stream, frame_index=1)
     assert img.data.shape == (3, 4)
     assert img.data[0, 0] == 12.0
 
 
 def test_normalize_endpoints_midpoint_clamp():
-    img = TactileImage(data=np.array([[0.0, 5.0, 10.0, 12.0]]))
-    out = normalize(img, 0.0, 10.0)
+    out = normalize(np.array([[0.0, 5.0, 10.0, 12.0]]), 0.0, 10.0)
     assert out.normalized
     assert np.allclose(out.data, [[-1.0, 0.0, 1.0, 1.0]])
     assert out.data.max() <= 1.0 and out.data.min() >= -1.0
 
 
 def test_normalize_bad_bounds():
-    img = TactileImage(data=np.zeros((2, 2)))
     with pytest.raises(ValidationError):
-        normalize(img, 3.0, 3.0)
+        normalize(np.zeros((2, 2)), 3.0, 3.0)
+
+
+def test_normalize_rejects_non_finite():
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValidationError, match="non-finite"):
+            normalize(np.array([[0.0, bad]]), 0.0, 1.0)
 
 
 def test_normalize_idempotent():
     rng = Prng(2)
-    img = TactileImage(data=rng.uniform(-4, 9, size=(7, 11)))
-    once = normalize(img, -4.0, 9.0)
-    twice = normalize(once, -1.0, 1.0)
+    once = normalize(rng.uniform(-4, 9, size=(7, 11)), -4.0, 9.0)
+    twice = normalize(once.data.copy(), -1.0, 1.0)
     assert np.array_equal(once.data, twice.data)
 
 
@@ -114,21 +105,39 @@ def test_normalize_monotone():
     rng = Prng(3)
     a = rng.uniform(-2, 2, size=(5, 5))
     b = a + rng.uniform(0, 1, size=(5, 5))
-    na = normalize(TactileImage(data=a), -2.0, 3.0)
-    nb = normalize(TactileImage(data=b), -2.0, 3.0)
+    na = normalize(a, -2.0, 3.0)
+    nb = normalize(b, -2.0, 3.0)
     assert (na.data <= nb.data).all()
 
 
 def test_prepare_returns_the_plane():
     # the encoder, not the image, feeds the plane to its input channels
-    img = normalize(TactileImage(data=Prng(5).uniform(-1, 1, size=(19, 40))), -1.0, 1.0)
+    img = normalize(Prng(5).uniform(-1, 1, size=(19, 40)), -1.0, 1.0)
     assert prepare_for_model(img) is img.data
 
 
 def test_image_is_one_plane():
-    for shape in [(3, 4, 5), (1, 4, 5), (5,)]:
-        with pytest.raises(ValidationError, match="2-D"):
+    # an image is one (H, W) plane; a split is a stack (N, H, W) of them
+    for shape in [(5,), (2, 3, 4, 5)]:
+        with pytest.raises(ValidationError, match=r"\(H, W\) plane"):
             TactileImage(data=np.zeros(shape), normalized=True)
+    with pytest.raises(ValidationError, match="at least 1x1"):
+        TactileImage(data=np.zeros((0, 4, 5)))
+    stack = TactileImage(data=np.arange(60.0).reshape(3, 4, 5), normalized=True)
+    assert len(stack) == 3 and (stack.height, stack.width) == (4, 5)
+    assert stack[1].normalized and np.array_equal(stack[1].data, stack.data[1])
+    assert np.array_equal(stack[[2, 0]].data, stack.data[[2, 0]])
+
+
+def test_normalize_stack_equals_each_plane():
+    # the map runs in place, with the bytes of the one-expression form, plane by plane
+    planes = Prng(6).uniform(-4, 9, size=(5, 7, 11))
+    raw = planes.copy()
+    stack = normalize(raw, -3.0, 8.0)
+    assert stack.data is raw and stack.data.shape == (5, 7, 11)
+    for plane, normalized in zip(planes, stack.data):
+        expected = np.clip((plane + 3.0) * (2.0 / 11.0) - 1.0, -1.0, 1.0)
+        assert normalized.tobytes() == expected.tobytes()
 
 
 def test_prepare_requires_normalization():
