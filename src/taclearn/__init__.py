@@ -57,55 +57,6 @@ from .sensor_io import (
     load_stream,
     write_stream,
 )
-from .tactile_image import TactileImage, build_tactile_image, normalize, prepare_for_model
+from .tactile_image import TactileImage, normalize, prepare_for_model
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AugmentConfig",
-    "CONSTITUENTS",
-    "Checkpoint",
-    "ClSnapshot",
-    "Classifier",
-    "ConvNetBackend",
-    "EvalReport",
-    "LinearHead",
-    "MemoryBuffer",
-    "Prng",
-    "RlsState",
-    "RuntimeFailure",
-    "SensorSpec",
-    "SensorStream",
-    "SyntheticTextureConfig",
-    "TactileImage",
-    "TaclearnError",
-    "TrainConfig",
-    "ValidationError",
-    "build_tactile_image",
-    "cl_run",
-    "cl_sweep",
-    "composition_score",
-    "crop_temporal",
-    "fine_tune",
-    "flip_temporal",
-    "generate_dataset",
-    "generate_synthetic",
-    "jitter",
-    "kfold_eval",
-    "least_squares_baseline",
-    "length_sweep",
-    "load_checkpoint",
-    "load_stream",
-    "noise_sweep",
-    "normalize",
-    "prepare_for_model",
-    "random_augment",
-    "resize_temporal",
-    "ridge_solve",
-    "rls_update",
-    "save_checkpoint",
-    "speed_sweep",
-    "train_composition",
-    "train_supervised",
-    "write_stream",
-]

@@ -120,17 +120,6 @@ def resize_to_width(image: TactileImage, width: int) -> TactileImage:
     return image.with_data(_resample_axis(image.data, width, axis=-1))
 
 
-def resize_frame(image: TactileImage, height: int, width: int) -> TactileImage:
-    """Resize both spatial axes (camera frames)."""
-    if height < 1 or width < 1:
-        raise ValidationError(f"target size must be >= 1x1, got {height}x{width}")
-    if (height, width) == (image.height, image.width):
-        return image
-    data = _resample_axis(image.data, height, axis=-2)
-    data = _resample_axis(data, width, axis=-1)
-    return image.with_data(data)
-
-
 def crop_temporal(image: TactileImage, start: int, length: int) -> TactileImage:
     """Keep columns [start, start+length)."""
     if length < 1:
@@ -140,17 +129,6 @@ def crop_temporal(image: TactileImage, start: int, length: int) -> TactileImage:
             f"crop [{start}, {start + length}) out of range for width {image.width}"
         )
     return image.with_data(image.data[..., start : start + length].copy())
-
-
-def crop_rows(image: TactileImage, start: int, length: int) -> TactileImage:
-    """Keep rows [start, start+length)."""
-    if length < 1:
-        raise ValidationError(f"crop length must be >= 1, got {length}")
-    if start < 0 or start + length > image.height:
-        raise ValidationError(
-            f"row crop [{start}, {start + length}) out of range for height {image.height}"
-        )
-    return image.with_data(image.data[..., start : start + length, :].copy())
 
 
 def jitter(image: TactileImage, level: float, rng: Prng) -> TactileImage:

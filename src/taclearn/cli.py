@@ -8,10 +8,9 @@
 Each command reads only the dataset splits it uses: ``train`` the train
 split, ``cl`` and ``eval kfold`` both, the other eval modes the test split,
 plus the train split when the normalization bounds (synthetic mode, or a
-manifest without norm_lo/norm_hi) come from it, or, for ``eval length``,
-the default input width (unset ``[transform] input_width``). ``ingest``
-validates a whole dataset, parsing each stream file once, so a bad file in
-a split a command does not read surfaces there.
+manifest without norm_lo/norm_hi) come from it. ``ingest`` validates a
+whole dataset, parsing each stream file once, so a bad file in a split a
+command does not read surfaces there.
 
 Exit codes: 0 success, 1 validation error (bad config, files, parameters),
 2 runtime failure. Validation runs before anything is written. At a fixed
@@ -36,10 +35,8 @@ from .continual import cl_rows_to_csv, cl_sweep
 from .errors import RuntimeFailure, ValidationError
 from .evaluate import (EvalReport, composition_eval, curve_to_csv, kfold_eval, length_sweep,
                        noise_sweep, ridge_classifier, speed_sweep)
-from .fabric import CONSTITUENTS
-from .model import (Checkpoint, Classifier, ConvNetBackend, LinearHead, TrainConfig,
-                    history_to_csv, load_checkpoint, save_checkpoint, train_composition,
-                    train_supervised)
+from .model import (Checkpoint, Classifier, ConvNetBackend, TrainConfig, history_to_csv,
+                    load_checkpoint, save_checkpoint, train_composition, train_supervised)
 from .prng import Prng
 from .sensor_io import (Manifest, ManifestEntry, SyntheticTextureConfig,
                         generate_dataset, load_manifest, load_manifest_streams,
@@ -163,13 +160,12 @@ def _synthetic_streams(config, splits):
             for split in ("train", "test") if split in splits}
 
 
-def _load_bundle(config, splits=("train", "test"), width=True) -> _Bundle:
+def _load_bundle(config, splits=("train", "test")) -> _Bundle:
     """Images of `splits`. The train split is also read when the normalization
-    bounds (synthetic mode, or a manifest without norm_lo/norm_hi) or, for a
-    command that uses the input `width`, its default (unset ``[transform]
-    input_width``) come from it; read only for those, it yields no images.
-    Without `width` an unset input width stays None. Every image read must
-    have one shape."""
+    bounds (synthetic mode, or a manifest without norm_lo/norm_hi) come from
+    it; read only for them, it yields no images. Every image read must have
+    one shape, whose width is the input width unless ``[transform]
+    input_width`` sets it."""
     mode = config.get_str("dataset", "mode")
     input_width = config.get_int("transform", "input_width", None)
     if mode == "synthetic":
@@ -180,8 +176,7 @@ def _load_bundle(config, splits=("train", "test"), width=True) -> _Bundle:
         bounds = manifest.norm_bounds
     else:
         raise ValidationError(f"[dataset] mode must be synthetic or manifest, got {mode!r}")
-    width = width and input_width is None
-    read = tuple(dict.fromkeys(("train", *splits))) if bounds is None or width else splits
+    read = tuple(dict.fromkeys(("train", *splits))) if bounds is None else splits
     if manifest is None:
         streams = _synthetic_streams(config, read)
         has_train = bool(streams["train"])
@@ -200,7 +195,7 @@ def _load_bundle(config, splits=("train", "test"), width=True) -> _Bundle:
               config.get_int("transform", "window_end", None),
               config.get_int("transform", "frame_index", 0))
     planes = {split: [image_plane(s, *window) for s in streams[split]] for split in read}
-    shape = next((p.shape for split in read for p in planes[split]), None)
+    shape = next((p.shape for split in read for p in planes[split]), (None, None))
     odd = next(((split, i, p.shape) for split in read for i, p in enumerate(planes[split])
                 if p.shape != shape), None)
     if odd is not None:
@@ -227,7 +222,7 @@ def _load_bundle(config, splits=("train", "test"), width=True) -> _Bundle:
     # 500k page faults and 40 % longer to embed. Other allocators just make it.
     del streams, planes
     np.empty(10 << 20, dtype=np.uint8)
-    if width:
+    if input_width is None:
         input_width = shape[1]
     return _Bundle(*train, *test, input_width, bounds, manifest)
 
@@ -459,25 +454,11 @@ def _checkpoint_width(ckpt):
     return int(width)
 
 
-def _composition_head(ckpt):
-    """The checkpoint's 6-column composition head. Older files hold six
-    constituent-named 128x1 heads instead; those are stacked in vocabulary order."""
-    if "composition" in ckpt.heads:
-        return ckpt.heads["composition"]
-    parts = [ckpt.heads.get(name) for name in CONSTITUENTS]
-    if any(h is None or h.out_dim != 1 or h.in_dim != ckpt.backend.embed_dim for h in parts):
-        raise ValidationError(
-            "checkpoint has neither a composition head nor six constituent heads")
-    return LinearHead(np.hstack([h.weights for h in parts]),
-                      np.concatenate([h.bias for h in parts]))
-
-
 def cmd_eval(args) -> int:
     config = load_config(args.config)
     run_seed = _run_seed(config, args)
     mode = args.mode
-    bundle = _load_bundle(config, ("train", "test") if mode == "kfold" else ("test",),
-                          width=mode in ("kfold", "length"))
+    bundle = _load_bundle(config, ("train", "test") if mode == "kfold" else ("test",))
     ckpt = load_checkpoint(args.checkpoint)
 
     if mode != "kfold" and bundle.test_images is None:
@@ -500,7 +481,9 @@ def cmd_eval(args) -> int:
         report = kfold_eval(images, labels, k, trainer, seed=run_seed,
                             task_id=f"kfold-k{k}")
     elif mode == "composition":
-        head = _composition_head(ckpt)
+        head = ckpt.heads.get("composition")
+        if head is None:
+            raise ValidationError("checkpoint has no composition head")
         if None in bundle.test_cons:
             raise ValidationError("test sample without constituent truth")
         threshold = config.get_float("eval", "threshold", 0.5)
@@ -510,7 +493,7 @@ def cmd_eval(args) -> int:
         clf = _classifier_from_checkpoint(ckpt)
         images, labels = bundle.test_images, bundle.test_labels
         if mode == "length":
-            w = bundle.input_width
+            w = images.width
             lengths = config.get_int_list("eval", "lengths",
                                           [max(1, w // 8), max(1, w // 4), w // 2, w])
             curve = length_sweep(clf, images, labels, lengths)

@@ -35,7 +35,6 @@ class RlsState:
     ridge_lambda: float = 1.0
     A: np.ndarray = None
     c: dict = field(default_factory=dict)
-    counts: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -57,7 +56,6 @@ class RlsState:
             ridge_lambda=self.ridge_lambda,
             A=self.A.copy(),
             c={k: v.copy() for k, v in self.c.items()},
-            counts=dict(self.counts),
         )
 
 
@@ -82,9 +80,7 @@ def rls_update(state: RlsState, embeddings: np.ndarray, labels) -> RlsState:
         new.A += np.outer(emb, emb)
         if label not in new.c:
             new.c[label] = np.zeros(state.dim)
-            new.counts[label] = 0
         new.c[label] += emb
-        new.counts[label] += 1
     return new
 
 

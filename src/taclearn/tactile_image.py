@@ -56,10 +56,6 @@ class TactileImage:
         data.setflags(write=False)
 
     @property
-    def height(self) -> int:
-        return self.data.shape[-2]
-
-    @property
     def width(self) -> int:
         return self.data.shape[-1]
 
@@ -87,12 +83,6 @@ def image_plane(stream: SensorStream, j: int | None = None, k: int | None = None
     if not 0 <= j <= k < t:
         raise WindowError(f"window [{j}, {k}] invalid for stream of length {t}")
     return stream.readings[j : k + 1].T
-
-
-def build_tactile_image(stream: SensorStream, j: int | None = None, k: int | None = None,
-                        frame_index: int = 0) -> TactileImage:
-    """One stream's image, cut as `image_plane` cuts it."""
-    return TactileImage(data=image_plane(stream, j, k, frame_index).copy(), source=stream.spec)
 
 
 def normalize(planes, lo: float, hi: float, source: SensorSpec | None = None) -> TactileImage:

@@ -5,12 +5,11 @@ from hypothesis import strategies as st
 
 from taclearn.augment import (
     AugmentConfig,
-    crop_rows,
+    _resample_axis,
     crop_temporal,
     flip_temporal,
     jitter,
     random_augment,
-    resize_frame,
     resize_temporal,
     resize_to_width,
 )
@@ -200,6 +199,29 @@ def test_camera_augment_restores_frame_shape():
     assert np.array_equal(a, b)
 
 
+def resize_frame(image, height, width):
+    """Resize both spatial axes (camera frames); the per-image oracle's op."""
+    if height < 1 or width < 1:
+        raise ValidationError(f"target size must be >= 1x1, got {height}x{width}")
+    if (height, width) == image.data.shape[-2:]:
+        return image
+    data = _resample_axis(image.data, height, axis=-2)
+    data = _resample_axis(data, width, axis=-1)
+    return image.with_data(data)
+
+
+def crop_rows(image, start, length):
+    """Keep rows [start, start+length); the per-image oracle's op."""
+    if length < 1:
+        raise ValidationError(f"crop length must be >= 1, got {length}")
+    if start < 0 or start + length > image.data.shape[-2]:
+        raise ValidationError(
+            f"row crop [{start}, {start + length}) out of range for height "
+            f"{image.data.shape[-2]}"
+        )
+    return image.with_data(image.data[..., start : start + length, :].copy())
+
+
 def test_resize_frame_both_axes():
     img = _image(h=10, w=20)
     out = resize_frame(img, 5, 40)
@@ -223,7 +245,7 @@ def _random_augment_one(image, cfg, rng):
     # the oracle: a stack must give the bytes, errors and generator state of
     # augmenting its planes one after another with this.
     is_camera = image.source is not None and image.source.kind == CAMERA_FRAMES
-    out_h = image.height
+    out_h = image.data.shape[-2]
     out_w = cfg.output_width if cfg.output_width is not None else image.width
 
     if rng.random() < cfg.flip_prob:
@@ -231,7 +253,7 @@ def _random_augment_one(image, cfg, rng):
 
     factor = rng.uniform(*cfg.resize_factor_range)
     if is_camera:
-        new_h = max(1, int(np.floor(image.height * factor + 0.5)))
+        new_h = max(1, int(np.floor(image.data.shape[-2] * factor + 0.5)))
         new_w = max(1, int(np.floor(image.width * factor + 0.5)))
         image = resize_frame(image, new_h, new_w)
     else:
@@ -247,8 +269,8 @@ def _random_augment_one(image, cfg, rng):
     start = rng.randint(image.width - length + 1)
     image = crop_temporal(image, start, length)
     if is_camera:
-        row_len = min(length, image.height)
-        row_start = rng.randint(image.height - row_len + 1)
+        row_len = min(length, image.data.shape[-2])
+        row_start = rng.randint(image.data.shape[-2] - row_len + 1)
         image = crop_rows(image, row_start, row_len)
 
     image = jitter(image, cfg.jitter_level, rng)

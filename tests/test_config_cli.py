@@ -527,6 +527,27 @@ def test_eval_sweeps_agree_at_neutral_points(tmp_path, trained):
     assert plain_from_length == plain_from_noise
 
 
+@pytest.mark.parametrize("input_width", [64, 16])
+def test_eval_length_defaults_to_the_test_image_width(tmp_path, input_width):
+    from taclearn.evaluate import EvalReport
+
+    # 32-reading streams, no [eval] lengths: the sweep ends at the identity crop
+    cfg = _write_cfg(tmp_path)
+    cfg.write_text(cfg.read_text().replace("input_width = 32", f"input_width = {input_width}")
+                   .replace("lengths = 8,16,32\n", ""))
+    ckpt = tmp_path / "train" / "model.tacm"
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "train"),
+                 "--no-augment"]) == 0
+    curves = {}
+    for mode in ("length", "noise"):
+        out = tmp_path / mode
+        assert main(["eval", mode, "--config", str(cfg), "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == 0
+        curves[mode] = EvalReport.from_csv((out / "report.csv").read_text()).curves[mode]
+    assert [x for x, _ in curves["length"]] == [4.0, 8.0, 16.0, 32.0]
+    assert curves["length"][-1][1] == dict(curves["noise"])[0.0]
+
+
 def test_train_from_ingested_manifest(tmp_path):
     cfg = _write_cfg(tmp_path)
     data_out = tmp_path / "data"
@@ -610,21 +631,42 @@ def test_bad_test_stream_fails_only_the_commands_reading_it(tmp_path, capsys, in
         assert not never.exists()
 
 
-def test_eval_reads_the_train_split_only_for_bounds_or_width(tmp_path, capsys, ingested):
+def test_eval_reads_the_train_split_only_for_bounds(tmp_path, capsys, ingested):
     cfg, data, ckpt = ingested
     name = _corrupt_first(data, "train")
-    eval_speed = ["eval", "speed", "--config", str(cfg), "--checkpoint", str(ckpt)]
-    assert main([*eval_speed, "--out", str(tmp_path / "e")]) == 0
-    # without input_width, eval length takes its default from the first
-    # training image's width; eval speed does not use the width
+    # with manifest bounds the test modes never read the train split; eval
+    # length takes its default lengths from the test images, not input_width
     cfg.write_text(cfg.read_text().replace("input_width = 32\n", ""))
-    assert main([*eval_speed, "--out", str(tmp_path / "e2")]) == 0
+    for mode in ("speed", "length"):
+        assert main(["eval", mode, "--config", str(cfg), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / mode)]) == 0
+    manifest = data / "manifest.txt"
+    manifest.write_text("".join(line for line in manifest.read_text().splitlines(True)
+                                if not line.startswith("norm_")))
     capsys.readouterr()
     never = tmp_path / "never"
-    assert main(["eval", "length", "--config", str(cfg), "--checkpoint", str(ckpt),
+    assert main(["eval", "speed", "--config", str(cfg), "--checkpoint", str(ckpt),
                  "--out", str(never)]) == 1
     assert name in capsys.readouterr().err
     assert not never.exists()
+
+
+def test_eval_without_test_images_exits_one(tmp_path, capsys):
+    from taclearn.model import Checkpoint, ConvNetBackend, save_checkpoint
+
+    # a manifest with bounds and no test split: eval reads no image at all
+    data = tmp_path / "data"
+    cfg = _write_cfg(tmp_path, test_per_class=0)
+    assert main(["ingest", "--config", str(cfg), "--out", str(data)]) == 0
+    cfg.write_text(f"[dataset]\nmode = manifest\nmanifest = {data / 'manifest.txt'}\n")
+    ckpt = tmp_path / "model.tacm"
+    save_checkpoint(ckpt, Checkpoint(backend=ConvNetBackend(seed=1)))
+    never = tmp_path / "never"
+    for mode in ("noise", "length"):
+        assert main(["eval", mode, "--config", str(cfg), "--checkpoint", str(ckpt),
+                     "--out", str(never)]) == 1
+        assert "dataset has no test split" in capsys.readouterr().err
+        assert not never.exists()
 
 
 def test_each_stream_is_parsed_once_per_reading_command(tmp_path, monkeypatch, ingested):
@@ -675,37 +717,27 @@ def test_pretrained_zero_stride_backend_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_composition_eval_reads_six_head_checkpoints(tmp_path):
+def test_composition_eval_rejects_six_head_checkpoints(tmp_path, capsys):
     import numpy as np
 
     from taclearn.fabric import CONSTITUENTS
-    from taclearn.model import Checkpoint, LinearHead, load_checkpoint, save_checkpoint
+    from taclearn.model import Checkpoint, ConvNetBackend, LinearHead, save_checkpoint
 
     cfg = tmp_path / "comp.cfg"
     cfg.write_text(COMPOSITION_CFG)
-    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "train")]) == 0
-    ckpt = load_checkpoint(tmp_path / "train" / "model.tacm")
-    assert list(ckpt.heads) == ["composition"]
-    head = ckpt.heads["composition"]
-    # the layout older files used: one constituent-named 128x1 head per column
-    six = {name: LinearHead(head.weights[:, [i]], head.bias[[i]])
-           for i, name in enumerate(CONSTITUENTS)}
+    # the layout of composition files written before the single composition
+    # head: one constituent-named 128x1 head per column
+    backend = ConvNetBackend(seed=1)
+    six = {name: LinearHead(np.zeros((backend.embed_dim, 1)), np.zeros(1))
+           for name in CONSTITUENTS}
     legacy = tmp_path / "six_heads.tacm"
-    save_checkpoint(legacy, Checkpoint(backend=ckpt.backend, heads=six, meta=ckpt.meta))
-    stacked = load_checkpoint(legacy).heads
-    assert np.array_equal(np.hstack([stacked[n].weights for n in CONSTITUENTS]), head.weights)
-    reports = []
-    for name, path in (("one", tmp_path / "train" / "model.tacm"), ("six", legacy)):
-        out = tmp_path / f"eval_{name}"
-        assert main(["eval", "composition", "--config", str(cfg), "--checkpoint", str(path),
-                     "--out", str(out)]) == 0
-        reports.append((out / "report.csv").read_bytes())
-    assert reports[0] == reports[1]
-
-    five = dict(list(six.items())[:5])
-    save_checkpoint(legacy, Checkpoint(backend=ckpt.backend, heads=five, meta=ckpt.meta))
+    save_checkpoint(legacy, Checkpoint(backend=backend, heads=six,
+                                       meta={"task": "composition", "input_width": "32"}))
+    never = tmp_path / "never"
     assert main(["eval", "composition", "--config", str(cfg), "--checkpoint", str(legacy),
-                 "--out", str(tmp_path / "eval_five")]) == 1
+                 "--out", str(never)]) == 1
+    assert "checkpoint has no composition head" in capsys.readouterr().err
+    assert not never.exists()
 
 
 def _camera_manifest(directory, frame_h, frame_w):

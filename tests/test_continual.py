@@ -42,7 +42,6 @@ def test_empty_batch_is_identity():
     updated = rls_update(state, np.empty((0, 4)), [])
     assert np.array_equal(updated.A, state.A)
     assert updated.c == {}
-    assert updated.counts == {}
 
 
 def test_single_sample_outer_product():
@@ -51,7 +50,6 @@ def test_single_sample_outer_product():
     updated = rls_update(state, e[None], [0])
     assert np.array_equal(updated.A, np.outer(e, e))
     assert np.array_equal(updated.c[0], e)
-    assert updated.counts == {0: 1}
     # input state untouched
     assert np.array_equal(state.A, np.zeros((3, 3)))
 
@@ -66,7 +64,7 @@ def test_split_batches_equal_combined_bitwise():
     assert np.array_equal(split.A, combined.A)
     for k in combined.c:
         assert np.array_equal(split.c[k], combined.c[k])
-    assert split.counts == combined.counts
+    assert split.c.keys() == combined.c.keys()
 
 
 def test_update_validates_inputs():

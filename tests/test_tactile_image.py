@@ -14,8 +14,8 @@ from taclearn.tactile_image import (
     NotNormalizedError,
     TactileImage,
     WindowError,
-    build_tactile_image,
     compute_bounds,
+    image_plane,
     normalize,
     prepare_for_model,
 )
@@ -29,20 +29,20 @@ def _stream(n, t, seed=0):
 
 def test_biotac_like_window_shape():
     stream = _stream(19, 400)
-    img = build_tactile_image(stream, 0, 399)
-    assert img.data.shape == (19, 400)
+    plane = image_plane(stream, 0, 399)
+    assert plane.shape == (19, 400)
+    assert not plane.flags.writeable and np.shares_memory(plane, stream.readings)
 
 
 def test_contactile_like_full_stream_default():
-    img = build_tactile_image(_stream(27, 599))
-    assert img.data.shape == (27, 599)
+    assert image_plane(_stream(27, 599)).shape == (27, 599)
 
 
 def test_single_reading_window():
     stream = _stream(6, 10)
-    img = build_tactile_image(stream, 0, 0)
-    assert img.data.shape == (6, 1)
-    assert np.array_equal(img.data[:, 0], stream.readings[0])
+    plane = image_plane(stream, 0, 0)
+    assert plane.shape == (6, 1)
+    assert np.array_equal(plane[:, 0], stream.readings[0])
 
 
 def test_column_fidelity_random_windows():
@@ -51,19 +51,19 @@ def test_column_fidelity_random_windows():
     for _ in range(20):
         j = rng.randint(50)
         k = j + rng.randint(50 - j)
-        img = build_tactile_image(stream, j, k)
+        plane = image_plane(stream, j, k)
         for c in range(k - j + 1):
-            assert np.array_equal(img.data[:, c], stream.readings[j + c])
+            assert np.array_equal(plane[:, c], stream.readings[j + c])
 
 
 def test_window_bounds_errors():
     stream = _stream(4, 10)
     with pytest.raises(WindowError):
-        build_tactile_image(stream, 5, 3)
+        image_plane(stream, 5, 3)
     with pytest.raises(WindowError):
-        build_tactile_image(stream, 0, 10)
+        image_plane(stream, 0, 10)
     with pytest.raises(WindowError):
-        build_tactile_image(stream, -1, 3)
+        image_plane(stream, -1, 3)
 
 
 def test_camera_frame_pass_through():
@@ -71,9 +71,11 @@ def test_camera_frame_pass_through():
                      frame_h=3, frame_w=4, value_range=(0.0, 1.0))
     readings = np.arange(24, dtype=float).reshape(2, 12)
     stream = SensorStream(spec=cam, readings=readings)
-    img = build_tactile_image(stream, frame_index=1)
-    assert img.data.shape == (3, 4)
-    assert img.data[0, 0] == 12.0
+    plane = image_plane(stream, frame_index=1)
+    assert plane.shape == (3, 4)
+    assert plane[0, 0] == 12.0
+    with pytest.raises(WindowError):
+        image_plane(stream, frame_index=2)
 
 
 def test_normalize_endpoints_midpoint_clamp():
@@ -124,7 +126,7 @@ def test_image_is_one_plane():
     with pytest.raises(ValidationError, match="at least 1x1"):
         TactileImage(data=np.zeros((0, 4, 5)))
     stack = TactileImage(data=np.arange(60.0).reshape(3, 4, 5), normalized=True)
-    assert len(stack) == 3 and (stack.height, stack.width) == (4, 5)
+    assert len(stack) == 3 and (stack.data.shape[-2], stack.width) == (4, 5)
     assert stack[1].normalized and np.array_equal(stack[1].data, stack.data[1])
     assert np.array_equal(stack[[2, 0]].data, stack.data[[2, 0]])
 
