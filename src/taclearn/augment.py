@@ -84,10 +84,11 @@ def flip_temporal(image: TactileImage) -> TactileImage:
     return image.with_data(image.data[..., ::-1].copy())
 
 
-def _resample_axis(data: np.ndarray, new_len: int, axis: int) -> np.ndarray:
-    # Linear interpolation with endpoints pinned: output position i samples
-    # input position i*(W-1)/(W'-1), so ramps stay ramps and W'=W is exact.
-    old_len = data.shape[axis]
+def _resample_axis(data: np.ndarray, new_len: int) -> np.ndarray:
+    # Linear interpolation along the last axis with endpoints pinned: output
+    # position i samples input position i*(W-1)/(W'-1), so ramps stay ramps
+    # and W'=W is exact.
+    old_len = data.shape[-1]
     if new_len == old_len:
         return data.copy()
     if new_len == 1:
@@ -97,9 +98,7 @@ def _resample_axis(data: np.ndarray, new_len: int, axis: int) -> np.ndarray:
     left = np.minimum(pos.astype(np.int64), old_len - 1)
     right = np.minimum(left + 1, old_len - 1)
     frac = pos - left
-    moved = np.moveaxis(data, axis, -1)
-    out = moved[..., left] * (1.0 - frac) + moved[..., right] * frac
-    return np.moveaxis(out, -1, axis)
+    return data[..., left] * (1.0 - frac) + data[..., right] * frac
 
 
 def resize_temporal(image: TactileImage, factor: float) -> TactileImage:
@@ -117,7 +116,7 @@ def resize_to_width(image: TactileImage, width: int) -> TactileImage:
         raise ValidationError(f"target width must be >= 1, got {width}")
     if width == image.width:
         return image
-    return image.with_data(_resample_axis(image.data, width, axis=-1))
+    return image.with_data(_resample_axis(image.data, width))
 
 
 def crop_temporal(image: TactileImage, start: int, length: int) -> TactileImage:

@@ -217,9 +217,12 @@ def _load_bundle(config, splits=("train", "test")) -> _Bundle:
     train, test = stack("train"), stack("test")
     # The streams go back to the OS; then freeing one 10 MB block raises glibc's
     # adaptive mmap threshold to 10 MB, so malloc keeps up to 20 MB of freed heap.
-    # A 64-image encoder chunk at 12x64 frees and reallocates ~14 MB, which would
-    # otherwise fault in afresh for every chunk: cl --sweep on 6400 images took
-    # 500k page faults and 40 % longer to embed. Other allocators just make it.
+    # Training allocates fresh backward caches for every minibatch, and block 0's
+    # columns alone (0.66 MB at batch 16, 12x64) exceed the 128 KB default
+    # threshold, so without the block they would fault in afresh for every batch.
+    # Minor faults with and without it: train on experiments/synthetic.cfg 11k
+    # and 103k, cl --sweep on 10 classes x 600 images 41k and 162k. Other
+    # allocators just make it.
     del streams, planes
     np.empty(10 << 20, dtype=np.uint8)
     if input_width is None:
@@ -495,7 +498,7 @@ def cmd_eval(args) -> int:
         if mode == "length":
             w = images.width
             lengths = config.get_int_list("eval", "lengths",
-                                          [max(1, w // 8), max(1, w // 4), w // 2, w])
+                                          sorted({max(1, w // d) for d in (8, 4, 2, 1)}))
             curve = length_sweep(clf, images, labels, lengths)
         elif mode == "speed":
             factors = config.get_float_list("eval", "speeds", [0.5, 1.0, 2.0, 4.0])

@@ -145,17 +145,26 @@ class ConvNetBackend:
             x = np.broadcast_to(x[:, None], (len(x), self.in_channels, *x.shape[1:]))
         return x
 
-    def forward(self, x: np.ndarray):
-        """Returns (embeddings (N, d), cache for backward)."""
+    def forward(self, x: np.ndarray, workspace: dict | None = None):
+        """Returns (embeddings (N, d), cache for backward).
+
+        With a `workspace` (see `layers`) the pass is forward-only: every block
+        gathers into the workspace's buffers, ReLU runs in place on the fresh
+        GEMM output, and the cache is None.
+        """
         x = self._check_input(x)
         caches = []
         h = x
         for w, b in zip(self.weights, self.biases):
-            h, conv_cache = layers.conv_forward(h, w, b, self.stride, pad=self.kernel // 2)
-            h, relu_cache = layers.relu_forward(h)
-            caches.append((conv_cache, relu_cache))
+            h, conv_cache = layers.conv_forward(h, w, b, self.stride, pad=self.kernel // 2,
+                                                workspace=workspace)
+            if workspace is None:
+                h, relu_cache = layers.relu_forward(h)
+                caches.append((conv_cache, relu_cache))
+            else:
+                np.maximum(h, 0.0, out=h)
         emb, gap_shape = layers.gap_forward(h)
-        return emb, (caches, gap_shape)
+        return emb, None if workspace is not None else (caches, gap_shape)
 
     def backward(self, demb: np.ndarray, cache):
         """Gradients for every parameter, aligned with params()."""
@@ -172,8 +181,10 @@ class ConvNetBackend:
         grads.reverse()
         return grads
 
-    def embed_batch(self, x: np.ndarray) -> np.ndarray:
-        emb, _ = self.forward(x)
+    def embed_batch(self, x: np.ndarray, workspace: dict | None = None) -> np.ndarray:
+        """Embeddings (N, d) from a forward-only pass; pass one `workspace`
+        dict to every call to reuse its buffers (a fresh one otherwise)."""
+        emb, _ = self.forward(x, {} if workspace is None else workspace)
         return emb
 
     def embed_image(self, plane: np.ndarray) -> np.ndarray:

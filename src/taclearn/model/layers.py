@@ -2,18 +2,32 @@
 
 All math is float64 numpy. Convolution is im2col with the batch folded into
 the GEMM columns: `cols` is channel-major, (Cin*kh*kw, N*OH*OW), gathered
-from the padded input transposed to (Cin, N, H, W), so each direction is one
-GEMM. Forward returns (N, Cout, OH, OW) as a transposed view of (Cout, N, OH,
-OW) memory, which makes the next block's transpose free. Backward forms dW
-and db from the same columns; for dX it scatters the column gradients back
-through the same gather, so the pair is exactly adjoint and survives
-finite-difference checks. Block 0 calls it with `input_grad=False`, which
-skips the dX GEMM and the scatter, since nothing upstream takes a gradient.
+with one copy from a `sliding_window_view` of the input transposed to
+(Cin, N, H, W) and written into a padded buffer (border zeroed, interior
+assigned), so each direction is one GEMM. An input whose channels are one
+broadcast plane (stride 0 on the channel axis, as the encoder feeds a tactile
+image to its three input channels) is padded and gathered once, and its
+kh*kw rows are copied to the other channels: the columns, and so the GEMM,
+are those of the explicit copy. Forward returns (N, Cout, OH, OW) as a
+transposed view of (Cout, N, OH, OW) memory, which makes the next block's
+transpose free. Backward forms dW and db from the same columns; for dX it
+scatters the column gradients back through the same gather, so the pair is
+exactly adjoint and survives finite-difference checks. Block 0 calls it with
+`input_grad=False`, which skips the dX GEMM and the scatter, since nothing
+upstream takes a gradient.
+
+A forward-only caller passes a workspace, a dict that holds one padded-input
+and one column buffer across calls: every block and every chunk writes into
+them, they grow to the largest block's need, and no cache is returned, so
+nothing outlives the call but the output.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def _col_slices(kh, kw, stride, out_h, out_w):
@@ -24,20 +38,45 @@ def _col_slices(kh, kw, stride, out_h, out_w):
             )
 
 
-def conv_forward(x, w, b, stride=2, pad=1):
-    """x: (N, Cin, H, W), w: (Cout, Cin, kh, kw), b: (Cout,)."""
+def _buffer(workspace, key, shape):
+    """A `shape` float64 array: fresh without a workspace, else a view of
+    workspace[key], which is replaced when too small. The old buffer is
+    released before the larger one is allocated, so the two never coexist."""
+    if workspace is None:
+        return np.empty(shape)
+    size = math.prod(shape)
+    if key not in workspace or workspace[key].size < size:
+        workspace.pop(key, None)
+        workspace[key] = np.empty(size)
+    return workspace[key][:size].reshape(shape)
+
+
+def conv_forward(x, w, b, stride=2, pad=1, workspace=None):
+    """x: (N, Cin, H, W), w: (Cout, Cin, kh, kw), b: (Cout,).
+
+    Returns (out, cache). With a `workspace` dict the padded input and the
+    columns go into its buffers and the cache is None.
+    """
     n, c, h, width = x.shape
     c_out, _, kh, kw = w.shape
     out_h = (h + 2 * pad - kh) // stride + 1
     out_w = (width + 2 * pad - kw) // stride + 1
-    xp = np.pad(x.transpose(1, 0, 2, 3), ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((c, kh, kw, n, out_h, out_w))
-    for ki, kj, si, sj in _col_slices(kh, kw, stride, out_h, out_w):
-        cols[:, ki, kj] = xp[:, :, si, sj]
+    src = x[:, :1] if x.strides[1] == 0 else x  # one plane behind every channel
+    c_src = src.shape[1]
+    xp = _buffer(workspace, "padded", (c_src, n, h + 2 * pad, width + 2 * pad))
+    xp[:, :, :pad] = 0.0
+    xp[:, :, pad + h :] = 0.0
+    xp[:, :, pad : pad + h, :pad] = 0.0
+    xp[:, :, pad : pad + h, pad + width :] = 0.0
+    xp[:, :, pad : pad + h, pad : pad + width] = src.transpose(1, 0, 2, 3)
+    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    cols = _buffer(workspace, "cols", (c, kh, kw, n, out_h, out_w))
+    cols[:c_src] = windows.transpose(0, 4, 5, 1, 2, 3)
+    cols[c_src:] = cols[:1]
     cols = cols.reshape(c * kh * kw, n * out_h * out_w)
     out = w.reshape(c_out, -1) @ cols
     out += b[:, None]
-    cache = (x.shape, cols, w, stride, pad, out_h, out_w)
+    cache = None if workspace is not None else (x.shape, cols, w, stride, pad, out_h, out_w)
     return out.reshape(c_out, n, out_h, out_w).transpose(1, 0, 2, 3), cache
 
 

@@ -104,11 +104,16 @@ def prepare_batch(images, input_width: int | None = None) -> np.ndarray:
 
 def embed_images(backend: ConvNetBackend, images, input_width: int | None = None,
                  batch_size: int = 64) -> np.ndarray:
-    """Embeddings of a normalized stack, one forward pass per `batch_size` planes."""
+    """Embeddings of a normalized stack, one forward-only pass per `batch_size`
+    planes. The chunks share one workspace, so after the first chunk they
+    gather into the same padded-input and column buffers, and no chunk keeps
+    a backward cache."""
     planes = prepare_batch(images, input_width)
     out = np.empty((len(planes), backend.embed_dim))
+    workspace = {}
     for start in range(0, len(planes), batch_size):
-        out[start : start + batch_size] = backend.embed_batch(planes[start : start + batch_size])
+        out[start : start + batch_size] = backend.embed_batch(planes[start : start + batch_size],
+                                                              workspace)
     return out
 
 

@@ -205,8 +205,8 @@ def resize_frame(image, height, width):
         raise ValidationError(f"target size must be >= 1x1, got {height}x{width}")
     if (height, width) == image.data.shape[-2:]:
         return image
-    data = _resample_axis(image.data, height, axis=-2)
-    data = _resample_axis(data, width, axis=-1)
+    data = _resample_axis(image.data.swapaxes(-1, -2), height).swapaxes(-1, -2)
+    data = _resample_axis(data, width)
     return image.with_data(data)
 
 

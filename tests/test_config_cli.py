@@ -501,7 +501,8 @@ def test_encoder_sees_the_configured_input_width(tmp_path, monkeypatch, case):
     widths = set()
     forward = ConvNetBackend.forward
     monkeypatch.setattr(ConvNetBackend, "forward",
-                        lambda self, x: widths.add(x.shape[-1]) or forward(self, x))
+                        lambda self, x, workspace=None:
+                        widths.add(x.shape[-1]) or forward(self, x, workspace))
     checkpoint = tmp_path / "train" / "model.tacm"
     for command in commands:
         extra = ["--checkpoint", str(checkpoint)] if command[0] == "eval" else []
@@ -527,13 +528,23 @@ def test_eval_sweeps_agree_at_neutral_points(tmp_path, trained):
     assert plain_from_length == plain_from_noise
 
 
-@pytest.mark.parametrize("input_width", [64, 16])
-def test_eval_length_defaults_to_the_test_image_width(tmp_path, input_width):
+@pytest.mark.parametrize("input_width, window_end, lengths", [
+    pytest.param(64, None, [4, 8, 16, 32], id="64"),
+    pytest.param(16, None, [4, 8, 16, 32], id="16"),
+    # windows narrower than 8 readings: no zero length and no repeated one
+    pytest.param(16, 0, [1], id="16-width1"),
+    pytest.param(16, 4, [1, 2, 5], id="16-width5"),
+])
+def test_eval_length_defaults_to_the_test_image_width(tmp_path, input_width, window_end,
+                                                      lengths):
     from taclearn.evaluate import EvalReport
 
     # 32-reading streams, no [eval] lengths: the sweep ends at the identity crop
     cfg = _write_cfg(tmp_path)
-    cfg.write_text(cfg.read_text().replace("input_width = 32", f"input_width = {input_width}")
+    transform = f"input_width = {input_width}"
+    if window_end is not None:
+        transform += f"\nwindow_start = 0\nwindow_end = {window_end}"
+    cfg.write_text(cfg.read_text().replace("input_width = 32", transform)
                    .replace("lengths = 8,16,32\n", ""))
     ckpt = tmp_path / "train" / "model.tacm"
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "train"),
@@ -544,7 +555,7 @@ def test_eval_length_defaults_to_the_test_image_width(tmp_path, input_width):
         assert main(["eval", mode, "--config", str(cfg), "--checkpoint", str(ckpt),
                      "--out", str(out)]) == 0
         curves[mode] = EvalReport.from_csv((out / "report.csv").read_text()).curves[mode]
-    assert [x for x, _ in curves["length"]] == [4.0, 8.0, 16.0, 32.0]
+    assert [x for x, _ in curves["length"]] == lengths
     assert curves["length"][-1][1] == dict(curves["noise"])[0.0]
 
 

@@ -85,6 +85,42 @@ def test_conv_takes_the_channel_major_view_a_block_returns():
         assert np.array_equal(got, want)
 
 
+def test_conv_gathers_a_broadcast_plane_once_with_the_bytes_of_its_copy():
+    # one plane behind every input channel (stride 0) is padded and gathered
+    # once, then replicated: the bytes of an np.repeat copy, forward and back
+    rng = Prng(25)
+    planes = rng.uniform(-1, 1, size=(3, 9, 13))
+    w = rng.uniform(-0.5, 0.5, size=(4, 3, 3, 3))
+    b = rng.uniform(-0.5, 0.5, size=(4,))
+    broadcast = np.broadcast_to(planes[:, None], (3, 3, 9, 13))
+    assert broadcast.strides[1] == 0
+    out, cache = layers.conv_forward(broadcast, w, b, stride=2, pad=1)
+    copy_out, copy_cache = layers.conv_forward(np.repeat(planes[:, None], 3, axis=1), w, b,
+                                               stride=2, pad=1)
+    assert np.array_equal(out, copy_out)
+    assert np.array_equal(cache[1], copy_cache[1])
+    proj = rng.uniform(-1, 1, size=out.shape)
+    for got, want in zip(layers.conv_backward(proj, cache),
+                         layers.conv_backward(proj, copy_cache)):
+        assert np.array_equal(got, want)
+
+
+def test_forward_with_a_workspace_keeps_no_cache_and_reuses_its_buffers():
+    backend = ConvNetBackend(seed=5)
+    chunks = Prng(26).uniform(-1, 1, size=(3, 6, 12, 40))
+    workspace = {}
+    emb, cache = backend.forward(chunks[0], workspace)
+    assert cache is None
+    assert np.array_equal(emb, backend.forward(chunks[0])[0])
+    buffers = dict(workspace)
+    assert sorted(buffers) == ["cols", "padded"]
+    for chunk in chunks[1:]:
+        emb, cache = backend.forward(chunk, workspace)
+        assert cache is None
+        assert np.array_equal(emb, backend.forward(chunk)[0])
+        assert all(workspace[key] is buffers[key] for key in buffers)
+
+
 def test_conv_backward_without_input_grad_keeps_weight_grads():
     rng = Prng(23)
     x = rng.uniform(-1, 1, size=(3, 3, 8, 10))

@@ -9,6 +9,7 @@ from taclearn.model import (
     LinearHead,
     TrainConfig,
     composition_probs,
+    embed_images,
     load_checkpoint,
     save_checkpoint,
     sgd_step,
@@ -99,6 +100,16 @@ def test_planes_feed_every_input_channel():
         assert np.array_equal(g, g3)
     with pytest.raises(ValidationError, match="planes"):
         backend.forward(np.zeros((3, 2, 12, 20)))
+
+
+def test_embed_images_equals_the_training_forward_chunk_by_chunk():
+    # 150 planes at 19x40 embed as chunks of 64, 64 and 22 through one
+    # forward-only workspace, with the bytes of the training forward pass
+    backend = ConvNetBackend(seed=6)
+    planes = Prng(27).uniform(-1, 1, size=(150, 19, 40))
+    expected = np.concatenate([backend.forward(planes[s : s + 64])[0] for s in (0, 64, 128)])
+    embeddings = embed_images(backend, TactileImage(planes, normalized=True))
+    assert np.array_equal(embeddings, expected)
 
 
 def test_model_accepts_jitter_beyond_unit_range():
