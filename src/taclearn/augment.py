@@ -86,11 +86,13 @@ def flip_temporal(image: TactileImage) -> TactileImage:
 
 def _resample_axis(data: np.ndarray, new_len: int) -> np.ndarray:
     # Linear interpolation along the last axis with endpoints pinned: output
-    # position i samples input position i*(W-1)/(W'-1), so ramps stay ramps
-    # and W'=W is exact.
+    # position i samples input position i*(W-1)/(W'-1), so ramps stay ramps;
+    # W'=W returns `data` itself.
+    if new_len < 1:
+        raise ValidationError(f"target width must be >= 1, got {new_len}")
     old_len = data.shape[-1]
     if new_len == old_len:
-        return data.copy()
+        return data
     if new_len == 1:
         pos = np.array([(old_len - 1) / 2.0])
     else:
@@ -112,11 +114,8 @@ def resize_temporal(image: TactileImage, factor: float) -> TactileImage:
 
 
 def resize_to_width(image: TactileImage, width: int) -> TactileImage:
-    if width < 1:
-        raise ValidationError(f"target width must be >= 1, got {width}")
-    if width == image.width:
-        return image
-    return image.with_data(_resample_axis(image.data, width))
+    resized = _resample_axis(image.data, width)
+    return image if resized is image.data else image.with_data(resized)
 
 
 def crop_temporal(image: TactileImage, start: int, length: int) -> TactileImage:

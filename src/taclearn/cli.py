@@ -312,23 +312,19 @@ def cmd_ingest(args) -> int:
                 rel = f"streams/c{s.label}_s{idx:04d}.csv"
                 write_stream(out / rel, s, fmt="csv")
                 entries.append(ManifestEntry(rel, s.label, split, s.constituents))
-        manifest = Manifest(spec=train_streams[0].spec, entries=entries, norm_bounds=bounds)
-        write_manifest(out / "manifest.txt", manifest)
-        print(f"manifest samples={len(entries)} bounds=({bounds[0]!r},{bounds[1]!r}) "
-              f"path={out / 'manifest.txt'}")
-        return 0
-
-    # manifest mode: parse every stream once, validate every image build, fill
-    # in bounds, re-emit with each sample path relative to --out, where the new
-    # manifest lives
-    bundle = _load_bundle(config)
-    manifest, bounds = bundle.manifest, bundle.bounds
-    out = _prepare_out(args, config, run_seed)
-    source = Path(config.get_str("dataset", "manifest")).parent
-    entries = [replace(e, path=os.path.relpath(source / e.path, out)) for e in manifest.entries]
-    resolved = Manifest(spec=manifest.spec, entries=entries, norm_bounds=bounds)
-    write_manifest(out / "manifest.txt", resolved)
-    print(f"manifest samples={len(manifest.entries)} bounds=({bounds[0]!r},{bounds[1]!r}) "
+        spec = train_streams[0].spec
+    else:
+        # manifest mode: parse every stream once, validate every image build, fill
+        # in bounds, re-emit with each sample path relative to --out, where the new
+        # manifest lives
+        bundle = _load_bundle(config)
+        spec, bounds = bundle.manifest.spec, bundle.bounds
+        out = _prepare_out(args, config, run_seed)
+        source = Path(config.get_str("dataset", "manifest")).parent
+        entries = [replace(e, path=os.path.relpath(source / e.path, out))
+                   for e in bundle.manifest.entries]
+    write_manifest(out / "manifest.txt", Manifest(spec=spec, entries=entries, norm_bounds=bounds))
+    print(f"manifest samples={len(entries)} bounds=({bounds[0]!r},{bounds[1]!r}) "
           f"path={out / 'manifest.txt'}")
     return 0
 

@@ -242,6 +242,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         header_lines.append(f"meta {key} {value}")
     header = ("\n".join(header_lines) + "\n").encode("utf-8")
     flat = np.concatenate(flat_parts).astype("<f4")
+    if not np.isfinite(flat).all():  # also float64 values that overflow float32
+        raise ValidationError("checkpoint parameters must be finite in float32")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sII", _CKPT_MAGIC, _CKPT_VERSION, len(header)))
         fh.write(header)
@@ -304,6 +306,8 @@ def load_checkpoint(path) -> Checkpoint:
         backend = ConvNetBackend.from_arch_header(backend_line, pos)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
+    if not np.isfinite(flat).all():
+        raise ValidationError(f"{path}: checkpoint parameters must be finite")
     backend.set_flat(flat[:pos])
     heads: dict[str, LinearHead] = {}
     for name, d, c in head_specs:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import fabric
-from ..augment import AugmentConfig, random_augment, resize_to_width
+from ..augment import AugmentConfig, _resample_axis, random_augment
 from ..errors import RuntimeFailure, ValidationError
 from ..prng import Prng
 from ..tactile_image import prepare_for_model
@@ -97,23 +97,25 @@ def _cosine_lr(base, epoch, total):
 def prepare_batch(images, input_width: int | None = None) -> np.ndarray:
     """The (N, H, W) planes of a normalized stack, resized to `input_width`
     (None keeps their width)."""
-    if input_width is not None:
-        images = resize_to_width(images, input_width)
-    return prepare_for_model(images)
+    planes = prepare_for_model(images)
+    return planes if input_width is None else _resample_axis(planes, input_width)
 
 
-def embed_images(backend: ConvNetBackend, images, input_width: int | None = None,
-                 batch_size: int = 64) -> np.ndarray:
-    """Embeddings of a normalized stack, one forward-only pass per `batch_size`
-    planes. The chunks share one workspace, so after the first chunk they
-    gather into the same padded-input and column buffers, and no chunk keeps
-    a backward cache."""
-    planes = prepare_batch(images, input_width)
+def embed_images(backend: ConvNetBackend, images, input_width: int | None = None) -> np.ndarray:
+    """Embeddings of a normalized stack, resized to `input_width` (None keeps
+    their width) chunk by chunk, just before each chunk's forward-only pass.
+    Chunks share one workspace (see `layers`) and hold at most 64 planes, the
+    size measured best at 12x64, and 2**17 input pixels, which keeps block 1's
+    columns (about 72 bytes per input pixel) near 10 MB at wide sensor shapes."""
+    planes = prepare_for_model(images)
+    width = planes.shape[-1] if input_width is None else input_width
+    pixels = planes.shape[1] * max(width, 1)  # _resample_axis rejects a width below 1
+    chunk = max(1, min(64, 2**17 // pixels))
     out = np.empty((len(planes), backend.embed_dim))
     workspace = {}
-    for start in range(0, len(planes), batch_size):
-        out[start : start + batch_size] = backend.embed_batch(planes[start : start + batch_size],
-                                                              workspace)
+    for start in range(0, len(planes), chunk):
+        x = _resample_axis(planes[start : start + chunk], width)
+        out[start : start + chunk] = backend.embed_batch(x, workspace)
     return out
 
 
@@ -176,10 +178,8 @@ def _train_loop(images, targets, cfg, aug_cfg, backend, head, loss, val_eval=Non
     lr, best_val, stale = cfg.lr, -np.inf, 0
     history: list[EpochStats] = []
     n = len(images)
-    if aug_cfg is None:
-        planes = prepare_batch(images, input_width)
-    else:
-        prepare_for_model(images)  # the normalization check
+    # the normalization check; random_augment resizes augmented minibatches
+    planes = prepare_batch(images, input_width if aug_cfg is None else None)
     shuffle_root = Prng(cfg.seed).spawn(1)
     for epoch in range(cfg.epochs):
         if cfg.lr_schedule == "cosine":

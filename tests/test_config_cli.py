@@ -382,6 +382,20 @@ def test_bad_checkpoint_input_width_exits_one(tmp_path, trained, capsys, width):
     assert not out.exists()
 
 
+def test_eval_on_a_non_finite_backend_weight_exits_one(tmp_path, trained, capsys):
+    import struct
+
+    cfg, ckpt = trained
+    raw = ckpt.read_bytes()
+    first_param = 16 + int.from_bytes(raw[8:12], "little")  # block 0's first weight
+    ckpt.write_bytes(raw[:first_param] + struct.pack("<f", float("nan")) + raw[first_param + 4:])
+    out = tmp_path / "never"
+    assert main(["eval", "noise", "--config", str(cfg), "--checkpoint", str(ckpt),
+                 "--out", str(out)]) == 1
+    assert "checkpoint parameters must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synthetic_eval_noise_normalizes_only_test_images(tmp_path, trained, monkeypatch):
     # the train split is generated for the normalization bounds only
     from taclearn import cli, tactile_image

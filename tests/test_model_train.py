@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from taclearn.augment import resize_to_width
 from taclearn.errors import RuntimeFailure, ValidationError
 from taclearn.fabric import CONSTITUENTS, from_indicator
 from taclearn.model import (
@@ -110,6 +111,59 @@ def test_embed_images_equals_the_training_forward_chunk_by_chunk():
     expected = np.concatenate([backend.forward(planes[s : s + 64])[0] for s in (0, 64, 128)])
     embeddings = embed_images(backend, TactileImage(planes, normalized=True))
     assert np.array_equal(embeddings, expected)
+
+
+def test_embed_images_embeds_a_wide_stack_chunk_by_chunk():
+    # 40 planes at 16x300 embed as chunks of 2**17 // 4800 = 27 and 13 planes,
+    # with the bytes of the training forward pass on those chunks; one pass
+    # over the whole stack agrees to rounding only, because OpenBLAS's last
+    # bits depend on a GEMM's column count
+    backend = ConvNetBackend(seed=6)
+    planes = Prng(28).uniform(-1, 1, size=(40, 16, 300))
+    embeddings = embed_images(backend, TactileImage(planes, normalized=True))
+    expected = np.concatenate([backend.forward(planes[:27])[0], backend.forward(planes[27:])[0]])
+    assert np.array_equal(embeddings, expected)
+    assert np.abs(embeddings - backend.forward(planes)[0]).max() <= 1e-12
+
+
+def test_embed_images_resizes_chunk_by_chunk(monkeypatch):
+    # each chunk is resized on its own, to the bytes of embedding the
+    # pre-resized stack, and no TactileImage is built for a chunk
+    backend = ConvNetBackend(seed=7)
+    stack = TactileImage(Prng(29).uniform(-1, 1, size=(40, 16, 120)), normalized=True)
+    expected = embed_images(backend, resize_to_width(stack, 300))
+    built = []
+    post_init = TactileImage.__post_init__
+    monkeypatch.setattr(TactileImage, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    assert np.array_equal(embed_images(backend, stack, 300), expected)
+    assert built == []
+
+
+@pytest.mark.parametrize("shape, input_width, chunks", [
+    ((150, 12, 64), None, [64, 64, 22]),  # the 64 cap
+    ((40, 16, 300), None, [27, 13]),
+    ((40, 16, 120), 300, [27, 13]),  # sized by the width the encoder gets
+    ((70, 16, 300), 64, [64, 6]),
+    ((2, 12, 12000), None, [1, 1]),  # one plane above 2**17 pixels
+])
+def test_embed_images_chunks_by_input_pixels(monkeypatch, shape, input_width, chunks):
+    seen = []
+    embed_batch = ConvNetBackend.embed_batch
+    monkeypatch.setattr(ConvNetBackend, "embed_batch",
+                        lambda self, x, ws=None: seen.append(x.shape) or embed_batch(self, x, ws))
+    planes = Prng(30).uniform(-1, 1, size=shape)
+    embed_images(ConvNetBackend(seed=8), TactileImage(planes, normalized=True), input_width)
+    assert [n for n, _, _ in seen] == chunks
+    assert all(n <= 64 and (n == 1 or n * h * w <= 2**17) for n, h, w in seen)
+    assert {w for _, _, w in seen} == {input_width or shape[2]}
+
+
+@pytest.mark.parametrize("input_width", [0, -3])
+def test_embed_images_rejects_an_input_width_below_one(input_width):
+    stack = TactileImage(np.zeros((2, 12, 16)), normalized=True)
+    with pytest.raises(ValidationError, match="target width must be >= 1"):
+        embed_images(ConvNetBackend(seed=1), stack, input_width)
 
 
 def test_model_accepts_jitter_beyond_unit_range():
@@ -350,6 +404,13 @@ def _edit_header(raw, old, new):
     return raw[:8] + len(header).to_bytes(4, "little") + header + raw[end:]
 
 
+def _set_payload(raw, index, value):
+    """`raw` with float32 parameter `index` of its payload set to `value`."""
+    payload = np.frombuffer(raw, dtype="<f4", offset=16 + _header_len(raw)).copy()
+    payload[index] = value
+    return raw[: 16 + _header_len(raw)] + payload.tobytes()
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda raw: raw[:-3], "payload bytes"),
     (lambda raw: raw + b"\x00" * 4, "payload bytes"),
@@ -365,15 +426,28 @@ def _edit_header(raw, old, new):
     (lambda raw: _edit_header(raw, b"widths=16,", b"widths=-16,"), "bad backend descriptor"),
     (lambda raw: _edit_header(raw, b",128", b",128000000000"), "describes"),
     (lambda raw: _edit_header(raw, b"widths=16,32,64,128", b"widths=16,32,64"), "describes"),
+    (lambda raw: _set_payload(raw, 0, np.nan), "must be finite"),
+    (lambda raw: _set_payload(raw, -1, -np.inf), "must be finite"),
 ], ids=["truncated-payload", "trailing-bytes", "truncated-header", "header-len-only",
         "bad-header-bytes", "oversized-header-len", "bad-head-line", "bad-meta-line",
         "zero-kernel", "zero-in", "zero-stride", "negative-width", "huge-width",
-        "missing-block"])
+        "missing-block", "nan-backend-weight", "inf-head-bias"])
 def test_malformed_checkpoint_is_validation_error(tmp_path, random_backend, corrupt, message):
     path = _saved_checkpoint(tmp_path, random_backend)
     path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(ValidationError, match=message):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, 1e300])
+def test_save_rejects_parameters_not_finite_in_float32(tmp_path, value):
+    # 1e300 is finite in float64 but overflows float32 to inf
+    backend = ConvNetBackend(seed=1)
+    backend.weights[0][0, 0, 0, 0] = value
+    path = tmp_path / "model.tacm"
+    with pytest.raises(ValidationError, match="must be finite"):
+        save_checkpoint(path, Checkpoint(backend=backend))
+    assert not path.exists()
 
 
 def test_augmented_epoch_augments_each_minibatch_as_one_array(tiny_dataset, monkeypatch):
