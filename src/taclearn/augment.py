@@ -17,11 +17,11 @@ another with the per-image ops,
 each image drawing in this order: flip (one uniform draw), resize (one
 factor draw), crop (one length and one start draw), jitter (one uniform
 draw per entry of the cropped image, row-major, when the level is
-positive), then a final resize to the configured output width. Camera
+positive), then a final resize to the width it is given. Camera
 frames have no privileged time axis: they resize both axes by the drawn
 factor (rows, then columns), crop a window as tall as it is wide where the
 height allows (one extra start draw for the rows, after the column start)
-and are resized back to the native frame height and the output width.
+and are resized back to the native frame height and that width.
 
 The batch is computed in one vectorized pass. A short scalar loop makes
 each image's few draws in order and raises, for the first offending image,
@@ -57,8 +57,6 @@ class AugmentConfig:
     crop_len_range: tuple[int, int] = (1, 2**31)
     jitter_level: float = 0.0
     seed: int = 0
-    # Temporal width emitted by random_augment; None keeps the input width.
-    output_width: int | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.flip_prob <= 1.0:
@@ -75,8 +73,6 @@ class AugmentConfig:
             )
         if self.jitter_level < 0:
             raise ValidationError(f"jitter_level must be >= 0, got {self.jitter_level}")
-        if self.output_width is not None and self.output_width < 1:
-            raise ValidationError(f"output_width must be >= 1, got {self.output_width}")
 
 
 def flip_temporal(image: TactileImage) -> TactileImage:
@@ -162,12 +158,14 @@ def _gather(data, left, right, frac, copy):
     return np.where(copy[:, None, None], a, a * (1.0 - frac) + b * frac)
 
 
-def random_augment(images: TactileImage, cfg: AugmentConfig, rng: Prng) -> np.ndarray:
+def random_augment(images: TactileImage, cfg: AugmentConfig, rng: Prng,
+                   width: int | None = None) -> np.ndarray:
     """Randomized flip / resize / crop / jitter of a minibatch stack, then
-    resize to the output width; see the module docstring for the draw order."""
+    resize to `width` (None keeps the input width); see the module docstring
+    for the draw order."""
     is_camera = images.source is not None and images.source.kind == CAMERA_FRAMES
     n, out_h, in_w = images.data.shape
-    out_w = cfg.output_width or in_w
+    out_w = in_w if width is None else width
 
     # Scalar pass: each image's draws in order; jitter blocks are skipped.
     lo, hi = cfg.crop_len_range

@@ -12,6 +12,11 @@ manifest without norm_lo/norm_hi) come from it. ``ingest`` validates a
 whole dataset, parsing each stream file once, so a bad file in a split a
 command does not read surfaces there.
 
+Images reach the encoder resized to its backend's input width. ``train``,
+``cl`` and ``eval kfold`` take ``[transform] input_width`` (else the images'
+width), even over a loaded checkpoint's; the other eval modes keep the width
+the checkpoint recorded, and without one the images keep their own.
+
 Exit codes: 0 success, 1 validation error (bad config, files, parameters),
 2 runtime failure. Validation runs before anything is written. At a fixed
 BLAS thread count every output is a deterministic function of (config,
@@ -121,7 +126,7 @@ class _Bundle:
     test_images: TactileImage | None
     test_labels: list
     test_cons: list
-    input_width: int | None
+    input_width: int
     bounds: tuple[float, float]
     manifest: object  # the sensor_io.Manifest read in manifest mode, else None
 
@@ -167,7 +172,7 @@ def _load_bundle(config, splits=("train", "test")) -> _Bundle:
     one shape, whose width is the input width unless ``[transform]
     input_width`` sets it."""
     mode = config.get_str("dataset", "mode")
-    input_width = config.get_int("transform", "input_width", None)
+    input_width = config.get_int("transform", "input_width", None, minimum=1)
     if mode == "synthetic":
         manifest = bounds = None
     elif mode == "manifest":
@@ -225,9 +230,7 @@ def _load_bundle(config, splits=("train", "test")) -> _Bundle:
     # allocators just make it.
     del streams, planes
     np.empty(10 << 20, dtype=np.uint8)
-    if input_width is None:
-        input_width = shape[1]
-    return _Bundle(*train, *test, input_width, bounds, manifest)
+    return _Bundle(*train, *test, input_width or shape[1], bounds, manifest)
 
 
 def _augment_config(config, args, input_width, run_seed):
@@ -249,7 +252,6 @@ def _augment_config(config, args, input_width, run_seed):
         ),
         jitter_level=config.get_float("augment", "jitter_level", 0.1),
         seed=config.get_int("augment", "seed", _sub_seed(run_seed, 1)),
-        output_width=input_width,
     )
 
 
@@ -276,20 +278,23 @@ def _prepare_out(args, config, run_seed) -> Path:
     return out
 
 
-def _model_checkpoint(backend, task, head, input_width, classes=None):
+def _model_checkpoint(backend, task, head, classes=None):
     """A checkpoint holding one head, named after its task, and the run meta."""
     meta = {"task": task}
     if classes is not None:
         meta["classes"] = ";".join(classes)
-    meta["input_width"] = str(input_width)
     return Checkpoint(backend=backend, heads={task: head}, meta=meta)
 
 
-def _load_backend_for_train(config):
-    pretrained = config.get_str("train", "pretrained", None)
-    if pretrained is None:
-        return None
-    return load_checkpoint(pretrained).backend
+def _backend(checkpoint, seed, input_width):
+    """The backend stored at `checkpoint`, else a fresh one drawn from
+    `seed`, set to `input_width`."""
+    if checkpoint is None:
+        backend = ConvNetBackend(seed=seed)
+    else:
+        backend = load_checkpoint(checkpoint).backend
+    backend.input_width = input_width
+    return backend
 
 
 def cmd_ingest(args) -> int:
@@ -338,7 +343,8 @@ def cmd_train(args) -> int:
     bundle = _load_bundle(config, ("train",))
     train_cfg = _train_config(config, run_seed, task)
     aug_cfg = _augment_config(config, args, bundle.input_width, run_seed)
-    backend = _load_backend_for_train(config)
+    backend = _backend(config.get_str("train", "pretrained", None), train_cfg.seed,
+                       bundle.input_width)
 
     if task == "classify":
         targets = bundle.train_labels
@@ -355,15 +361,14 @@ def cmd_train(args) -> int:
         trainer = train_composition
 
     backend, head, history = trainer(bundle.train_images, targets, train_cfg, aug_cfg,
-                                     backend=backend, input_width=bundle.input_width)
+                                     backend=backend)
     out = _prepare_out(args, config, run_seed)
 
     for row in history:
         val = "" if row.val_acc is None else f" val_acc={row.val_acc!r}"
         print(f"epoch={row.epoch} loss={row.loss!r}{val} lr={row.lr!r}")
     (out / "history.csv").write_text(history_to_csv(history), encoding="utf-8")
-    save_checkpoint(out / "model.tacm",
-                    _model_checkpoint(backend, task, head, bundle.input_width, classes))
+    save_checkpoint(out / "model.tacm", _model_checkpoint(backend, task, head, classes))
     final = f" final_loss={history[-1].loss!r}" if history else ""
     print(f"checkpoint={out / 'model.tacm'}{final}")
     return 0
@@ -374,11 +379,8 @@ def cmd_cl(args) -> int:
     run_seed = _run_seed(config, args)
     bundle = _load_bundle(config)
 
-    backend_path = config.get_str("cl", "backend_checkpoint", None)
-    if backend_path is not None:
-        backend = load_checkpoint(backend_path).backend
-    else:
-        backend = ConvNetBackend(seed=_sub_seed(run_seed, 2))
+    backend = _backend(config.get_str("cl", "backend_checkpoint", None),
+                       _sub_seed(run_seed, 2), bundle.input_width)
 
     capacity = config.get_int("cl", "capacity", 40)
     capacities = [capacity]
@@ -401,8 +403,7 @@ def cmd_cl(args) -> int:
         )
     aug_cfg = None
     if config.get_bool("cl", "ft_augment", True):
-        aug_cfg = _augment_config(args=args, config=config,
-                                  input_width=bundle.input_width, run_seed=run_seed)
+        aug_cfg = _augment_config(config, args, bundle.input_width, run_seed)
     warm_start = config.get_bool("cl", "warm_start", False)
 
     labels = np.array(bundle.train_labels)
@@ -412,8 +413,7 @@ def cmd_cl(args) -> int:
     runs = cl_sweep(
         bundle.train_images, batches, backend, capacities, ridge_lambda=ridge_lambda,
         fine_tune_cfg=ft_cfg, aug_cfg=aug_cfg, test_images=bundle.test_images,
-        test_labels=bundle.test_labels or None, input_width=bundle.input_width,
-        warm_start=warm_start,
+        test_labels=bundle.test_labels or None, warm_start=warm_start,
     )
     out = _prepare_out(args, config, run_seed)
     for cap, (snapshots, rows) in zip(capacities, runs):
@@ -426,8 +426,7 @@ def cmd_cl(args) -> int:
         final = snapshots[-1]
         for name, clf in (("ridge", final.ridge), ("fine_tuned", final.fine_tuned)):
             save_checkpoint(out / f"final_{name}{suffix}.tacm",
-                            _model_checkpoint(clf.backend, "classify", clf.head,
-                                              bundle.input_width, clf.classes))
+                            _model_checkpoint(clf.backend, "classify", clf.head, clf.classes))
     return 0
 
 
@@ -440,17 +439,7 @@ def _classifier_from_checkpoint(ckpt):
         raise ValidationError(
             f"checkpoint lists {len(classes)} classes for a {head.out_dim}-way head"
         )
-    return Classifier(ckpt.backend, head, classes, _checkpoint_width(ckpt))
-
-
-def _checkpoint_width(ckpt):
-    """The input width the checkpoint's model was trained at; None if unrecorded."""
-    width = ckpt.meta.get("input_width")
-    if width is None:
-        return None
-    if not (width.isdecimal() and int(width) >= 1):
-        raise ValidationError(f"checkpoint input_width must be a positive integer, got {width!r}")
-    return int(width)
+    return Classifier(ckpt.backend, head, classes)
 
 
 def cmd_eval(args) -> int:
@@ -471,11 +460,10 @@ def cmd_eval(args) -> int:
             images = images.with_data(np.concatenate([images.data, bundle.test_images.data]))
         labels = bundle.train_labels + bundle.test_labels
         lam = config.get_float("eval", "ridge_lambda", 1.0)
+        ckpt.backend.input_width = bundle.input_width
 
         def trainer(train_images, train_labels):
-            clf = ridge_classifier(ckpt.backend, train_images, train_labels, lam,
-                                   bundle.input_width)
-            return clf.predict
+            return ridge_classifier(ckpt.backend, train_images, train_labels, lam).predict
 
         report = kfold_eval(images, labels, k, trainer, seed=run_seed,
                             task_id=f"kfold-k{k}")
@@ -487,7 +475,7 @@ def cmd_eval(args) -> int:
             raise ValidationError("test sample without constituent truth")
         threshold = config.get_float("eval", "threshold", 0.5)
         report = composition_eval(ckpt.backend, head, bundle.test_images, bundle.test_cons,
-                                  threshold, input_width=_checkpoint_width(ckpt))
+                                  threshold)
     else:
         clf = _classifier_from_checkpoint(ckpt)
         images, labels = bundle.test_images, bundle.test_labels

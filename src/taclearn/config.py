@@ -61,8 +61,14 @@ class ExperimentConfig:
                 f"got {entry.value!r}"
             ) from None
 
-    def get_int(self, section, key, default=_MISSING) -> int:
-        return self._typed(section, key, default, int, "an integer")
+    def get_int(self, section, key, default=_MISSING, minimum=None) -> int:
+        def convert(text):
+            if minimum is not None and int(text) < minimum:
+                raise ValueError(text)
+            return int(text)
+
+        describe = "an integer" if minimum is None else f"an integer >= {minimum}"
+        return self._typed(section, key, default, convert, describe)
 
     def get_float(self, section, key, default=_MISSING) -> float:
         return self._typed(section, key, default, float, "a number")

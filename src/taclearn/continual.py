@@ -231,10 +231,8 @@ def fine_tune(ridge_clf: Classifier, images, buffer: MemoryBuffer, cfg: TrainCon
     if cfg.epochs == 0:
         return clone
     idx, labels = buffer.items()
-    train_supervised(
-        images[idx], labels, cfg, aug_cfg, backend=clone.backend, head=clone.head,
-        classes=clone.classes, input_width=clone.input_width,
-    )
+    train_supervised(images[idx], labels, cfg, aug_cfg, backend=clone.backend, head=clone.head,
+                     classes=clone.classes)
     return clone
 
 
@@ -250,8 +248,7 @@ class _SharedStep:
 
 def cl_sweep(images, batches, backend: ConvNetBackend, capacities, ridge_lambda: float = 1.0,
              fine_tune_cfg: TrainConfig | None = None, aug_cfg: AugmentConfig | None = None,
-             test_images=None, test_labels=None, input_width: int | None = None,
-             warm_start: bool = False):
+             test_images=None, test_labels=None, warm_start: bool = False):
     """Run the incremental protocol once per buffer capacity.
 
     `images` is the training stack and `batches` a sequence of (label,
@@ -275,8 +272,7 @@ def cl_sweep(images, batches, backend: ConvNetBackend, capacities, ridge_lambda:
     n_classes = len({label for label, _ in batches})
     for capacity in capacities:
         MemoryBuffer.budget(capacity, max(n_classes, 1))
-    steps = _shared_pass(images, batches, backend, ridge_lambda, test_images, test_labels,
-                         input_width)
+    steps = _shared_pass(images, batches, backend, ridge_lambda, test_images, test_labels)
     return (_capacity_pass(steps, images, test_images, capacity, fine_tune_cfg, aug_cfg,
                            warm_start)
             for capacity in capacities)
@@ -285,28 +281,27 @@ def cl_sweep(images, batches, backend: ConvNetBackend, capacities, ridge_lambda:
 def cl_run(images, batches, backend: ConvNetBackend, buffer_capacity: int,
            ridge_lambda: float = 1.0, fine_tune_cfg: TrainConfig | None = None,
            aug_cfg: AugmentConfig | None = None, test_images=None, test_labels=None,
-           input_width: int | None = None, warm_start: bool = False):
+           warm_start: bool = False):
     """`cl_sweep` over the one capacity; returns its (snapshots, rows)."""
     [result] = cl_sweep(images, batches, backend, [buffer_capacity], ridge_lambda, fine_tune_cfg,
-                        aug_cfg, test_images, test_labels, input_width, warm_start)
+                        aug_cfg, test_images, test_labels, warm_start)
     return result
 
 
-def _shared_pass(images, batches, backend, ridge_lambda, test_images, test_labels,
-                 input_width):
+def _shared_pass(images, batches, backend, ridge_lambda, test_images, test_labels):
     state = RlsState(dim=backend.embed_dim, ridge_lambda=ridge_lambda)
     test_emb = None
     if test_images is not None:
-        test_emb = embed_images(backend, test_images, input_width)
+        test_emb = embed_images(backend, test_images)
     herded: dict = {}
     steps: list[_SharedStep] = []
     for label, idx in batches:
         if label in herded:
             raise ValidationError(f"class {label!r} appears twice in the sequence")
-        embeddings = embed_images(backend, images[idx], input_width)
+        embeddings = embed_images(backend, images[idx])
         state = rls_update(state, embeddings, [label] * len(idx))
         herded[label] = idx[herding_order(embeddings)]
-        ridge_clf = Classifier(backend, ridge_solve(state), state.classes, input_width)
+        ridge_clf = Classifier(backend, ridge_solve(state), state.classes)
         test = acc_ridge = None
         if test_emb is not None:
             eval_idx = [i for i, l in enumerate(test_labels) if l in herded]

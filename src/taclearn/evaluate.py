@@ -187,20 +187,17 @@ def noise_sweep(classifier: Classifier, images, labels, levels,
     return curve
 
 
-def ridge_classifier(backend: ConvNetBackend, images, labels, ridge_lambda: float = 1.0,
-                     input_width: int | None = None) -> Classifier:
+def ridge_classifier(backend: ConvNetBackend, images, labels,
+                     ridge_lambda: float = 1.0) -> Classifier:
     """Frozen-embedding ridge classifier fitted in one shot."""
-    head, classes = batch_ridge_head(
-        embed_images(backend, images, input_width), labels, ridge_lambda
-    )
-    return Classifier(backend, head, classes, input_width)
+    head, classes = batch_ridge_head(embed_images(backend, images), labels, ridge_lambda)
+    return Classifier(backend, head, classes)
 
 
 def least_squares_baseline(backend: ConvNetBackend, train_images, train_labels,
-                           test_images, test_labels, ridge_lambda: float = 1.0,
-                           input_width: int | None = None) -> float:
+                           test_images, test_labels, ridge_lambda: float = 1.0) -> float:
     """Accuracy of a least-squares classifier over the frozen representation."""
-    clf = ridge_classifier(backend, train_images, train_labels, ridge_lambda, input_width)
+    clf = ridge_classifier(backend, train_images, train_labels, ridge_lambda)
     return clf.accuracy(test_images, test_labels)
 
 
@@ -214,14 +211,13 @@ def composition_score(predicted, truth) -> float:
 
 
 def composition_eval(backend: ConvNetBackend, head: LinearHead, images, truths,
-                     threshold: float = 0.5, task_id: str = "composition",
-                     input_width: int | None = None) -> EvalReport:
+                     threshold: float = 0.5, task_id: str = "composition") -> EvalReport:
     """Score the composition head's predictions over a stack and the
     parallel true constituent sets."""
     truths = list(truths)
     if len(truths) != len(images):
         raise ValidationError(f"{len(truths)} constituent sets for {len(images)} images")
-    probs = composition_probs(backend, head, images, input_width)
+    probs = composition_probs(backend, head, images)
     counts = {name: [0, 0] for name in fabric.CONSTITUENTS}
     scores = []
     for truth, p in zip(truths, probs):

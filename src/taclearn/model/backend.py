@@ -71,16 +71,20 @@ class LinearHead:
 
 
 class ConvNetBackend:
-    """Size-agnostic conv encoder; embed(x) has fixed length for any valid x."""
+    """Size-agnostic conv encoder; embed(x) has fixed length for any valid x.
+
+    `embed_images` and training resize every image to `input_width` (None
+    keeps its width), which checkpoints store as ``meta input_width``."""
 
     def __init__(self, in_channels: int = 3, widths=DEFAULT_WIDTHS, kernel: int = 3,
-                 stride: int = 2, seed: int = 0):
+                 stride: int = 2, seed: int = 0, input_width: int | None = None):
         if not widths:
             raise ValidationError("backend needs at least one conv block")
         self.in_channels = in_channels
         self.widths = tuple(int(w) for w in widths)
         self.kernel = kernel
         self.stride = stride
+        self.input_width = input_width
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
         rng = Prng(seed).spawn(0)
@@ -122,7 +126,8 @@ class ConvNetBackend:
             offset += p.size
 
     def clone(self) -> "ConvNetBackend":
-        other = ConvNetBackend(self.in_channels, self.widths, self.kernel, self.stride)
+        other = ConvNetBackend(self.in_channels, self.widths, self.kernel, self.stride,
+                               input_width=self.input_width)
         other.set_flat(self.get_flat())
         return other
 
@@ -220,7 +225,8 @@ class ConvNetBackend:
 
 @dataclass
 class Checkpoint:
-    """A backend plus named heads and free-form string metadata."""
+    """A backend plus named heads and free-form string metadata; `meta`
+    holds no ``input_width``, which is saved from the backend's."""
 
     backend: ConvNetBackend
     heads: dict[str, LinearHead] = field(default_factory=dict)
@@ -236,7 +242,12 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         header_lines.append(f"head {name} {head.in_dim} {head.out_dim}")
         flat_parts.append(head.weights.ravel())
         flat_parts.append(head.bias.ravel())
-    for key, value in ckpt.meta.items():
+    if "input_width" in ckpt.meta:
+        raise ValidationError("the input width is the backend's input_width, not a meta entry")
+    meta = dict(ckpt.meta)
+    if ckpt.backend.input_width is not None:
+        meta["input_width"] = str(ckpt.backend.input_width)
+    for key, value in meta.items():
         if any(ch.isspace() for ch in key) or "\n" in value:
             raise ValidationError(f"bad meta entry {key!r}")
         header_lines.append(f"meta {key} {value}")
@@ -300,6 +311,10 @@ def load_checkpoint(path) -> Checkpoint:
             raise ValidationError(f"{path}: bad header line {line!r}") from None
     if backend_line is None:
         raise ValidationError(f"{path}: checkpoint has no backend descriptor")
+    width = meta.pop("input_width", None)
+    if width is not None and not (width.isdecimal() and int(width) >= 1):
+        raise ValidationError(
+            f"{path}: checkpoint input_width must be a positive integer, got {width!r}")
 
     pos = flat.size - sum(d * c + c for _, d, c in head_specs)
     try:
@@ -309,6 +324,7 @@ def load_checkpoint(path) -> Checkpoint:
     if not np.isfinite(flat).all():
         raise ValidationError(f"{path}: checkpoint parameters must be finite")
     backend.set_flat(flat[:pos])
+    backend.input_width = None if width is None else int(width)
     heads: dict[str, LinearHead] = {}
     for name, d, c in head_specs:
         w = flat[pos : pos + d * c].reshape(d, c)

@@ -101,14 +101,14 @@ def prepare_batch(images, input_width: int | None = None) -> np.ndarray:
     return planes if input_width is None else _resample_axis(planes, input_width)
 
 
-def embed_images(backend: ConvNetBackend, images, input_width: int | None = None) -> np.ndarray:
-    """Embeddings of a normalized stack, resized to `input_width` (None keeps
-    their width) chunk by chunk, just before each chunk's forward-only pass.
+def embed_images(backend: ConvNetBackend, images) -> np.ndarray:
+    """Embeddings of a normalized stack, resized to the backend's input width
+    chunk by chunk, just before each chunk's forward-only pass.
     Chunks share one workspace (see `layers`) and hold at most 64 planes, the
     size measured best at 12x64, and 2**17 input pixels, which keeps block 1's
     columns (about 72 bytes per input pixel) near 10 MB at wide sensor shapes."""
     planes = prepare_for_model(images)
-    width = planes.shape[-1] if input_width is None else input_width
+    width = planes.shape[-1] if backend.input_width is None else backend.input_width
     pixels = planes.shape[1] * max(width, 1)  # _resample_axis rejects a width below 1
     chunk = max(1, min(64, 2**17 // pixels))
     out = np.empty((len(planes), backend.embed_dim))
@@ -126,13 +126,12 @@ class Classifier:
     backend: ConvNetBackend
     head: LinearHead
     classes: tuple
-    input_width: int | None = None
 
     def predict(self, images, embeddings: np.ndarray | None = None) -> list:
         """Predicted classes of a stack; pass `embeddings` (this backend's
         embeddings of `images`) to skip the forward pass."""
         if embeddings is None:
-            embeddings = embed_images(self.backend, images, self.input_width)
+            embeddings = embed_images(self.backend, images)
         idx = np.argmax(self.head.logits(embeddings), axis=1)
         return [self.classes[i] for i in idx]
 
@@ -141,7 +140,7 @@ class Classifier:
         return float(np.mean([p == t for p, t in zip(predicted, labels)]))
 
     def clone(self) -> "Classifier":
-        return Classifier(self.backend.clone(), self.head.clone(), self.classes, self.input_width)
+        return Classifier(self.backend.clone(), self.head.clone(), self.classes)
 
 
 def _class_indices(labels, classes):
@@ -162,10 +161,9 @@ def _stratified_val_split(labels_idx, n_classes, val_fraction, rng):
     return train, sorted(val)
 
 
-def _train_loop(images, targets, cfg, aug_cfg, backend, head, loss, val_eval=None,
-                input_width=None):
+def _train_loop(images, targets, cfg, aug_cfg, backend, head, loss, val_eval=None):
     """Minibatch SGD of `head` on the backend's embeddings of the stack
-    `images` for cfg.epochs.
+    `images`, resized to its input width, for cfg.epochs.
 
     `loss(logits, targets) -> (value, dlogits)`. The backend is updated too
     unless cfg.freeze_backend. Returns the per-epoch history; each row's lr
@@ -179,7 +177,7 @@ def _train_loop(images, targets, cfg, aug_cfg, backend, head, loss, val_eval=Non
     history: list[EpochStats] = []
     n = len(images)
     # the normalization check; random_augment resizes augmented minibatches
-    planes = prepare_batch(images, input_width if aug_cfg is None else None)
+    planes = prepare_batch(images, backend.input_width if aug_cfg is None else None)
     shuffle_root = Prng(cfg.seed).spawn(1)
     for epoch in range(cfg.epochs):
         if cfg.lr_schedule == "cosine":
@@ -192,7 +190,7 @@ def _train_loop(images, targets, cfg, aug_cfg, backend, head, loss, val_eval=Non
             if aug_cfg is None:
                 x = planes[idx]
             else:
-                x = random_augment(images[idx], aug_cfg, aug_rng)
+                x = random_augment(images[idx], aug_cfg, aug_rng, backend.input_width)
             emb, cache = backend.forward(x)
             value, dlogits = loss(layers.linear_forward(emb, head.weights, head.bias),
                                   targets[idx])
@@ -219,16 +217,14 @@ def _train_loop(images, targets, cfg, aug_cfg, backend, head, loss, val_eval=Non
 
 def train_supervised(images, labels, cfg: TrainConfig, aug_cfg: AugmentConfig | None = None,
                      backend: ConvNetBackend | None = None,
-                     head: LinearHead | None = None, classes=None,
-                     input_width: int | None = None):
+                     head: LinearHead | None = None, classes=None):
     """Train a classifier on a normalized stack and its parallel labels.
 
     Returns (backend, head, history); column c of the head corresponds to
     classes[c] with classes sorted. Pass a backend (and optionally a matching
     head and class order) to fine-tune an existing model in place; otherwise
-    fresh parameters are initialized from cfg.seed. Unaugmented images reach
-    the encoder resized to `input_width` (None keeps their widths), augmented
-    ones at aug_cfg.output_width.
+    fresh parameters are initialized from cfg.seed. Images reach the encoder,
+    augmented or not, resized to the backend's input width.
     """
     labels = list(labels)
     if len(labels) != len(images):
@@ -263,7 +259,7 @@ def train_supervised(images, labels, cfg: TrainConfig, aug_cfg: AugmentConfig | 
         def val_eval():
             if val_images is None:  # no class is large enough to give one up
                 return float("nan")
-            emb = embed_images(backend, val_images, input_width)
+            emb = embed_images(backend, val_images)
             pred = np.argmax(head.logits(emb), axis=1)
             return float(np.mean(pred == val_y))
 
@@ -273,13 +269,13 @@ def train_supervised(images, labels, cfg: TrainConfig, aug_cfg: AugmentConfig | 
             raise ValidationError(f"class {classes[c]!r} has no training samples")
 
     history = _train_loop(images, y, cfg, aug_cfg, backend, head,
-                          layers.softmax_cross_entropy, val_eval, input_width)
+                          layers.softmax_cross_entropy, val_eval)
     return backend, head, history
 
 
 def train_composition(images, constituents, cfg: TrainConfig,
                       aug_cfg: AugmentConfig | None = None,
-                      backend: ConvNetBackend | None = None, input_width: int | None = None):
+                      backend: ConvNetBackend | None = None):
     """Train the composition head: one independent sigmoid logit per constituent.
 
     `constituents` holds one constituent set per image of the stack. Returns
@@ -299,12 +295,11 @@ def train_composition(images, constituents, cfg: TrainConfig,
         backend = ConvNetBackend(seed=cfg.seed)
     head = LinearHead.zeros(backend.embed_dim, len(fabric.CONSTITUENTS))
     history = _train_loop(images, targets, cfg, aug_cfg, backend, head,
-                          layers.binary_cross_entropy_logits, input_width=input_width)
+                          layers.binary_cross_entropy_logits)
     return backend, head, history
 
 
-def composition_probs(backend: ConvNetBackend, head: LinearHead, images,
-                      input_width: int | None = None) -> np.ndarray:
+def composition_probs(backend: ConvNetBackend, head: LinearHead, images) -> np.ndarray:
     """(N, 6) independent constituent probabilities, one row per image of the stack."""
     n = len(fabric.CONSTITUENTS)
     if head.out_dim != n:
@@ -312,5 +307,5 @@ def composition_probs(backend: ConvNetBackend, head: LinearHead, images,
             f"composition head has {head.out_dim} columns; expected {n} heads, "
             "one column per constituent"
         )
-    return layers.sigmoid(head.logits(embed_images(backend, images, input_width)))
+    return layers.sigmoid(head.logits(embed_images(backend, images)))
 

@@ -52,11 +52,11 @@ def pretrained_backend():
     """
     images, labels, _ = synth_images(num_classes=10, per_class=40, seed=777)
     aug = AugmentConfig(flip_prob=0.5, resize_factor_range=(0.8, 1.25),
-                        crop_len_range=(32, 64), jitter_level=0.2, seed=2,
-                        output_width=64)
+                        crop_len_range=(32, 64), jitter_level=0.2, seed=2)
     cfg = TrainConfig(epochs=60, lr=0.01, momentum=0.9, weight_decay=1e-4,
                       batch_size=16, lr_schedule="cosine", seed=777)
-    backend, _, _ = train_supervised(images, labels, cfg, aug)
+    backend, _, _ = train_supervised(images, labels, cfg, aug,
+                                     backend=ConvNetBackend(seed=777, input_width=64))
     return backend
 
 

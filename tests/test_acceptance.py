@@ -78,9 +78,10 @@ def plain_model(task):
     cfg = TrainConfig(epochs=40, lr=0.01, momentum=0.9, weight_decay=1e-4,
                       batch_size=16, lr_schedule="cosine", seed=0)
     started = time.monotonic()
-    backend, head, history = train_supervised(train_images, train_labels, cfg)
+    backend, head, history = train_supervised(train_images, train_labels, cfg,
+                                              backend=ConvNetBackend(seed=0, input_width=64))
     elapsed = time.monotonic() - started
-    clf = Classifier(backend, head, tuple(sorted(set(train_labels))), input_width=64)
+    clf = Classifier(backend, head, tuple(sorted(set(train_labels))))
     return clf, cfg.epochs, elapsed
 
 
@@ -90,10 +91,10 @@ def augmented_model(task):
     cfg = TrainConfig(epochs=150, lr=0.01, momentum=0.9, weight_decay=1e-4,
                       batch_size=16, lr_schedule="cosine", seed=0)
     aug = AugmentConfig(flip_prob=0.5, resize_factor_range=(0.5, 2.0),
-                        crop_len_range=(16, 64), jitter_level=0.5, seed=1,
-                        output_width=64)
-    backend, head, _ = train_supervised(train_images, train_labels, cfg, aug)
-    return Classifier(backend, head, tuple(sorted(set(train_labels))), input_width=64)
+                        crop_len_range=(16, 64), jitter_level=0.5, seed=1)
+    backend, head, _ = train_supervised(train_images, train_labels, cfg, aug,
+                                        backend=ConvNetBackend(seed=0, input_width=64))
+    return Classifier(backend, head, tuple(sorted(set(train_labels))))
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +103,8 @@ def budget_backend():
     images, labels, _ = synth_images(num_classes=6, per_class=20, seed=777)
     cfg = TrainConfig(epochs=20, lr=0.01, momentum=0.9, weight_decay=1e-4,
                       batch_size=16, lr_schedule="cosine", seed=777)
-    backend, _, _ = train_supervised(images, labels, cfg)
+    backend, _, _ = train_supervised(images, labels, cfg,
+                                     backend=ConvNetBackend(seed=777, input_width=64))
     return backend
 
 
@@ -145,7 +147,7 @@ def test_criterion_02_order_invariance(pretrained_backend, task):
     with criterion(2, "order invariance of the CL head"):
         started = time.monotonic()
         train_images, train_labels, _, _ = task
-        emb = embed_images(pretrained_backend, train_images, input_width=64)
+        emb = embed_images(pretrained_backend, train_images)
         classes = sorted(set(train_labels))
         by_class = {c: np.flatnonzero([l == c for l in train_labels]) for c in classes}
 
@@ -273,7 +275,6 @@ def test_criterion_06_synthetic_end_to_end(task, plain_model, pretrained_backend
         assert acc >= 0.95  # pinned oracle value: 0.98
         baseline = least_squares_baseline(
             pretrained_backend, train_images, train_labels, test_images, test_labels,
-            input_width=64,
         )
         assert baseline >= 0.80  # pinned oracle value: 0.98
 
@@ -313,7 +314,6 @@ def test_criterion_08_cl_buffer_trend(budget_backend):
         )
         baseline = least_squares_baseline(
             budget_backend, train_images, train_labels, test_images, test_labels,
-            input_width=64,
         )
         batches = [(c, np.flatnonzero([l == c for l in train_labels]))
                    for c in sorted(set(train_labels))]
@@ -325,7 +325,7 @@ def test_criterion_08_cl_buffer_trend(budget_backend):
             _, rows = cl_run(
                 train_images, batches, budget_backend, per_class * 5, ridge_lambda=1.0,
                 fine_tune_cfg=ft_cfg, aug_cfg=None, test_images=test_images,
-                test_labels=test_labels, input_width=64,
+                test_labels=test_labels,
             )
             floors.append(rows[-1][1])
             tuned.append(rows[-1][2])
@@ -346,7 +346,7 @@ def test_criterion_08_cl_buffer_trend(budget_backend):
             train_images, train_labels, joint_cfg, None,
             backend=budget_backend.clone(),
         )
-        joint = Classifier(jb, jh, tuple(sorted(set(train_labels))), input_width=64)
+        joint = Classifier(jb, jh, tuple(sorted(set(train_labels))))
         joint_acc = joint.accuracy(test_images, test_labels)
         # pinned oracle values: joint 0.98, tuned[-1] 0.96
         assert joint_acc - tuned[-1] <= 0.05
@@ -408,6 +408,5 @@ def test_harness_separability_self_check(pretrained_backend, task):
     train_images, train_labels, test_images, test_labels = task
     acc = least_squares_baseline(
         pretrained_backend, train_images, train_labels, test_images, test_labels,
-        input_width=64,
     )
     assert acc >= 0.95  # pinned oracle value: 0.98

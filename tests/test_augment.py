@@ -115,10 +115,9 @@ def test_random_augment_shape_contract_and_finiteness():
         resize_factor_range=(0.5, 2.0),
         crop_len_range=(16, 64),
         jitter_level=0.2,
-        output_width=64,
     )
     for _ in range(50):
-        out = random_augment(_stack(img), cfg, rng)[0]
+        out = random_augment(_stack(img), cfg, rng, 64)[0]
         assert out.shape == (8, 64)
         assert np.isfinite(out).all()
 
@@ -161,10 +160,9 @@ def test_random_augment_matches_documented_draw_order():
         resize_factor_range=(0.6, 1.8),
         crop_len_range=(12, 48),
         jitter_level=0.3,
-        output_width=48,
     )
     for trial in range(20):
-        out = random_augment(_stack(img), cfg, Prng(trial))[0]
+        out = random_augment(_stack(img), cfg, Prng(trial), 48)[0]
         rng = Prng(trial)
         step = img
         if rng.random() < cfg.flip_prob:
@@ -240,13 +238,13 @@ def test_config_validation():
         AugmentConfig(jitter_level=-0.2)
 
 
-def _random_augment_one(image, cfg, rng):
+def _random_augment_one(image, cfg, rng, width=None):
     # The per-image random_augment the batched one replaced, kept verbatim as
     # the oracle: a stack must give the bytes, errors and generator state of
     # augmenting its planes one after another with this.
     is_camera = image.source is not None and image.source.kind == CAMERA_FRAMES
     out_h = image.data.shape[-2]
-    out_w = cfg.output_width if cfg.output_width is not None else image.width
+    out_w = width if width is not None else image.width
 
     if rng.random() < cfg.flip_prob:
         image = flip_temporal(image)
@@ -284,17 +282,17 @@ _CAMERA = SensorSpec("cam", channels=9 * 13, sample_rate_hz=10.0, kind=CAMERA_FR
                      frame_h=9, frame_w=13, value_range=(0.0, 1.0))
 
 
-def _assert_batch_matches_oracle(images, cfg, seed):
+def _assert_batch_matches_oracle(images, cfg, width, seed):
     oracle_rng, batch_rng = Prng(seed), Prng(seed)
     try:
-        expected = np.stack([_random_augment_one(images[i], cfg, oracle_rng).data
+        expected = np.stack([_random_augment_one(images[i], cfg, oracle_rng, width).data
                              for i in range(len(images))])
     except ValidationError as exc:
         with pytest.raises(type(exc)) as raised:
-            random_augment(images, cfg, batch_rng)
+            random_augment(images, cfg, batch_rng, width)
         assert str(raised.value) == str(exc)
     else:
-        out = random_augment(images, cfg, batch_rng)
+        out = random_augment(images, cfg, batch_rng, width)
         assert out.dtype == np.float64 and out.shape == expected.shape
         assert out.tobytes() == expected.tobytes()
     assert batch_rng._state == oracle_rng._state
@@ -318,6 +316,7 @@ def _augment_cases(draw):
     height = draw(st.integers(1, 9 if camera else 6))
     n = draw(st.integers(1, 5))
     widths = [draw(st.integers(1, 40))] * n
+    width = None
     if draw(st.booleans()):  # identity settings: factor 1, full-width crop, no jitter
         cfg = AugmentConfig(flip_prob=draw(st.sampled_from([0.0, 1.0])),
                             resize_factor_range=(1.0, 1.0),
@@ -330,11 +329,11 @@ def _augment_cases(draw):
             resize_factor_range=(factor, factor * draw(st.sampled_from([1.0, 1.5, 3.0]))),
             crop_len_range=(crop_min, crop_min + draw(st.integers(0, 30))),
             jitter_level=draw(st.sampled_from([0.0, 0.1, 0.5])),
-            output_width=draw(st.integers(1, 40)) if draw(st.booleans()) else None,
         )
+        width = draw(st.integers(1, 40)) if draw(st.booleans()) else None
     images = _batch(camera, height, widths, draw(st.integers(0, 2**32)),
                     draw(st.sampled_from([0.0, 0.3])))
-    return images, cfg, draw(st.integers(0, 2**64 - 1))
+    return images, cfg, width, draw(st.integers(0, 2**64 - 1))
 
 
 @settings(max_examples=300, deadline=None)
@@ -343,24 +342,25 @@ def test_batched_augment_matches_per_image_oracle(case):
     _assert_batch_matches_oracle(*case)
 
 
+# each cfg is an (AugmentConfig, output width) pair
 @pytest.mark.parametrize("camera, widths, cfg", [
     # vector images, every op active
-    (False, [24] * 4, AugmentConfig(0.5, (0.6, 1.8), (4, 20), 0.3, output_width=16)),
+    (False, [24] * 4, (AugmentConfig(0.5, (0.6, 1.8), (4, 20), 0.3), 16)),
     # camera frames, kept at and resized to another output width
-    (True, [13] * 4, AugmentConfig(0.5, (0.7, 1.4), (5, 13), 0.2)),
-    (True, [13] * 3, AugmentConfig(0.5, (0.7, 1.4), (3, 9), 0.2, output_width=12)),
+    (True, [13] * 4, (AugmentConfig(0.5, (0.7, 1.4), (5, 13), 0.2), None)),
+    (True, [13] * 3, (AugmentConfig(0.5, (0.7, 1.4), (3, 9), 0.2), 12)),
     # no jitter, and copying and interpolating images in one batch
-    (False, [12] * 6, AugmentConfig(0.5, (0.9, 1.1), (10, 12), 0.0, output_width=12)),
+    (False, [12] * 6, (AugmentConfig(0.5, (0.9, 1.1), (10, 12), 0.0), 12)),
     # identity settings, flips forced on
-    (False, [12] * 3, AugmentConfig(1.0, (1.0, 1.0), (12, 12), 0.0)),
-    (True, [13] * 3, AugmentConfig(1.0, (1.0, 1.0), (13, 13), 0.0)),
+    (False, [12] * 3, (AugmentConfig(1.0, (1.0, 1.0), (12, 12), 0.0), None)),
+    (True, [13] * 3, (AugmentConfig(1.0, (1.0, 1.0), (13, 13), 0.0), None)),
     # for some seeds a later image's width collapses to zero, or falls below the crop
-    (False, [2] * 3, AugmentConfig(0.5, (0.05, 0.5), (1, 4), 0.1, output_width=5)),
-    (False, [8] * 3, AugmentConfig(0.5, (0.3, 1.0), (4, 8), 0.1, output_width=8)),
-    (True, [13, 13], AugmentConfig(0.5, (0.25, 0.25), (6, 8), 0.1)),
+    (False, [2] * 3, (AugmentConfig(0.5, (0.05, 0.5), (1, 4), 0.1), 5)),
+    (False, [8] * 3, (AugmentConfig(0.5, (0.3, 1.0), (4, 8), 0.1), 8)),
+    (True, [13, 13], (AugmentConfig(0.5, (0.25, 0.25), (6, 8), 0.1), None)),
 ])
 @pytest.mark.parametrize("negative_zero_rate", [0.0, 0.5])
 def test_batched_augment_oracle_cases(camera, widths, cfg, negative_zero_rate):
     images = _batch(camera, 9 if camera else 5, widths, 4, negative_zero_rate)
     for seed in range(5):
-        _assert_batch_matches_oracle(images, cfg, seed)
+        _assert_batch_matches_oracle(images, *cfg, seed)

@@ -369,16 +369,40 @@ def test_eval_modes_produce_reports(tmp_path, trained, mode):
 
 @pytest.mark.parametrize("width", ["abc", "0"])
 def test_bad_checkpoint_input_width_exits_one(tmp_path, trained, capsys, width):
-    from taclearn.model import load_checkpoint, save_checkpoint
-
+    # every command that loads a checkpoint refuses it, including those
+    # that replace its width with the config's
     cfg, ckpt = trained
-    model = load_checkpoint(ckpt)
-    model.meta["input_width"] = width
-    save_checkpoint(ckpt, model)
+    raw = ckpt.read_bytes()
+    end = 12 + int.from_bytes(raw[8:12], "little")
+    header = raw[12:end].replace(b"meta input_width 32", b"meta input_width " + width.encode())
+    ckpt.write_bytes(raw[:8] + len(header).to_bytes(4, "little") + header + raw[end:])
+    cfg.write_text(cfg.read_text().replace("[train]\n", f"[train]\npretrained = {ckpt}\n")
+                   .replace("[cl]\n", f"[cl]\nbackend_checkpoint = {ckpt}\n"))
     out = tmp_path / "never"
-    assert main(["eval", "noise", "--config", str(cfg), "--checkpoint", str(ckpt),
-                 "--out", str(out)]) == 1
-    assert "input_width" in capsys.readouterr().err
+    for command in (["eval", "noise", "--checkpoint", str(ckpt)],
+                    ["eval", "kfold", "--checkpoint", str(ckpt)], ["train"], ["cl"]):
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert "input_width must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("width", [0, -2])
+@pytest.mark.parametrize("command", [["train"], ["cl"], ["eval", "kfold"]],
+                         ids=["train", "cl", "eval-kfold"])
+def test_config_input_width_below_one_is_a_config_error(tmp_path, capsys, command, width):
+    from taclearn.model import Checkpoint, ConvNetBackend, save_checkpoint
+
+    cfg = _write_cfg(tmp_path)
+    text = cfg.read_text().replace("input_width = 32", f"input_width = {width}")
+    cfg.write_text(text)
+    line = text.splitlines().index(f"input_width = {width}") + 1
+    ckpt = tmp_path / "model.tacm"
+    save_checkpoint(ckpt, Checkpoint(backend=ConvNetBackend(seed=1)))
+    extra = ["--checkpoint", str(ckpt)] if command[0] == "eval" else []
+    out = tmp_path / "never"
+    assert main([*command, *extra, "--config", str(cfg), "--out", str(out)]) == 1
+    assert (f"{cfg}:{line}: [transform] input_width must be an integer >= 1, got '{width}'"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -752,12 +776,11 @@ def test_composition_eval_rejects_six_head_checkpoints(tmp_path, capsys):
     cfg.write_text(COMPOSITION_CFG)
     # the layout of composition files written before the single composition
     # head: one constituent-named 128x1 head per column
-    backend = ConvNetBackend(seed=1)
+    backend = ConvNetBackend(seed=1, input_width=32)
     six = {name: LinearHead(np.zeros((backend.embed_dim, 1)), np.zeros(1))
            for name in CONSTITUENTS}
     legacy = tmp_path / "six_heads.tacm"
-    save_checkpoint(legacy, Checkpoint(backend=backend, heads=six,
-                                       meta={"task": "composition", "input_width": "32"}))
+    save_checkpoint(legacy, Checkpoint(backend=backend, heads=six, meta={"task": "composition"}))
     never = tmp_path / "never"
     assert main(["eval", "composition", "--config", str(cfg), "--checkpoint", str(legacy),
                  "--out", str(never)]) == 1

@@ -249,8 +249,7 @@ def test_herding_matches_reference_when_scores_overflow(embs):
 # The step-by-step buffer update that MemoryBuffer.rebalanced replaced, kept
 # as the oracle for it; it stores indices into `images`, as the buffer does.
 def select_exemplars(buffer: MemoryBuffer, images, labels, backend: ConvNetBackend,
-                     embeddings: np.ndarray | None = None,
-                     input_width: int | None = None) -> MemoryBuffer:
+                     embeddings: np.ndarray | None = None) -> MemoryBuffer:
     """Herd a new class's samples into the buffer and rebalance budgets.
 
     Existing classes are truncated to the new equal per-class budget, keeping
@@ -260,7 +259,7 @@ def select_exemplars(buffer: MemoryBuffer, images, labels, backend: ConvNetBacke
     if len(images) != len(labels):
         raise ValidationError("images and labels length mismatch")
     if embeddings is None:
-        embeddings = embed_images(backend, images, input_width)
+        embeddings = embed_images(backend, images)
 
     per_class = dict(buffer.per_class)
     for label in sorted(set(labels)):
@@ -479,6 +478,18 @@ def test_cl_warm_start_carries_the_tuned_backend(random_backend):
     # warm start never touches the ridge floor
     for a, b in zip(cold, warm):
         assert np.array_equal(a.ridge.head.weights, b.ridge.head.weights)
+
+
+@pytest.mark.parametrize("warm_start", [False, True])
+def test_fine_tuned_models_keep_the_input_width(random_backend, warm_start):
+    backend = random_backend.clone()
+    backend.input_width = 24
+    images, batches, _, _ = _small_cl_problem(backend, num_classes=3)
+    ft_cfg = TrainConfig(epochs=1, lr=0.01, batch_size=4, lr_schedule="cosine", seed=3)
+    snapshots, _ = cl_run(images, batches, backend, 9, fine_tune_cfg=ft_cfg,
+                          warm_start=warm_start)
+    assert {s.ridge.backend.input_width for s in snapshots} == {24}
+    assert {s.fine_tuned.backend.input_width for s in snapshots} == {24}
 
 
 def test_cl_sweep_validates_every_capacity_before_any_work(random_backend, monkeypatch):

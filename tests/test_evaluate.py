@@ -109,7 +109,9 @@ def fitted(random_backend):
         num_classes=3, per_class=5, channels=10, length=48, seed=42,
         start_index=12, bounds=bounds,
     )
-    clf = ridge_classifier(random_backend, train_images, train_labels, input_width=48)
+    backend = random_backend.clone()
+    backend.input_width = 48
+    clf = ridge_classifier(backend, train_images, train_labels)
     return clf, train_images, train_labels, test_images, test_labels
 
 
@@ -213,14 +215,13 @@ def test_stacked_sweeps_match_per_image_oracle(fitted, sweep, oracle, levels, kw
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def test_baseline_matches_normal_equations_oracle(random_backend, fitted):
-    _, train_images, train_labels, test_images, test_labels = fitted
+def test_baseline_matches_normal_equations_oracle(fitted):
+    clf, train_images, train_labels, test_images, test_labels = fitted
     acc = least_squares_baseline(
-        random_backend, train_images, train_labels, test_images, test_labels,
-        input_width=48,
+        clf.backend, train_images, train_labels, test_images, test_labels,
     )
     # independent closed-form oracle on the same embeddings
-    train_emb = embed_images(random_backend, train_images, 48)
+    train_emb = embed_images(clf.backend, train_images)
     classes = sorted(set(train_labels))
     onehot = np.zeros((len(train_labels), len(classes)))
     for i, l in enumerate(train_labels):
@@ -228,7 +229,7 @@ def test_baseline_matches_normal_equations_oracle(random_backend, fitted):
     w = np.linalg.solve(
         train_emb.T @ train_emb + np.eye(train_emb.shape[1]), train_emb.T @ onehot
     )
-    test_emb = embed_images(random_backend, test_images, 48)
+    test_emb = embed_images(clf.backend, test_images)
     predicted = [classes[i] for i in np.argmax(test_emb @ w, axis=1)]
     oracle_acc = float(np.mean([p == t for p, t in zip(predicted, test_labels)]))
     assert abs(acc - oracle_acc) <= 1e-9
@@ -238,15 +239,13 @@ def test_baseline_matches_normal_equations_oracle(random_backend, fitted):
     assert np.linalg.norm(head.weights - w) <= 1e-9 * max(1.0, np.linalg.norm(w))
 
 
-def test_baseline_memorization_bound(random_backend, fitted):
-    _, train_images, train_labels, test_images, test_labels = fitted
+def test_baseline_memorization_bound(fitted):
+    clf, train_images, train_labels, test_images, test_labels = fitted
     in_sample = least_squares_baseline(
-        random_backend, train_images, train_labels, train_images, train_labels,
-        input_width=48,
+        clf.backend, train_images, train_labels, train_images, train_labels,
     )
     held_out = least_squares_baseline(
-        random_backend, train_images, train_labels, test_images, test_labels,
-        input_width=48,
+        clf.backend, train_images, train_labels, test_images, test_labels,
     )
     assert in_sample >= held_out
 

@@ -55,8 +55,8 @@ def template(tmp_path_factory):
                    Manifest(spec=SPEC, entries=entries, norm_bounds=(-2.0, 2.0)))
     head = LinearHead(Prng(3).uniform(-1, 1, size=(8, 2)), np.zeros(2))
     save_checkpoint(root / "model.tacm", Checkpoint(
-        backend=ConvNetBackend(widths=(4, 8), seed=1), heads={"classify": head},
-        meta={"task": "classify", "classes": "0;1", "input_width": "16"}))
+        backend=ConvNetBackend(widths=(4, 8), seed=1, input_width=16), heads={"classify": head},
+        meta={"task": "classify", "classes": "0;1"}))
     return root
 
 

@@ -136,7 +136,8 @@ def test_embed_images_resizes_chunk_by_chunk(monkeypatch):
     post_init = TactileImage.__post_init__
     monkeypatch.setattr(TactileImage, "__post_init__",
                         lambda self: built.append(self) or post_init(self))
-    assert np.array_equal(embed_images(backend, stack, 300), expected)
+    backend.input_width = 300
+    assert np.array_equal(embed_images(backend, stack), expected)
     assert built == []
 
 
@@ -153,7 +154,8 @@ def test_embed_images_chunks_by_input_pixels(monkeypatch, shape, input_width, ch
     monkeypatch.setattr(ConvNetBackend, "embed_batch",
                         lambda self, x, ws=None: seen.append(x.shape) or embed_batch(self, x, ws))
     planes = Prng(30).uniform(-1, 1, size=shape)
-    embed_images(ConvNetBackend(seed=8), TactileImage(planes, normalized=True), input_width)
+    embed_images(ConvNetBackend(seed=8, input_width=input_width),
+                 TactileImage(planes, normalized=True))
     assert [n for n, _, _ in seen] == chunks
     assert all(n <= 64 and (n == 1 or n * h * w <= 2**17) for n, h, w in seen)
     assert {w for _, _, w in seen} == {input_width or shape[2]}
@@ -163,7 +165,7 @@ def test_embed_images_chunks_by_input_pixels(monkeypatch, shape, input_width, ch
 def test_embed_images_rejects_an_input_width_below_one(input_width):
     stack = TactileImage(np.zeros((2, 12, 16)), normalized=True)
     with pytest.raises(ValidationError, match="target width must be >= 1"):
-        embed_images(ConvNetBackend(seed=1), stack, input_width)
+        embed_images(ConvNetBackend(seed=1, input_width=input_width), stack)
 
 
 def test_model_accepts_jitter_beyond_unit_range():
@@ -348,7 +350,7 @@ def test_checkpoint_round_trip(tmp_path, random_backend):
     head = LinearHead(Prng(10).uniform(-1, 1, size=(random_backend.embed_dim, 4)),
                       Prng(11).uniform(-1, 1, size=(4,)))
     ckpt = Checkpoint(backend=random_backend, heads={"classify": head},
-                      meta={"classes": "a;b;c;d", "input_width": "64"})
+                      meta={"classes": "a;b;c;d"})
     path = tmp_path / "model.tacm"
     save_checkpoint(path, ckpt)
     loaded = load_checkpoint(path)
@@ -360,6 +362,26 @@ def test_checkpoint_round_trip(tmp_path, random_backend):
     # float32 storage quantizes parameters
     assert np.abs(a - b).max() <= 1e-4 * max(1.0, np.abs(a).max())
     assert np.abs(loaded.heads["classify"].weights - head.weights).max() <= 1e-6
+
+
+def test_input_width_survives_save_load_and_clone(tmp_path):
+    backend = ConvNetBackend(seed=3, input_width=24)
+    assert backend.clone().input_width == 24
+    path = tmp_path / "model.tacm"
+    save_checkpoint(path, Checkpoint(backend=backend, meta={"task": "embed"}))
+    # written after the other meta lines, read back onto the backend
+    assert b"meta task embed\nmeta input_width 24\n" in path.read_bytes()
+    loaded = load_checkpoint(path)
+    assert loaded.backend.input_width == 24 and loaded.meta == {"task": "embed"}
+    # no width, no line
+    save_checkpoint(path, Checkpoint(backend=ConvNetBackend(seed=3)))
+    assert b"input_width" not in path.read_bytes()
+    assert load_checkpoint(path).backend.input_width is None
+    # the width has one source, so the meta may not hold a second
+    with pytest.raises(ValidationError, match="input_width"):
+        save_checkpoint(tmp_path / "two.tacm",
+                        Checkpoint(backend=backend, meta={"input_width": "24"}))
+    assert not (tmp_path / "two.tacm").exists()
 
 
 def test_float32_checkpoint_keeps_predictions(tmp_path, pretrained_backend):
@@ -428,10 +450,12 @@ def _set_payload(raw, index, value):
     (lambda raw: _edit_header(raw, b"widths=16,32,64,128", b"widths=16,32,64"), "describes"),
     (lambda raw: _set_payload(raw, 0, np.nan), "must be finite"),
     (lambda raw: _set_payload(raw, -1, -np.inf), "must be finite"),
+    (lambda raw: _edit_header(raw, b"meta classes a;b", b"meta classes a;b\nmeta input_width 0"),
+     "input_width must be a positive integer"),
 ], ids=["truncated-payload", "trailing-bytes", "truncated-header", "header-len-only",
         "bad-header-bytes", "oversized-header-len", "bad-head-line", "bad-meta-line",
         "zero-kernel", "zero-in", "zero-stride", "negative-width", "huge-width",
-        "missing-block", "nan-backend-weight", "inf-head-bias"])
+        "missing-block", "nan-backend-weight", "inf-head-bias", "zero-input-width"])
 def test_malformed_checkpoint_is_validation_error(tmp_path, random_backend, corrupt, message):
     path = _saved_checkpoint(tmp_path, random_backend)
     path.write_bytes(corrupt(path.read_bytes()))
@@ -461,13 +485,14 @@ def test_augmented_epoch_augments_each_minibatch_as_one_array(tiny_dataset, monk
     calls, built = [], []
     augment = train.random_augment
     monkeypatch.setattr(train, "random_augment",
-                        lambda batch, cfg, rng: calls.append(len(batch)) or augment(batch, cfg, rng))
+                        lambda batch, cfg, rng, width: calls.append(len(batch))
+                        or augment(batch, cfg, rng, width))
     post_init = TactileImage.__post_init__
     monkeypatch.setattr(TactileImage, "__post_init__",
                         lambda self: built.append(self) or post_init(self))
     aug = AugmentConfig(flip_prob=0.5, resize_factor_range=(0.8, 1.25), crop_len_range=(16, 32),
-                        jitter_level=0.1, seed=3, output_width=32)
-    backend = ConvNetBackend(seed=0)
+                        jitter_level=0.1, seed=3)
+    backend = ConvNetBackend(seed=0, input_width=32)
     head = LinearHead.zeros(backend.embed_dim, len(set(labels)))
     cfg = TrainConfig(epochs=1, batch_size=5, lr_schedule="constant")
     train._train_loop(images, targets, cfg, aug, backend, head, layers.softmax_cross_entropy)
