@@ -96,17 +96,28 @@ def _resample_axis(data: np.ndarray, new_len: int) -> np.ndarray:
     left = np.minimum(pos.astype(np.int64), old_len - 1)
     right = np.minimum(left + 1, old_len - 1)
     frac = pos - left
-    return data[..., left] * (1.0 - frac) + data[..., right] * frac
+    # a[..., l] * (1 - f) + a[..., r] * f in place, with two temporaries
+    out = data[..., left]
+    out *= 1.0 - frac
+    far = data[..., right]
+    far *= frac
+    out += far
+    return out
+
+
+def temporal_width(width: int, factor: float) -> int:
+    """The width `resize_temporal` gives an image `width` readings wide."""
+    if factor <= 0:
+        raise ValidationError(f"resize factor must be positive, got {factor}")
+    new_w = int(np.floor(width * factor + 0.5))
+    if new_w < 1:
+        raise ValidationError(f"resize factor {factor} collapses width {width} to zero")
+    return new_w
 
 
 def resize_temporal(image: TactileImage, factor: float) -> TactileImage:
     """Rescale the temporal axis by `factor` with linear interpolation."""
-    if factor <= 0:
-        raise ValidationError(f"resize factor must be positive, got {factor}")
-    new_w = int(np.floor(image.width * factor + 0.5))
-    if new_w < 1:
-        raise ValidationError(f"resize factor {factor} collapses width {image.width} to zero")
-    return resize_to_width(image, new_w)
+    return resize_to_width(image, temporal_width(image.width, factor))
 
 
 def resize_to_width(image: TactileImage, width: int) -> TactileImage:

@@ -44,7 +44,7 @@ from .model import (Checkpoint, Classifier, ConvNetBackend, TrainConfig, history
                     load_checkpoint, save_checkpoint, train_composition, train_supervised)
 from .prng import Prng
 from .sensor_io import (Manifest, ManifestEntry, SyntheticTextureConfig,
-                        generate_dataset, load_manifest, load_manifest_streams,
+                        generate_classes, load_manifest, load_manifest_streams,
                         write_manifest, write_stream)
 from .tactile_image import TactileImage, compute_bounds, image_plane, normalize
 
@@ -153,16 +153,92 @@ def _constituent_map(config):
     return mapping
 
 
-def _synthetic_streams(config, splits):
-    """Generate `splits` only; the test split starts at index train_per_class."""
+def _synthetic_classes(config):
+    """Per split, its sample count and a generator of its classes' relabelled
+    streams, one class at a time; the test split starts at index train_per_class."""
     synth = _synthetic_config(config)
     train_n = config.get_int("dataset", "train_per_class", 40)
     test_n = config.get_int("dataset", "test_per_class", 10)
     cons_map = _constituent_map(config)
-    counts = {"train": (train_n, 0), "test": (test_n, train_n)}
-    return {split: [s.with_label(str(s.label), cons_map.get(str(s.label)))
-                    for s in generate_dataset(synth, *counts[split])]
-            for split in ("train", "test") if split in splits}
+
+    def classes(n, start):
+        for group in generate_classes(synth, n, start):
+            yield [s.with_label(str(s.label), cons_map.get(str(s.label))) for s in group]
+
+    return {"train": (max(0, train_n) * synth.num_classes, classes(train_n, 0)),
+            "test": (max(0, test_n) * synth.num_classes, classes(test_n, train_n))}
+
+
+def _window(config):
+    return (config.get_int("transform", "window_start", None),
+            config.get_int("transform", "window_end", None),
+            config.get_int("transform", "frame_index", 0))
+
+
+def _synthetic_splits(config, splits):
+    """`_load_bundle`'s raw splits, bounds and image shape in synthetic mode.
+
+    Each class is copied straight into its split's preallocated stack, so a
+    split's streams never sit beside its stack; the train split is generated
+    for its bounds alone when it is not asked for. Synthetic readings are
+    never constant (at least 16 readings of sines of amplitude >= 0.5), so
+    the bounds are never degenerate.
+    """
+    classes = _synthetic_classes(config)
+    if not classes["train"][0]:
+        raise ValidationError("dataset has no training samples")
+    window = _window(config)
+    lo, hi, shape, raw = np.inf, -np.inf, None, {}
+    for split in dict.fromkeys(("train", *splits)):
+        size, groups = classes[split]
+        stack, labels, cons, spec = None, [], [], None
+        for group in groups:
+            if split == "train":
+                lo = min(lo, *(float(s.readings.min()) for s in group))
+                hi = max(hi, *(float(s.readings.max()) for s in group))
+            planes = [image_plane(s, *window) for s in group]
+            shape = shape or planes[0].shape
+            if split in splits:
+                if stack is None:
+                    stack, spec = np.empty((size, *shape)), group[0].spec
+                stack[len(labels) : len(labels) + len(group)] = planes
+                labels += [s.label for s in group]
+                cons += [s.constituents for s in group]
+        if stack is not None:
+            raw[split] = stack, labels, cons, spec
+    return raw, (lo, hi), shape
+
+
+def _manifest_splits(config, man_path, manifest, splits):
+    """`_load_bundle`'s raw splits, bounds and image shape in manifest mode,
+    each stream parsed once."""
+    bounds = manifest.norm_bounds
+    read = tuple(dict.fromkeys(("train", *splits))) if bounds is None else splits
+    # parse the streams of `read` once each, in manifest order
+    wanted = replace(manifest, entries=[e for e in manifest.entries if e.split in read])
+    streams = {split: [] for split in read}
+    for entry, stream in zip(wanted.entries, load_manifest_streams(man_path, wanted)[1]):
+        streams[entry.split].append(stream)
+    if not manifest.split("train"):
+        raise ValidationError("dataset has no training samples")
+
+    bounds = bounds or compute_bounds(streams["train"])
+    window = _window(config)
+    planes = {split: [image_plane(s, *window) for s in streams[split]] for split in read}
+    shape = next((p.shape for split in read for p in planes[split]), (None, None))
+    odd = next(((split, i, p.shape) for split in read for i, p in enumerate(planes[split])
+                if p.shape != shape), None)
+    if odd is not None:
+        split, i, (h, w) = odd
+        raise ValidationError(
+            f"{manifest.split(split)[i].path}: image is {h}x{w}, the dataset's first is "
+            f"{shape[0]}x{shape[1]}; every image must have one shape (set [transform] "
+            f"window_start and window_end to cut every stream to one window)")
+    # np.array, unlike np.stack, lays the transposed views out row-major
+    raw = {split: (np.array(planes[split]), [str(s.label) for s in streams[split]],
+                   [s.constituents for s in streams[split]], streams[split][0].spec)
+           for split in splits if streams[split]}
+    return raw, bounds, shape
 
 
 def _load_bundle(config, splits=("train", "test")) -> _Bundle:
@@ -174,61 +250,31 @@ def _load_bundle(config, splits=("train", "test")) -> _Bundle:
     mode = config.get_str("dataset", "mode")
     input_width = config.get_int("transform", "input_width", None, minimum=1)
     if mode == "synthetic":
-        manifest = bounds = None
+        manifest = None
+        raw, bounds, shape = _synthetic_splits(config, splits)
     elif mode == "manifest":
         man_path = config.get_str("dataset", "manifest")
         manifest = load_manifest(man_path)
-        bounds = manifest.norm_bounds
+        raw, bounds, shape = _manifest_splits(config, man_path, manifest, splits)
     else:
         raise ValidationError(f"[dataset] mode must be synthetic or manifest, got {mode!r}")
-    read = tuple(dict.fromkeys(("train", *splits))) if bounds is None else splits
-    if manifest is None:
-        streams = _synthetic_streams(config, read)
-        has_train = bool(streams["train"])
-    else:
-        # parse the streams of `read` once each, in manifest order
-        wanted = replace(manifest, entries=[e for e in manifest.entries if e.split in read])
-        streams = {split: [] for split in read}
-        for entry, stream in zip(wanted.entries, load_manifest_streams(man_path, wanted)[1]):
-            streams[entry.split].append(stream)
-        has_train = bool(manifest.split("train"))
-    if not has_train:
-        raise ValidationError("dataset has no training samples")
-
-    bounds = bounds or compute_bounds(streams["train"])
-    window = (config.get_int("transform", "window_start", None),
-              config.get_int("transform", "window_end", None),
-              config.get_int("transform", "frame_index", 0))
-    planes = {split: [image_plane(s, *window) for s in streams[split]] for split in read}
-    shape = next((p.shape for split in read for p in planes[split]), (None, None))
-    odd = next(((split, i, p.shape) for split in read for i, p in enumerate(planes[split])
-                if p.shape != shape), None)
-    if odd is not None:
-        split, i, (h, w) = odd
-        where = manifest.split(split)[i].path if manifest else f"{split} stream {i}"
-        raise ValidationError(
-            f"{where}: image is {h}x{w}, the dataset's first is {shape[0]}x{shape[1]}; every "
-            f"image must have one shape (set [transform] window_start and window_end to cut "
-            f"every stream to one window)")
 
     def stack(split):
-        group = streams[split] if split in splits else []
-        if not group:
+        if split not in raw:
             return None, [], []
-        # np.array, unlike np.stack, lays the transposed views out row-major
-        images = normalize(np.array(planes[split]), *bounds, source=group[0].spec)
-        return images, [str(s.label) for s in group], [s.constituents for s in group]
+        planes, labels, cons, spec = raw.pop(split)
+        return normalize(planes, *bounds, source=spec), labels, cons
 
     train, test = stack("train"), stack("test")
-    # The streams go back to the OS; then freeing one 10 MB block raises glibc's
+    # The streams are gone; then freeing one 10 MB block raises glibc's
     # adaptive mmap threshold to 10 MB, so malloc keeps up to 20 MB of freed heap.
-    # Training allocates fresh backward caches for every minibatch, and block 0's
-    # columns alone (0.66 MB at batch 16, 12x64) exceed the 128 KB default
-    # threshold, so without the block they would fault in afresh for every batch.
-    # Minor faults with and without it: train on experiments/synthetic.cfg 11k
-    # and 103k, cl --sweep on 10 classes x 600 images 41k and 162k. Other
-    # allocators just make it.
-    del streams, planes
+    # Training's backward caches are allocated afresh for every minibatch and
+    # freed block by block during backward, and block 0's columns alone
+    # (0.66 MB at batch 16, 12x64) exceed the 128 KB default threshold, so
+    # without the block they would fault in afresh for every batch. Minor
+    # faults with and without it: train on experiments/synthetic.cfg 9k and
+    # 1.7M, train on 200 19x400 streams 14k and 424k, cl --sweep on 10 classes
+    # x 600 images 39k and 127k. Other allocators just make it.
     np.empty(10 << 20, dtype=np.uint8)
     return _Bundle(*train, *test, input_width or shape[1], bounds, manifest)
 
@@ -303,7 +349,8 @@ def cmd_ingest(args) -> int:
     mode = config.get_str("dataset", "mode")
 
     if mode == "synthetic":
-        streams = _synthetic_streams(config, ("train", "test"))
+        streams = {split: [s for group in groups for s in group]
+                   for split, (_, groups) in _synthetic_classes(config).items()}
         train_streams = streams["train"]
         bounds = compute_bounds(train_streams)
         out = _prepare_out(args, config, run_seed)

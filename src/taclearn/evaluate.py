@@ -1,8 +1,8 @@
 """Evaluation harness: cross-validation, robustness sweeps and scoring.
 
-Sweeps perturb only the test stack, once per level as a whole (center
-crops, temporal resampling, seeded jitter), and re-measure accuracy; at the
-neutral point of every sweep
+Sweeps perturb only the test stack, once per level (center crops and
+seeded jitter as a whole, temporal resampling one embedding chunk at a
+time), and re-measure accuracy; at the neutral point of every sweep
 (full length, factor 1, level 0) the perturbation is the identity, so the
 measured value equals the plain test accuracy exactly. No smoothing is
 applied to curves.
@@ -18,10 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fabric
-from .augment import crop_temporal, jitter, resize_temporal
+from .augment import _resample_axis, crop_temporal, jitter, temporal_width
 from .continual import batch_ridge_head
 from .errors import ValidationError
-from .model import Classifier, ConvNetBackend, LinearHead, composition_probs, embed_images
+from .model import (Classifier, ConvNetBackend, LinearHead, composition_probs, embed_chunk,
+                    embed_images)
 from .prng import Prng
 
 
@@ -165,14 +166,23 @@ def speed_sweep(classifier: Classifier, images, labels, factors) -> list[tuple[f
     """Accuracy under simulated motion-speed changes.
 
     Speed factor f sub-samples the temporal axis by 1/f (faster motion means
-    fewer readings over the same surface).
+    fewer readings over the same surface). The stack is resized one
+    `embed_chunk` at a time, each just before `embed_images` takes it, so no
+    whole resized stack exists and every embedding keeps the chunk, and so
+    the bytes, that embedding the whole resized stack would give it. The
+    chunks share one workspace.
     """
-    curve = []
+    backend, curve, workspace = classifier.backend, [], {}
     for factor in factors:
         if factor <= 0:
             raise ValidationError(f"speed factor must be positive, got {factor}")
-        resized = resize_temporal(images, 1.0 / factor)
-        curve.append((float(factor), classifier.accuracy(resized, labels)))
+        width = temporal_width(images.width, 1.0 / factor)
+        step = embed_chunk(backend, images.data.shape[-2], width)
+        embeddings = np.concatenate([
+            embed_images(backend, images.with_data(_resample_axis(images.data[s : s + step], width)),
+                         workspace)
+            for s in range(0, len(images), step)])
+        curve.append((float(factor), classifier.accuracy(images, labels, embeddings)))
     return curve
 
 

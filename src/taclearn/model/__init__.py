@@ -11,6 +11,7 @@ from .train import (
     EpochStats,
     TrainConfig,
     composition_probs,
+    embed_chunk,
     embed_images,
     history_to_csv,
     prepare_batch,

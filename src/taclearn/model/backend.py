@@ -98,6 +98,18 @@ class ConvNetBackend:
             c_in = c_out
 
     @property
+    def input_width(self) -> int | None:
+        return self._input_width
+
+    @input_width.setter
+    def input_width(self, width) -> None:
+        # load_checkpoint refuses any other stored width
+        if width is not None and (isinstance(width, bool) or not isinstance(width, (int, np.integer))
+                                  or width < 1):
+            raise ValidationError(f"input_width must be an integer >= 1 or None, got {width!r}")
+        self._input_width = None if width is None else int(width)
+
+    @property
     def embed_dim(self) -> int:
         return self.widths[-1]
 
@@ -163,22 +175,23 @@ class ConvNetBackend:
         for w, b in zip(self.weights, self.biases):
             h, conv_cache = layers.conv_forward(h, w, b, self.stride, pad=self.kernel // 2,
                                                 workspace=workspace)
+            # ReLU in place on the fresh GEMM output; its output is positive
+            # exactly where its input is, so it is also backward's mask
+            np.maximum(h, 0.0, out=h)
             if workspace is None:
-                h, relu_cache = layers.relu_forward(h)
-                caches.append((conv_cache, relu_cache))
-            else:
-                np.maximum(h, 0.0, out=h)
+                caches.append((conv_cache, h))
         emb, gap_shape = layers.gap_forward(h)
         return emb, None if workspace is not None else (caches, gap_shape)
 
     def backward(self, demb: np.ndarray, cache):
-        """Gradients for every parameter, aligned with params()."""
+        """Gradients for every parameter, aligned with params(). Consumes
+        `cache`: each block's columns and mask are dropped once used."""
         caches, gap_shape = cache
         dh = layers.gap_backward(demb, gap_shape)
         grads: list[np.ndarray] = []
         for i in reversed(range(len(caches))):
-            conv_cache, relu_cache = caches[i]
-            dh = layers.relu_backward(dh, relu_cache)
+            conv_cache, mask = caches.pop()
+            dh = layers.relu_backward(dh, mask)
             # nothing upstream of block 0 takes a gradient
             dh, dw, db = layers.conv_backward(dh, conv_cache, input_grad=i > 0)
             grads.append(db)

@@ -98,11 +98,8 @@ def conv_backward(dout, cache, input_grad=True):
     return dx, dw, db
 
 
-def relu_forward(x):
-    return np.maximum(x, 0.0), x
-
-
 def relu_backward(dout, x):
+    """`x` is the ReLU's input or its output: both are positive at the same entries."""
     return dout * (x > 0)
 
 

@@ -101,18 +101,25 @@ def prepare_batch(images, input_width: int | None = None) -> np.ndarray:
     return planes if input_width is None else _resample_axis(planes, input_width)
 
 
-def embed_images(backend: ConvNetBackend, images) -> np.ndarray:
-    """Embeddings of a normalized stack, resized to the backend's input width
-    chunk by chunk, just before each chunk's forward-only pass.
-    Chunks share one workspace (see `layers`) and hold at most 64 planes, the
-    size measured best at 12x64, and 2**17 input pixels, which keeps block 1's
+def embed_chunk(backend: ConvNetBackend, height: int, width: int) -> int:
+    """How many (height, width) planes `embed_images` passes through the
+    backend at once: at most 64, the size measured best at 12x64, and 2**17
+    pixels at the backend's input width (else `width`), which keeps block 1's
     columns (about 72 bytes per input pixel) near 10 MB at wide sensor shapes."""
+    width = width if backend.input_width is None else backend.input_width
+    return max(1, min(64, 2**17 // (height * width)))
+
+
+def embed_images(backend: ConvNetBackend, images, workspace: dict | None = None) -> np.ndarray:
+    """Embeddings of a normalized stack, resized to the backend's input width
+    chunk by chunk (`embed_chunk` planes), just before each chunk's
+    forward-only pass. Chunks share one workspace (see `layers`); pass the
+    same dict to successive calls to share it across them too."""
     planes = prepare_for_model(images)
     width = planes.shape[-1] if backend.input_width is None else backend.input_width
-    pixels = planes.shape[1] * max(width, 1)  # _resample_axis rejects a width below 1
-    chunk = max(1, min(64, 2**17 // pixels))
+    chunk = embed_chunk(backend, *planes.shape[1:])
     out = np.empty((len(planes), backend.embed_dim))
-    workspace = {}
+    workspace = {} if workspace is None else workspace
     for start in range(0, len(planes), chunk):
         x = _resample_axis(planes[start : start + chunk], width)
         out[start : start + chunk] = backend.embed_batch(x, workspace)
@@ -178,6 +185,8 @@ def _train_loop(images, targets, cfg, aug_cfg, backend, head, loss, val_eval=Non
     n = len(images)
     # the normalization check; random_augment resizes augmented minibatches
     planes = prepare_batch(images, backend.input_width if aug_cfg is None else None)
+    # a frozen backend takes no gradient, so it runs the forward-only pass
+    workspace = {} if cfg.freeze_backend else None
     shuffle_root = Prng(cfg.seed).spawn(1)
     for epoch in range(cfg.epochs):
         if cfg.lr_schedule == "cosine":
@@ -191,7 +200,7 @@ def _train_loop(images, targets, cfg, aug_cfg, backend, head, loss, val_eval=Non
                 x = planes[idx]
             else:
                 x = random_augment(images[idx], aug_cfg, aug_rng, backend.input_width)
-            emb, cache = backend.forward(x)
+            emb, cache = backend.forward(x, workspace)
             value, dlogits = loss(layers.linear_forward(emb, head.weights, head.bias),
                                   targets[idx])
             if not np.isfinite(value):

@@ -205,8 +205,17 @@ def generate_dataset(
     Stream ``c * samples_per_class + i`` equals
     ``generate_synthetic(config, c, start_index + i)``.
     """
+    return [s for group in generate_classes(config, samples_per_class, start_index)
+            for s in group]
+
+
+def generate_classes(config: SyntheticTextureConfig, samples_per_class: int,
+                     start_index: int = 0):
+    """`generate_dataset`'s streams one class at a time: yields each class's
+    list, in class order, generated only when it is asked for."""
     indices = range(start_index, start_index + samples_per_class)
-    return [s for c in range(config.num_classes) for s in _generate_class(config, c, indices)]
+    for c in range(config.num_classes):
+        yield _generate_class(config, c, indices)
 
 
 def _generate_class(config: SyntheticTextureConfig, class_id: int, indices) -> list[SensorStream]:

@@ -66,6 +66,24 @@ def test_resize_errors():
         resize_temporal(img, 0.05)
 
 
+@pytest.mark.parametrize("old_len, new_len", [(1, 5), (7, 1), (1, 1), (9, 9), (64, 48),
+                                              (48, 64), (400, 800), (599, 400)])
+def test_resample_axis_matches_the_one_expression_form(old_len, new_len):
+    # the in-place form must give the bytes of a[..., l] * (1 - f) + a[..., r] * f,
+    # on a stack and on a transposed view alike
+    data = Prng(old_len * 1000 + new_len).uniform(-1, 1, size=(3, 5, old_len))
+    for a in (data, data.swapaxes(0, 1)):
+        pos = (np.array([(old_len - 1) / 2.0]) if new_len == 1
+               else np.arange(new_len) * ((old_len - 1) / (new_len - 1)))
+        left = np.minimum(pos.astype(np.int64), old_len - 1)
+        right = np.minimum(left + 1, old_len - 1)
+        frac = pos - left
+        expected = a[..., left] * (1.0 - frac) + a[..., right] * frac
+        out = _resample_axis(a, new_len)
+        assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
+        assert (out is a) == (new_len == old_len)
+
+
 def test_crop_identity_and_short_sample_window():
     img = _image()
     assert np.array_equal(crop_temporal(img, 0, 400).data, img.data)

@@ -6,6 +6,7 @@ import pytest
 from taclearn.augment import crop_temporal, jitter, resize_temporal
 from taclearn.continual import batch_ridge_head
 from taclearn.errors import ValidationError
+from taclearn import evaluate
 from taclearn.evaluate import (
     EvalReport,
     composition_eval,
@@ -20,7 +21,7 @@ from taclearn.evaluate import (
     stratified_folds,
 )
 from taclearn.fabric import CONSTITUENTS, UnknownConstituentError
-from taclearn.model import LinearHead, embed_images
+from taclearn.model import Classifier, LinearHead, embed_images
 from taclearn.prng import Prng
 from taclearn.tactile_image import TactileImage
 
@@ -187,32 +188,81 @@ def _noise_sweep_one(classifier, images, labels, levels, seed=0):
 
 
 class _Recorder:
-    """Scores with `classifier`, keeping the planes of every perturbed set."""
+    """Scores with `classifier`, keeping the planes of every perturbed set: the
+    set it scores or, when handed embeddings (the speed sweep embeds the
+    resized stack chunk by chunk, through `record_chunk`), the chunks joined."""
 
     def __init__(self, classifier):
-        self.classifier, self.planes = classifier, []
+        self.classifier, self.backend = classifier, classifier.backend
+        self.planes, self.chunks = [], []
 
-    def accuracy(self, images, labels):
+    def record_chunk(self, backend, images, workspace=None):
+        self.chunks.append(images.data)
+        return embed_images(backend, images, workspace)
+
+    def accuracy(self, images, labels, embeddings=None):
         if not isinstance(images, TactileImage):  # the oracle's list of images
             images = TactileImage(data=np.stack([img.data for img in images]), normalized=True)
-        self.planes.append(images.data)
-        return self.classifier.accuracy(images, labels)
+        if embeddings is None:
+            self.planes.append(images.data)
+        else:
+            self.planes.append(np.concatenate(self.chunks))
+            self.chunks = []
+        return self.classifier.accuracy(images, labels, embeddings)
 
 
-@pytest.mark.parametrize("sweep, oracle, levels, kwargs", [
-    (length_sweep, _length_sweep_one, [8, 17, 48], {}),
-    (speed_sweep, _speed_sweep_one, [0.5, 1.0, 1.7, 3.0], {}),
-    (noise_sweep, _noise_sweep_one, [0.0, 0.1, 0.5], {"seed": 5}),
+@pytest.mark.parametrize("sweep, oracle, levels, kwargs, input_width", [
+    (length_sweep, _length_sweep_one, [8, 17, 48], {}, 48),
+    # at width 1000 a chunk holds 13 of the 15 planes: every level embeds two
+    (speed_sweep, _speed_sweep_one, [0.5, 1.0, 1.7, 3.0], {}, 1000),
+    (noise_sweep, _noise_sweep_one, [0.0, 0.1, 0.5], {"seed": 5}, 48),
 ], ids=["length", "speed", "noise"])
-def test_stacked_sweeps_match_per_image_oracle(fitted, sweep, oracle, levels, kwargs):
+def test_stacked_sweeps_match_per_image_oracle(monkeypatch, fitted, sweep, oracle, levels,
+                                               kwargs, input_width):
     clf, _, _, test_images, test_labels = fitted
+    backend = clf.backend.clone()
+    backend.input_width = input_width
+    clf = Classifier(backend, clf.head, clf.classes)
     stacked, per_image = _Recorder(clf), _Recorder(clf)
+    monkeypatch.setattr(evaluate, "embed_images", stacked.record_chunk)
     planes = [test_images[i] for i in range(len(test_images))]
     curve = sweep(stacked, test_images, test_labels, levels, **kwargs)
+    monkeypatch.undo()
     assert curve == oracle(per_image, planes, test_labels, levels, **kwargs)
     assert len(stacked.planes) == len(per_image.planes) == len(levels)
     for a, b in zip(stacked.planes, per_image.planes):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_speed_sweep_embeds_the_chunks_of_the_whole_resized_stack(monkeypatch, fitted):
+    # each chunk is one embed_images call, cut where embed_images would cut the
+    # whole resized stack, so every embedding keeps its bytes; the calls share
+    # one workspace
+    clf, _, _, test_images, test_labels = fitted
+    backend = clf.backend.clone()
+    backend.input_width = 1000
+    clf = Classifier(backend, clf.head, clf.classes)
+    calls, workspaces, embeddings = [], [], []
+    real_accuracy = Classifier.accuracy
+
+    def record_chunk(backend_, images, workspace):
+        calls.append(len(images))
+        workspaces.append(workspace)
+        return embed_images(backend_, images, workspace)
+
+    def record_embeddings(self, images, labels, emb=None):
+        embeddings.append(emb)
+        return real_accuracy(self, images, labels, emb)
+
+    monkeypatch.setattr(evaluate, "embed_images", record_chunk)
+    monkeypatch.setattr(Classifier, "accuracy", record_embeddings)
+    speed_sweep(clf, test_images, test_labels, [0.5, 2.0])
+    monkeypatch.undo()
+    assert calls == [13, 2, 13, 2]
+    assert all(w is workspaces[0] for w in workspaces)
+    for factor, emb in zip([0.5, 2.0], embeddings):
+        whole = embed_images(backend, resize_temporal(test_images, 1.0 / factor))
+        assert emb.tobytes() == whole.tobytes()
 
 
 def test_baseline_matches_normal_equations_oracle(fitted):

@@ -161,11 +161,18 @@ def test_embed_images_chunks_by_input_pixels(monkeypatch, shape, input_width, ch
     assert {w for _, _, w in seen} == {input_width or shape[2]}
 
 
-@pytest.mark.parametrize("input_width", [0, -3])
-def test_embed_images_rejects_an_input_width_below_one(input_width):
-    stack = TactileImage(np.zeros((2, 12, 16)), normalized=True)
-    with pytest.raises(ValidationError, match="target width must be >= 1"):
-        embed_images(ConvNetBackend(seed=1, input_width=input_width), stack)
+@pytest.mark.parametrize("input_width", [0, -3, 2.5, True, "64", np.float64(64)],
+                         ids=["0", "-3", "2.5", "True", "str", "float64"])
+def test_backend_refuses_a_bad_input_width(tmp_path, input_width):
+    # save_checkpoint would write a width load_checkpoint refuses
+    with pytest.raises(ValidationError, match="input_width must be an integer >= 1"):
+        ConvNetBackend(widths=(4,), seed=1, input_width=input_width)
+    backend = ConvNetBackend(widths=(4,), seed=1, input_width=np.int64(16))
+    with pytest.raises(ValidationError, match="input_width must be an integer >= 1"):
+        backend.input_width = input_width
+    assert backend.input_width == 16 and type(backend.input_width) is int
+    save_checkpoint(tmp_path / "w.tacm", Checkpoint(backend=backend))
+    assert load_checkpoint(tmp_path / "w.tacm").backend.input_width == 16
 
 
 def test_model_accepts_jitter_beyond_unit_range():
@@ -267,6 +274,59 @@ def test_freeze_backend_flag(tiny_dataset):
     assert backend_out is backend
     assert np.array_equal(backend.get_flat(), flat_before)
     assert not np.array_equal(head.weights, np.zeros_like(head.weights))
+
+
+def test_frozen_backend_trains_on_forward_only_passes(tiny_dataset, monkeypatch):
+    # no backward reads a frozen backend's cache, so training runs the
+    # workspace pass; the head's bytes are those the cached pass gives
+    forward, workspaces = ConvNetBackend.forward, []
+
+    def spy(self, x, workspace=None):
+        workspaces.append(workspace)
+        return forward(self, x, workspace)
+
+    cfg = TrainConfig(epochs=3, lr=0.05, batch_size=8, lr_schedule="cosine",
+                      seed=7, freeze_backend=True)
+    monkeypatch.setattr(ConvNetBackend, "forward", spy)
+    _, head, history = train_supervised(*tiny_dataset, cfg, backend=ConvNetBackend(seed=7))
+    assert len(workspaces) == 9 and all(w is workspaces[0] is not None for w in workspaces)
+    monkeypatch.setattr(ConvNetBackend, "forward", lambda self, x, workspace=None: forward(self, x))
+    _, cached_head, cached_history = train_supervised(*tiny_dataset, cfg,
+                                                      backend=ConvNetBackend(seed=7))
+    assert head.weights.tobytes() == cached_head.weights.tobytes()
+    assert head.bias.tobytes() == cached_head.bias.tobytes()
+    assert history == cached_history
+
+
+def test_train_step_memory_stays_within_its_live_set():
+    # One forward + backward at 8x19x400 keeps at most every block's cache (its
+    # columns, and its ReLU output, which is the backward mask) plus one
+    # block's backward buffers (column gradient and padded input gradient):
+    # ReLU runs in place and backward drops each block's cache once used.
+    # A backward that held every cache until it returned peaked 25.9 MB.
+    import tracemalloc
+
+    backend = ConvNetBackend(seed=1)
+    x = Prng(2).uniform(-1, 1, size=(8, 19, 400))
+    demb = Prng(3).uniform(-1, 1, size=(8, backend.embed_dim))
+    n, c_in, h, w = 8, backend.in_channels, 19, 400
+    caches, buffers = 0, 0
+    for c_out in backend.widths:
+        out_h, out_w = (h - 1) // 2 + 1, (w - 1) // 2 + 1
+        cols = c_in * 9 * n * out_h * out_w * 8
+        caches += cols + c_out * n * out_h * out_w * 8
+        buffers = max(buffers, cols + c_in * n * (h + 2) * (w + 2) * 8)
+        c_in, h, w = c_out, out_h, out_w
+    backend.backward(demb, backend.forward(x)[1])  # first-call allocations
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        backend.backward(demb, backend.forward(x)[1])
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert caches + buffers == 23_858_176  # 16.8 MB of caches, 7.1 MB at block 1
+    assert peak <= caches + buffers
 
 
 def test_plateau_schedule_halves_lr(tiny_dataset):
