@@ -169,76 +169,38 @@ def _synthetic_classes(config):
             "test": (max(0, test_n) * synth.num_classes, classes(test_n, train_n))}
 
 
-def _window(config):
-    return (config.get_int("transform", "window_start", None),
-            config.get_int("transform", "window_end", None),
-            config.get_int("transform", "frame_index", 0))
-
-
-def _synthetic_splits(config, splits):
+def _synthetic_splits(config, splits, window):
     """`_load_bundle`'s raw splits, bounds and image shape in synthetic mode.
 
     Each class is copied straight into its split's preallocated stack, so a
     split's streams never sit beside its stack; the train split is generated
-    for its bounds alone when it is not asked for. Synthetic readings are
-    never constant (at least 16 readings of sines of amplitude >= 0.5), so
-    the bounds are never degenerate.
+    for its bounds alone when it is not asked for. A split without samples
+    yields no stack. Every synthetic stream has one length, so every image
+    has one shape.
     """
     classes = _synthetic_classes(config)
     if not classes["train"][0]:
         raise ValidationError("dataset has no training samples")
-    window = _window(config)
     lo, hi, shape, raw = np.inf, -np.inf, None, {}
     for split in dict.fromkeys(("train", *splits)):
         size, groups = classes[split]
-        stack, labels, cons, spec = None, [], [], None
+        if not size:
+            continue
+        stack, labels, cons = None, [], []
         for group in groups:
             if split == "train":
-                lo = min(lo, *(float(s.readings.min()) for s in group))
-                hi = max(hi, *(float(s.readings.max()) for s in group))
+                glo, ghi = compute_bounds(group)
+                lo, hi = min(lo, glo), max(hi, ghi)
             planes = [image_plane(s, *window) for s in group]
             shape = shape or planes[0].shape
             if split in splits:
                 if stack is None:
-                    stack, spec = np.empty((size, *shape)), group[0].spec
+                    stack = np.empty((size, *shape))
+                    raw[split] = stack, labels, cons, group[0].spec
                 stack[len(labels) : len(labels) + len(group)] = planes
                 labels += [s.label for s in group]
                 cons += [s.constituents for s in group]
-        if stack is not None:
-            raw[split] = stack, labels, cons, spec
     return raw, (lo, hi), shape
-
-
-def _manifest_splits(config, man_path, manifest, splits):
-    """`_load_bundle`'s raw splits, bounds and image shape in manifest mode,
-    each stream parsed once."""
-    bounds = manifest.norm_bounds
-    read = tuple(dict.fromkeys(("train", *splits))) if bounds is None else splits
-    # parse the streams of `read` once each, in manifest order
-    wanted = replace(manifest, entries=[e for e in manifest.entries if e.split in read])
-    streams = {split: [] for split in read}
-    for entry, stream in zip(wanted.entries, load_manifest_streams(man_path, wanted)[1]):
-        streams[entry.split].append(stream)
-    if not manifest.split("train"):
-        raise ValidationError("dataset has no training samples")
-
-    bounds = bounds or compute_bounds(streams["train"])
-    window = _window(config)
-    planes = {split: [image_plane(s, *window) for s in streams[split]] for split in read}
-    shape = next((p.shape for split in read for p in planes[split]), (None, None))
-    odd = next(((split, i, p.shape) for split in read for i, p in enumerate(planes[split])
-                if p.shape != shape), None)
-    if odd is not None:
-        split, i, (h, w) = odd
-        raise ValidationError(
-            f"{manifest.split(split)[i].path}: image is {h}x{w}, the dataset's first is "
-            f"{shape[0]}x{shape[1]}; every image must have one shape (set [transform] "
-            f"window_start and window_end to cut every stream to one window)")
-    # np.array, unlike np.stack, lays the transposed views out row-major
-    raw = {split: (np.array(planes[split]), [str(s.label) for s in streams[split]],
-                   [s.constituents for s in streams[split]], streams[split][0].spec)
-           for split in splits if streams[split]}
-    return raw, bounds, shape
 
 
 def _load_bundle(config, splits=("train", "test")) -> _Bundle:
@@ -249,13 +211,41 @@ def _load_bundle(config, splits=("train", "test")) -> _Bundle:
     input_width`` sets it."""
     mode = config.get_str("dataset", "mode")
     input_width = config.get_int("transform", "input_width", None, minimum=1)
+    window = (config.get_int("transform", "window_start", None),
+              config.get_int("transform", "window_end", None),
+              config.get_int("transform", "frame_index", 0))
     if mode == "synthetic":
         manifest = None
-        raw, bounds, shape = _synthetic_splits(config, splits)
+        raw, bounds, shape = _synthetic_splits(config, splits, window)
     elif mode == "manifest":
         man_path = config.get_str("dataset", "manifest")
         manifest = load_manifest(man_path)
-        raw, bounds, shape = _manifest_splits(config, man_path, manifest, splits)
+        bounds = manifest.norm_bounds
+        read = tuple(dict.fromkeys(("train", *splits))) if bounds is None else splits
+        # parse the streams of `read` once each, in manifest order
+        wanted = replace(manifest, entries=[e for e in manifest.entries if e.split in read])
+        streams = {split: [] for split in read}
+        for entry, stream in zip(wanted.entries, load_manifest_streams(man_path, wanted)[1]):
+            streams[entry.split].append(stream)
+        if not manifest.split("train"):
+            raise ValidationError("dataset has no training samples")
+
+        bounds = bounds or compute_bounds(streams["train"])
+        planes = {split: [image_plane(s, *window) for s in streams[split]] for split in read}
+        shape = next((p.shape for split in read for p in planes[split]), (None, None))
+        odd = next(((split, i, p.shape) for split in read for i, p in enumerate(planes[split])
+                    if p.shape != shape), None)
+        if odd is not None:
+            split, i, (h, w) = odd
+            raise ValidationError(
+                f"{manifest.split(split)[i].path}: image is {h}x{w}, the dataset's first is "
+                f"{shape[0]}x{shape[1]}; every image must have one shape (set [transform] "
+                f"window_start and window_end to cut every stream to one window)")
+        # np.array, unlike np.stack, lays the transposed views out row-major
+        raw = {split: (np.array(planes[split]), [str(s.label) for s in streams[split]],
+                       [s.constituents for s in streams[split]], streams[split][0].spec)
+               for split in splits if streams[split]}
+        del streams, planes
     else:
         raise ValidationError(f"[dataset] mode must be synthetic or manifest, got {mode!r}")
 

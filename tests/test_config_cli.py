@@ -718,6 +718,22 @@ def test_eval_without_test_images_exits_one(tmp_path, capsys):
         assert not never.exists()
 
 
+def test_synthetic_dataset_without_test_samples(tmp_path, capsys):
+    # an empty test split: cl runs without a test set, eval kfold folds the
+    # train split alone, and the modes that sweep test images exit one
+    cfg = _write_cfg(tmp_path, test_per_class=0)
+    assert main(["cl", "--config", str(cfg), "--out", str(tmp_path / "cl")]) == 0
+    assert "acc_" not in capsys.readouterr().out
+    ckpt = tmp_path / "cl" / "final_ridge.tacm"
+    assert main(["eval", "kfold", "--config", str(cfg), "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "kfold")]) == 0
+    never = tmp_path / "never"
+    assert main(["eval", "noise", "--config", str(cfg), "--checkpoint", str(ckpt),
+                 "--out", str(never)]) == 1
+    assert "dataset has no test split" in capsys.readouterr().err
+    assert not never.exists()
+
+
 def test_each_stream_is_parsed_once_per_reading_command(tmp_path, monkeypatch, ingested):
     from taclearn import sensor_io
 
