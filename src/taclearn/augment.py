@@ -62,9 +62,10 @@ class AugmentConfig:
         if not 0.0 <= self.flip_prob <= 1.0:
             raise ValidationError(f"flip_prob must be in [0, 1], got {self.flip_prob}")
         lo, hi = self.resize_factor_range
-        if not (0.0 < lo <= hi):
+        if not (0.0 < lo <= hi < math.inf):
             raise ValidationError(
-                f"resize factors must satisfy 0 < min <= max, got {self.resize_factor_range}"
+                f"resize factors must be finite with 0 < min <= max, "
+                f"got {self.resize_factor_range}"
             )
         clo, chi = self.crop_len_range
         if not (1 <= clo <= chi):

@@ -43,9 +43,9 @@ from .evaluate import (EvalReport, composition_eval, curve_to_csv, kfold_eval, l
 from .model import (Checkpoint, Classifier, ConvNetBackend, TrainConfig, history_to_csv,
                     load_checkpoint, save_checkpoint, train_composition, train_supervised)
 from .prng import Prng
-from .sensor_io import (Manifest, ManifestEntry, SyntheticTextureConfig,
-                        generate_classes, load_manifest, load_manifest_streams,
-                        write_manifest, write_stream)
+from .sensor_io import (Manifest, ManifestEntry, SensorStream, SyntheticTextureConfig,
+                        generate_synthetic, load_manifest, load_manifest_streams,
+                        synthetic_sensor_spec, write_manifest, write_stream)
 from .tactile_image import TactileImage, compute_bounds, image_plane, normalize
 
 
@@ -154,52 +154,54 @@ def _constituent_map(config):
 
 
 def _synthetic_classes(config):
-    """Per split, its sample count and a generator of its classes' relabelled
-    streams, one class at a time; the test split starts at index train_per_class."""
+    """The synthetic sensor's spec and, per split, its sample count and a
+    generator of its classes' (label, constituents, readings), generated one
+    class at a time and only when asked for; a split without samples yields
+    none. The test split starts at index train_per_class."""
     synth = _synthetic_config(config)
     train_n = config.get_int("dataset", "train_per_class", 40)
     test_n = config.get_int("dataset", "test_per_class", 10)
     cons_map = _constituent_map(config)
 
     def classes(n, start):
-        for group in generate_classes(synth, n, start):
-            yield [s.with_label(str(s.label), cons_map.get(str(s.label))) for s in group]
+        indices = range(start, start + n)
+        for c in range(synth.num_classes if n > 0 else 0):
+            yield str(c), cons_map.get(str(c)), generate_synthetic(synth, c, indices)
 
-    return {"train": (max(0, train_n) * synth.num_classes, classes(train_n, 0)),
-            "test": (max(0, test_n) * synth.num_classes, classes(test_n, train_n))}
+    return synthetic_sensor_spec(synth), {
+        "train": (max(0, train_n) * synth.num_classes, classes(train_n, 0)),
+        "test": (max(0, test_n) * synth.num_classes, classes(test_n, train_n))}
 
 
 def _synthetic_splits(config, splits, window):
     """`_load_bundle`'s raw splits, bounds and image shape in synthetic mode.
 
     Each class is copied straight into its split's preallocated stack, so a
-    split's streams never sit beside its stack; the train split is generated
+    split's readings never sit beside its stack; the train split is generated
     for its bounds alone when it is not asked for. A split without samples
     yields no stack. Every synthetic stream has one length, so every image
     has one shape.
     """
-    classes = _synthetic_classes(config)
+    spec, classes = _synthetic_classes(config)
     if not classes["train"][0]:
         raise ValidationError("dataset has no training samples")
     lo, hi, shape, raw = np.inf, -np.inf, None, {}
     for split in dict.fromkeys(("train", *splits)):
         size, groups = classes[split]
-        if not size:
-            continue
         stack, labels, cons = None, [], []
-        for group in groups:
+        for label, constituents, readings in groups:
             if split == "train":
-                glo, ghi = compute_bounds(group)
+                glo, ghi = compute_bounds([readings])
                 lo, hi = min(lo, glo), max(hi, ghi)
-            planes = [image_plane(s, *window) for s in group]
-            shape = shape or planes[0].shape
+            planes = image_plane(readings, spec, *window)
+            shape = shape or planes.shape[1:]
             if split in splits:
                 if stack is None:
                     stack = np.empty((size, *shape))
-                    raw[split] = stack, labels, cons, group[0].spec
-                stack[len(labels) : len(labels) + len(group)] = planes
-                labels += [s.label for s in group]
-                cons += [s.constituents for s in group]
+                    raw[split] = stack, labels, cons, spec
+                stack[len(labels) : len(labels) + len(planes)] = planes
+                labels += [label] * len(planes)
+                cons += [constituents] * len(planes)
     return raw, (lo, hi), shape
 
 
@@ -230,8 +232,9 @@ def _load_bundle(config, splits=("train", "test")) -> _Bundle:
         if not manifest.split("train"):
             raise ValidationError("dataset has no training samples")
 
-        bounds = bounds or compute_bounds(streams["train"])
-        planes = {split: [image_plane(s, *window) for s in streams[split]] for split in read}
+        bounds = bounds or compute_bounds(s.readings for s in streams["train"])
+        planes = {split: [image_plane(s.readings, s.spec, *window) for s in streams[split]]
+                  for split in read}
         shape = next((p.shape for split in read for p in planes[split]), (None, None))
         odd = next(((split, i, p.shape) for split in read for i, p in enumerate(planes[split])
                     if p.shape != shape), None)
@@ -339,22 +342,21 @@ def cmd_ingest(args) -> int:
     mode = config.get_str("dataset", "mode")
 
     if mode == "synthetic":
-        streams = {split: [s for group in groups for s in group]
-                   for split, (_, groups) in _synthetic_classes(config).items()}
-        train_streams = streams["train"]
-        bounds = compute_bounds(train_streams)
+        spec, classes = _synthetic_classes(config)
+        groups = {split: list(gen) for split, (_, gen) in classes.items()}
+        bounds = compute_bounds(readings for _, _, readings in groups["train"])
         out = _prepare_out(args, config, run_seed)
         (out / "streams").mkdir(exist_ok=True)
         entries = []
         per_class_counter: dict[str, int] = {}
         for split in ("train", "test"):
-            for s in streams[split]:
-                idx = per_class_counter.get(s.label, 0)
-                per_class_counter[s.label] = idx + 1
-                rel = f"streams/c{s.label}_s{idx:04d}.csv"
-                write_stream(out / rel, s, fmt="csv")
-                entries.append(ManifestEntry(rel, s.label, split, s.constituents))
-        spec = train_streams[0].spec
+            for label, constituents, readings in groups[split]:
+                for r in readings:
+                    idx = per_class_counter.get(label, 0)
+                    per_class_counter[label] = idx + 1
+                    rel = f"streams/c{label}_s{idx:04d}.csv"
+                    write_stream(out / rel, SensorStream(spec=spec, readings=r), fmt="csv")
+                    entries.append(ManifestEntry(rel, label, split, constituents))
     else:
         # manifest mode: parse every stream once, validate every image build, fill
         # in bounds, re-emit with each sample path relative to --out, where the new

@@ -17,6 +17,7 @@ stored ridge head, so the floor survives even if adaptation diverges.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,8 +40,9 @@ class RlsState:
     def __post_init__(self):
         if self.dim < 1:
             raise ValidationError(f"embedding dim must be >= 1, got {self.dim}")
-        if not self.ridge_lambda > 0:
-            raise ValidationError(f"ridge_lambda must be positive, got {self.ridge_lambda}")
+        if not 0 < self.ridge_lambda < math.inf:
+            raise ValidationError(
+                f"ridge_lambda must be finite and positive, got {self.ridge_lambda}")
         if self.A is None:
             self.A = np.zeros((self.dim, self.dim))
         if self.A.shape != (self.dim, self.dim):
@@ -108,14 +110,6 @@ def ridge_solve(state: RlsState) -> LinearHead:
     if not np.isfinite(weights).all():
         raise RuntimeFailure("ridge solution is non-finite")
     return LinearHead(weights, np.zeros(len(classes)))
-
-
-def batch_ridge_head(embeddings, labels, ridge_lambda: float = 1.0) -> tuple[LinearHead, tuple]:
-    """One-shot ridge fit; convenience wrapper over the streaming path."""
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    state = RlsState(dim=embeddings.shape[1], ridge_lambda=ridge_lambda)
-    state = rls_update(state, embeddings, labels)
-    return ridge_solve(state), state.classes
 
 
 @dataclass
@@ -276,16 +270,6 @@ def cl_sweep(images, batches, backend: ConvNetBackend, capacities, ridge_lambda:
     return (_capacity_pass(steps, images, test_images, capacity, fine_tune_cfg, aug_cfg,
                            warm_start)
             for capacity in capacities)
-
-
-def cl_run(images, batches, backend: ConvNetBackend, buffer_capacity: int,
-           ridge_lambda: float = 1.0, fine_tune_cfg: TrainConfig | None = None,
-           aug_cfg: AugmentConfig | None = None, test_images=None, test_labels=None,
-           warm_start: bool = False):
-    """`cl_sweep` over the one capacity; returns its (snapshots, rows)."""
-    [result] = cl_sweep(images, batches, backend, [buffer_capacity], ridge_lambda, fine_tune_cfg,
-                        aug_cfg, test_images, test_labels, warm_start)
-    return result
 
 
 def _shared_pass(images, batches, backend, ridge_lambda, test_images, test_labels):

@@ -8,7 +8,7 @@ measured value equals the plain test accuracy exactly. No smoothing is
 applied to curves.
 
 Reports serialize to a fixed four-column CSV (section,a,b,c) with
-shortest-repr floats, so a report round-trips losslessly.
+shortest-repr floats, so every value in a report reads back exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fabric
 from .augment import _resample_axis, crop_temporal, jitter, temporal_width
-from .continual import batch_ridge_head
+from .continual import RlsState, ridge_solve, rls_update
 from .errors import ValidationError
 from .model import (Classifier, ConvNetBackend, LinearHead, composition_probs, embed_chunk,
                     embed_images)
@@ -64,32 +64,6 @@ class EvalReport:
         if self.composition_mean is not None:
             rows.append(("composition", "mean", repr(float(self.composition_mean)), ""))
         return "\n".join(",".join(r) for r in rows) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "EvalReport":
-        task_id = ""
-        folds: list = []
-        curves: dict = {}
-        counts: dict = {}
-        comp_mean = None
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            section, a, b, c = line.split(",", 3)
-            if section == "task":
-                task_id = b
-            elif section == "fold":
-                folds.append(float(b))
-            elif section == "curve":
-                curves.setdefault(a, []).append((float(b), float(c)))
-            elif section == "constituent":
-                counts[a] = (int(b), int(c))
-            elif section == "composition":
-                comp_mean = float(b)
-            else:
-                raise ValidationError(f"unknown report section {section!r}")
-        return cls(task_id=task_id, fold_accuracies=folds, curves=curves,
-                   constituent_counts=counts, composition_mean=comp_mean)
 
     def summary_text(self) -> str:
         lines = [f"task: {self.task_id}"]
@@ -199,16 +173,11 @@ def noise_sweep(classifier: Classifier, images, labels, levels,
 
 def ridge_classifier(backend: ConvNetBackend, images, labels,
                      ridge_lambda: float = 1.0) -> Classifier:
-    """Frozen-embedding ridge classifier fitted in one shot."""
-    head, classes = batch_ridge_head(embed_images(backend, images), labels, ridge_lambda)
-    return Classifier(backend, head, classes)
-
-
-def least_squares_baseline(backend: ConvNetBackend, train_images, train_labels,
-                           test_images, test_labels, ridge_lambda: float = 1.0) -> float:
-    """Accuracy of a least-squares classifier over the frozen representation."""
-    clf = ridge_classifier(backend, train_images, train_labels, ridge_lambda)
-    return clf.accuracy(test_images, test_labels)
+    """Frozen-embedding ridge classifier fitted in one shot: the streaming
+    statistics of every image, solved once."""
+    state = RlsState(dim=backend.embed_dim, ridge_lambda=ridge_lambda)
+    state = rls_update(state, embed_images(backend, images), labels)
+    return Classifier(backend, ridge_solve(state), state.classes)
 
 
 def composition_score(predicted, truth) -> float:

@@ -205,10 +205,6 @@ class ConvNetBackend:
         emb, _ = self.forward(x, {} if workspace is None else workspace)
         return emb
 
-    def embed_image(self, plane: np.ndarray) -> np.ndarray:
-        """Embedding of one (H, W) plane, as `prepare_for_model` returns it."""
-        return self.embed_batch(np.asarray(plane)[None])[0]
-
     def arch_header(self) -> str:
         widths = ",".join(str(w) for w in self.widths)
         return f"backend in={self.in_channels} kernel={self.kernel} stride={self.stride} widths={widths}"

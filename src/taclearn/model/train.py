@@ -50,12 +50,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
-        if self.lr < 0:
-            raise ValidationError(f"lr must be >= 0, got {self.lr}")
+        if not 0 <= self.lr < math.inf:
+            raise ValidationError(f"lr must be finite and >= 0, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValidationError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ValidationError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValidationError(
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.batch_size < 1:
             raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr_schedule not in SCHEDULES:

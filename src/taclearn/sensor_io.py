@@ -151,8 +151,8 @@ class SyntheticTextureConfig:
             raise ValidationError(
                 f"base_frequency_range must lie within (0, 0.5), got {self.base_frequency_range}"
             )
-        if self.noise_floor < 0:
-            raise ValidationError(f"noise_floor must be >= 0, got {self.noise_floor}")
+        if not 0 <= self.noise_floor < math.inf:
+            raise ValidationError(f"noise_floor must be finite and >= 0, got {self.noise_floor}")
 
 
 # Base amplitudes of the fundamental and its two harmonics; each class scales
@@ -183,49 +183,18 @@ def _class_signature(config: SyntheticTextureConfig, class_id: int) -> np.ndarra
     return rng.uniform(*_SIGNATURE_SPAN, size=(len(_HARMONIC_AMPLITUDES), config.channels))
 
 
-def generate_synthetic(
-    config: SyntheticTextureConfig, class_id: int, index: int = 0
-) -> SensorStream:
-    """Generate one labeled stream, deterministic in (seed, class_id, index).
+def generate_synthetic(config: SyntheticTextureConfig, class_id: int, indices) -> np.ndarray:
+    """Class `class_id`'s readings at sample `indices`, one (n, stream_length,
+    channels) array made in one vectorized pass.
 
     Each class has a distinct base frequency inside the configured range and
-    a fixed per-channel harmonic amplitude signature; every sample draws
-    random phases per channel and harmonic, plus uniform noise at the noise
-    floor. Values are rounded to float32 so both file formats round-trip
+    a fixed per-channel harmonic amplitude signature. Sample i draws from the
+    generator spawned at (2, class_id, i): first one phase per (channel,
+    harmonic), then, when the noise floor is positive, one uniform noise value
+    per (reading, channel). No value depends on which other indices share the
+    pass, so a sample's bytes are a function of (config, class_id, i) alone.
+    Values are rounded to float32 so both stream file formats round-trip
     exactly.
-    """
-    return _generate_class(config, class_id, [index])[0]
-
-
-def generate_dataset(
-    config: SyntheticTextureConfig, samples_per_class: int, start_index: int = 0
-) -> list[SensorStream]:
-    """All classes, `samples_per_class` streams each, at consecutive indices.
-
-    Stream ``c * samples_per_class + i`` equals
-    ``generate_synthetic(config, c, start_index + i)``.
-    """
-    return [s for group in generate_classes(config, samples_per_class, start_index)
-            for s in group]
-
-
-def generate_classes(config: SyntheticTextureConfig, samples_per_class: int,
-                     start_index: int = 0):
-    """`generate_dataset`'s streams one class at a time: yields each class's
-    list, in class order, generated only when it is asked for."""
-    indices = range(start_index, start_index + samples_per_class)
-    for c in range(config.num_classes):
-        yield _generate_class(config, c, indices)
-
-
-def _generate_class(config: SyntheticTextureConfig, class_id: int, indices) -> list[SensorStream]:
-    """One class's streams at `indices`, in one vectorized pass.
-
-    Sample i draws from the generator spawned at (2, class_id, i): first one
-    phase per (channel, harmonic), then, when the noise floor is positive,
-    one uniform noise value per (reading, channel). No value depends on which
-    other indices share the pass, so a stream's bytes are a function of
-    (config, class_id, i) alone.
     """
     if not 0 <= class_id < config.num_classes:
         raise ValidationError(
@@ -253,9 +222,7 @@ def _generate_class(config: SyntheticTextureConfig, class_id: int, indices) -> l
     if noise:  # Prng.uniform's lo + (hi - lo) * u, rounding included
         lo_n, hi_n = -config.noise_floor, config.noise_floor
         readings = readings + (lo_n + (hi_n - lo_n) * draws[:, c * k_len:].reshape(n, t_len, c))
-    readings = readings.astype(np.float32).astype(np.float64)
-    spec = synthetic_sensor_spec(config)
-    return [SensorStream(spec=spec, readings=r, label=class_id) for r in readings]
+    return readings.astype(np.float32).astype(np.float64)
 
 
 def load_stream(path, spec: SensorSpec) -> SensorStream:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .sensor_io import CAMERA_FRAMES, SensorSpec, SensorStream
+from .sensor_io import CAMERA_FRAMES, SensorSpec
 
 
 class WindowError(ValidationError):
@@ -69,20 +69,22 @@ class TactileImage:
         return replace(self, data=data, **changes)
 
 
-def image_plane(stream: SensorStream, j: int | None = None, k: int | None = None,
-                frame_index: int = 0) -> np.ndarray:
-    """A stream's image as a read-only (H, W) view of its readings: for a
-    vector stream readings j..k (inclusive; default the whole stream) as
-    columns, for a camera stream frame `frame_index` in its native shape."""
-    t, spec = stream.length, stream.spec
+def image_plane(readings: np.ndarray, spec: SensorSpec, j: int | None = None,
+                k: int | None = None, frame_index: int = 0) -> np.ndarray:
+    """The image of a stream's (T, channels) readings, or of a stack (N, T,
+    channels) of them, as a view acting on the last two axes: for a vector
+    sensor readings j..k (inclusive; default the whole stream) as columns,
+    for a camera sensor frame `frame_index` in its native shape."""
+    t = readings.shape[-2]
     if spec.kind == CAMERA_FRAMES:
         if not 0 <= frame_index < t:
             raise WindowError(f"frame index {frame_index} invalid for stream of length {t}")
-        return stream.readings[frame_index].reshape(spec.frame_h, spec.frame_w)
+        frame = readings[..., frame_index, :]
+        return frame.reshape(*frame.shape[:-1], spec.frame_h, spec.frame_w)
     j, k = 0 if j is None else j, t - 1 if k is None else k
     if not 0 <= j <= k < t:
         raise WindowError(f"window [{j}, {k}] invalid for stream of length {t}")
-    return stream.readings[j : k + 1].T
+    return readings[..., j : k + 1, :].swapaxes(-1, -2)
 
 
 def normalize(planes, lo: float, hi: float, source: SensorSpec | None = None) -> TactileImage:
@@ -111,13 +113,14 @@ def prepare_for_model(image: TactileImage) -> np.ndarray:
     return image.data
 
 
-def compute_bounds(streams) -> tuple[float, float]:
-    """Dataset-level calibration bounds (min/max over all training readings)."""
-    streams = list(streams)
-    if not streams:
+def compute_bounds(arrays) -> tuple[float, float]:
+    """Dataset-level calibration bounds: the min and max over every training
+    reading, each array one stream's readings or a stack of them."""
+    arrays = list(arrays)
+    if not arrays:
         raise ValidationError("cannot compute bounds from an empty dataset")
-    lo = min(float(s.readings.min()) for s in streams)
-    hi = max(float(s.readings.max()) for s in streams)
+    lo = min(float(a.min()) for a in arrays)
+    hi = max(float(a.max()) for a in arrays)
     if not lo < hi:
         raise ValidationError(f"degenerate data: min == max == {lo}")
     return lo, hi

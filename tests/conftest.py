@@ -11,7 +11,7 @@ import pytest
 
 from taclearn.augment import AugmentConfig
 from taclearn.model import ConvNetBackend, TrainConfig, train_supervised
-from taclearn.sensor_io import SyntheticTextureConfig, generate_synthetic
+from taclearn.sensor_io import SyntheticTextureConfig, generate_synthetic, synthetic_sensor_spec
 from taclearn.tactile_image import compute_bounds, image_plane, normalize
 
 
@@ -29,16 +29,13 @@ def synth_images(num_classes=5, per_class=10, channels=12, length=64, noise=0.05
         noise_floor=noise,
         seed=seed,
     )
-    streams = [
-        generate_synthetic(cfg, c, start_index + i)
-        for c in range(num_classes)
-        for i in range(per_class)
-    ]
+    indices = range(start_index, start_index + per_class)
+    readings = np.concatenate([generate_synthetic(cfg, c, indices) for c in range(num_classes)])
     if bounds is None:
-        bounds = compute_bounds(streams)
-    images = normalize(np.array([image_plane(s) for s in streams]), *bounds,
-                       source=streams[0].spec)
-    labels = [s.label for s in streams]
+        bounds = compute_bounds([readings])
+    spec = synthetic_sensor_spec(cfg)
+    images = normalize(np.ascontiguousarray(image_plane(readings, spec)), *bounds, source=spec)
+    labels = [c for c in range(num_classes) for _ in range(per_class)]
     return images, labels, bounds
 
 

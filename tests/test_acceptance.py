@@ -18,12 +18,12 @@ from taclearn.augment import (
     jitter,
     resize_temporal,
 )
-from taclearn.continual import RlsState, cl_run, ridge_solve, rls_update
+from taclearn.continual import RlsState, cl_sweep, ridge_solve, rls_update
 from taclearn.evaluate import (
     composition_score,
-    least_squares_baseline,
     length_sweep,
     noise_sweep,
+    ridge_classifier,
     speed_sweep,
 )
 from taclearn.fabric import CONSTITUENTS
@@ -273,9 +273,8 @@ def test_criterion_06_synthetic_end_to_end(task, plain_model, pretrained_backend
         assert elapsed <= 180.0
         acc = clf.accuracy(test_images, test_labels)
         assert acc >= 0.95  # pinned oracle value: 0.98
-        baseline = least_squares_baseline(
-            pretrained_backend, train_images, train_labels, test_images, test_labels,
-        )
+        baseline = ridge_classifier(pretrained_backend, train_images, train_labels).accuracy(
+            test_images, test_labels)
         assert baseline >= 0.80  # pinned oracle value: 0.98
 
 
@@ -312,9 +311,8 @@ def test_criterion_08_cl_buffer_trend(budget_backend):
         test_images, test_labels, _ = synth_images(
             num_classes=5, per_class=10, seed=DATA_SEED, start_index=40, bounds=bounds
         )
-        baseline = least_squares_baseline(
-            budget_backend, train_images, train_labels, test_images, test_labels,
-        )
+        baseline = ridge_classifier(budget_backend, train_images, train_labels).accuracy(
+            test_images, test_labels)
         batches = [(c, np.flatnonzero([l == c for l in train_labels]))
                    for c in sorted(set(train_labels))]
         ft_cfg = TrainConfig(epochs=15, lr=0.005, momentum=0.9, weight_decay=1e-4,
@@ -322,8 +320,8 @@ def test_criterion_08_cl_buffer_trend(budget_backend):
 
         floors, tuned = [], []
         for per_class in (5, 10, 20, 40):
-            _, rows = cl_run(
-                train_images, batches, budget_backend, per_class * 5, ridge_lambda=1.0,
+            [(_, rows)] = cl_sweep(
+                train_images, batches, budget_backend, [per_class * 5], ridge_lambda=1.0,
                 fine_tune_cfg=ft_cfg, aug_cfg=None, test_images=test_images,
                 test_labels=test_labels,
             )
@@ -362,7 +360,7 @@ def test_criterion_09_shape_agnosticity(pretrained_backend, tmp_path):
         d = loaded.embed_dim
         for h, w in ((19, 400), (60, 75), (27, 599)):
             img = TactileImage(data=rng.uniform(-1, 1, size=(h, w)), normalized=True)
-            emb = loaded.embed_image(prepare_for_model(img))
+            emb = loaded.embed_batch(prepare_for_model(img)[None])[0]
             assert emb.shape == (d,)
             assert np.isfinite(emb).all()
 
@@ -406,7 +404,6 @@ def test_criterion_10_cli_determinism(tmp_path):
 def test_harness_separability_self_check(pretrained_backend, task):
     # harness invariant: frozen-feature least squares clears 95% at noise 0.05
     train_images, train_labels, test_images, test_labels = task
-    acc = least_squares_baseline(
-        pretrained_backend, train_images, train_labels, test_images, test_labels,
-    )
+    acc = ridge_classifier(pretrained_backend, train_images, train_labels).accuracy(
+        test_images, test_labels)
     assert acc >= 0.95  # pinned oracle value: 0.98

@@ -549,9 +549,13 @@ def test_encoder_sees_the_configured_input_width(tmp_path, monkeypatch, case):
     assert widths == {16}
 
 
-def test_eval_sweeps_agree_at_neutral_points(tmp_path, trained):
-    from taclearn.evaluate import EvalReport
+def _curve(out, mode):
+    """The (x, y) points of an eval run's `<mode>_curve.csv`."""
+    lines = (out / f"{mode}_curve.csv").read_text().splitlines()[1:]
+    return [tuple(float(v) for v in line.split(",")) for line in lines]
 
+
+def test_eval_sweeps_agree_at_neutral_points(tmp_path, trained):
     cfg, ckpt = trained
     out_len = tmp_path / "nlen"
     out_noise = tmp_path / "nnoise"
@@ -559,10 +563,8 @@ def test_eval_sweeps_agree_at_neutral_points(tmp_path, trained):
                  "--out", str(out_len)]) == 0
     assert main(["eval", "noise", "--config", str(cfg), "--checkpoint", str(ckpt),
                  "--out", str(out_noise)]) == 0
-    length_curve = EvalReport.from_csv((out_len / "report.csv").read_text()).curves["length"]
-    noise_curve = EvalReport.from_csv((out_noise / "report.csv").read_text()).curves["noise"]
-    plain_from_length = dict(length_curve)[32.0]  # full width
-    plain_from_noise = dict(noise_curve)[0.0]
+    plain_from_length = dict(_curve(out_len, "length"))[32.0]  # full width
+    plain_from_noise = dict(_curve(out_noise, "noise"))[0.0]
     assert plain_from_length == plain_from_noise
 
 
@@ -575,8 +577,6 @@ def test_eval_sweeps_agree_at_neutral_points(tmp_path, trained):
 ])
 def test_eval_length_defaults_to_the_test_image_width(tmp_path, input_width, window_end,
                                                       lengths):
-    from taclearn.evaluate import EvalReport
-
     # 32-reading streams, no [eval] lengths: the sweep ends at the identity crop
     cfg = _write_cfg(tmp_path)
     transform = f"input_width = {input_width}"
@@ -592,7 +592,7 @@ def test_eval_length_defaults_to_the_test_image_width(tmp_path, input_width, win
         out = tmp_path / mode
         assert main(["eval", mode, "--config", str(cfg), "--checkpoint", str(ckpt),
                      "--out", str(out)]) == 0
-        curves[mode] = EvalReport.from_csv((out / "report.csv").read_text()).curves[mode]
+        curves[mode] = _curve(out, mode)
     assert [x for x, _ in curves["length"]] == lengths
     assert curves["length"][-1][1] == dict(curves["noise"])[0.0]
 
@@ -1024,7 +1024,7 @@ def test_synthetic_split_is_built_class_by_class(split):
     import numpy as np
 
     from taclearn.cli import _load_bundle, _synthetic_config
-    from taclearn.sensor_io import generate_dataset
+    from taclearn.sensor_io import generate_synthetic, synthetic_sensor_spec
     from taclearn.tactile_image import compute_bounds, image_plane, normalize
 
     config = parse_config_text(
@@ -1042,12 +1042,86 @@ def test_synthetic_split_is_built_class_by_class(split):
     assert peak <= images.data.nbytes + 7 * class_bytes
 
     synth = _synthetic_config(config)
-    streams = generate_dataset(synth, 150 if split == "train" else 5,
-                               0 if split == "train" else 150)
-    bounds = compute_bounds(generate_dataset(synth, 150))
-    expected = normalize(np.array([image_plane(s, 3, 250) for s in streams]), *bounds)
+    spec = synthetic_sensor_spec(synth)
+    indices = range(150) if split == "train" else range(150, 155)
+    readings = np.concatenate([generate_synthetic(synth, c, indices) for c in range(10)])
+    bounds = compute_bounds(generate_synthetic(synth, c, range(150)) for c in range(10))
+    expected = normalize(np.ascontiguousarray(image_plane(readings, spec, 3, 250)), *bounds)
     assert bundle.bounds == bounds
     assert images.data.tobytes() == expected.data.tobytes()
-    assert images.source == streams[0].spec
+    assert images.source == spec
     labels = bundle.train_labels if split == "train" else bundle.test_labels
-    assert labels == [str(s.label) for s in streams]
+    assert labels == [str(c) for c in range(10) for _ in indices]
+
+
+@pytest.mark.parametrize("command, old, new, message", [
+    ("train", "lr = 0.02", "lr = nan", "lr must be finite"),
+    ("train", "lr = 0.02", "lr = inf", "lr must be finite"),
+    ("train", "[train]\n", "[train]\nweight_decay = nan\n", "weight_decay must be finite"),
+    ("cl", "ft_lr = 0.01", "ft_lr = nan", "lr must be finite"),
+    ("cl", "[cl]\n", "[cl]\nft_weight_decay = inf\n", "weight_decay must be finite"),
+    ("cl", "ridge_lambda = 1.0", "ridge_lambda = inf", "ridge_lambda must be finite"),
+    ("train", "resize_max = 1.25", "resize_max = inf", "resize factors must be finite"),
+    ("train", "noise_floor = 0.05", "noise_floor = nan", "noise_floor must be finite"),
+    ("ingest", "noise_floor = 0.05", "noise_floor = inf", "noise_floor must be finite"),
+], ids=["lr-nan", "lr-inf", "weight_decay-nan", "ft_lr-nan", "ft_weight_decay-inf",
+        "ridge_lambda-inf", "resize_max-inf", "noise_floor-nan", "noise_floor-inf"])
+def test_non_finite_config_values_exit_one_before_outputs(tmp_path, capsys, command, old, new,
+                                                          message):
+    cfg = _write_cfg(tmp_path)
+    text = cfg.read_text()
+    assert old in text
+    cfg.write_text(text.replace(old, new, 1))
+    out = tmp_path / "never"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, splits", [
+    (["train"], ("train",)),
+    (["cl"], ("train", "test")),
+    (["eval", "noise"], ("train", "test")),  # train for the bounds alone
+], ids=["train", "cl", "eval-noise"])
+def test_synthetic_load_generates_each_class_once_per_split(tmp_path, monkeypatch, command,
+                                                           splits):
+    # the benchmark's per-layer trace counts generation by wrapping
+    # sensor_io.generate_synthetic wherever a taclearn module binds it
+    from taclearn import sensor_io
+    from taclearn.model import Checkpoint, ConvNetBackend, LinearHead, save_checkpoint
+
+    cfg = _write_cfg(tmp_path)
+    ckpt = tmp_path / "model.tacm"
+    backend = ConvNetBackend(seed=1)
+    save_checkpoint(ckpt, Checkpoint(backend=backend,
+                                     heads={"classify": LinearHead.zeros(backend.embed_dim, 3)},
+                                     meta={"classes": "0;1;2"}))
+    generate = sensor_io.generate_synthetic
+    calls = []
+
+    def counted(config, class_id, indices):
+        calls.append((class_id, list(indices)))
+        return generate(config, class_id, indices)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("taclearn") and getattr(module, "generate_synthetic", None) is generate:
+            monkeypatch.setattr(module, "generate_synthetic", counted)
+    extra = ["--checkpoint", str(ckpt)] if command[0] == "eval" else []
+    assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "o"), *extra]) == 0
+    indices = {"train": list(range(6)), "test": list(range(6, 9))}
+    assert calls == [(c, indices[split]) for split in splits for c in range(3)]
+
+
+def test_cl_warm_start_changes_only_the_fine_tuned_model(tmp_path):
+    # three classes: step 3 fine-tunes from step 2's tuned backend when warm
+    cold_cfg = _write_cfg(tmp_path)
+    warm_cfg = tmp_path / "warm.cfg"
+    warm_cfg.write_text(cold_cfg.read_text().replace("[cl]\n", "[cl]\nwarm_start = true\n"))
+    runs = {}
+    for name, cfg in (("cold", cold_cfg), ("warm", warm_cfg), ("warm2", warm_cfg)):
+        out = tmp_path / name
+        assert main(["cl", "--config", str(cfg), "--out", str(out)]) == 0
+        runs[name] = {f.name: f.read_bytes() for f in out.iterdir() if f.name != "config.used.txt"}
+    assert runs["warm"]["final_ridge.tacm"] == runs["cold"]["final_ridge.tacm"]
+    assert runs["warm"]["final_fine_tuned.tacm"] != runs["cold"]["final_fine_tuned.tacm"]
+    assert runs["warm2"] == runs["warm"]

@@ -7,9 +7,7 @@ from hypothesis.extra.numpy import arrays
 from taclearn.continual import (
     MemoryBuffer,
     RlsState,
-    batch_ridge_head,
     cl_rows_to_csv,
-    cl_run,
     cl_sweep,
     fine_tune,
     herding_order,
@@ -17,6 +15,7 @@ from taclearn.continual import (
     rls_update,
 )
 from taclearn.errors import RuntimeFailure, ValidationError
+from taclearn.evaluate import ridge_classifier
 from taclearn.model import Classifier, ConvNetBackend, TrainConfig, embed_images
 from taclearn.prng import Prng
 from taclearn.tactile_image import TactileImage
@@ -137,10 +136,9 @@ def test_duplicated_dataset_with_doubled_lambda_matches():
     rng = Prng(3)
     e = _random_embeddings(rng, 30, 6)
     labels = [i % 2 for i in range(30)]
-    head_single, _ = batch_ridge_head(e, labels, ridge_lambda=1.0)
-    head_double, _ = batch_ridge_head(
-        np.vstack([e, e]), labels + labels, ridge_lambda=2.0
-    )
+    head_single = ridge_solve(rls_update(RlsState(dim=6, ridge_lambda=1.0), e, labels))
+    head_double = ridge_solve(rls_update(RlsState(dim=6, ridge_lambda=2.0),
+                                         np.vstack([e, e]), labels + labels))
     assert np.allclose(head_single.weights, head_double.weights, atol=1e-12)
 
 
@@ -389,32 +387,29 @@ def test_cl_run_single_step_equals_batch_baseline(random_backend):
     (label, idx), (label2, idx2) = batches
     all_idx = np.concatenate([idx, idx2])
     all_labels = [label] * len(idx) + [label2] * len(idx2)
-    snapshots, rows = cl_run(
-        images, [(label, idx), (label2, idx2)], random_backend, buffer_capacity=12,
+    [(snapshots, rows)] = cl_sweep(
+        images, [(label, idx), (label2, idx2)], random_backend, [12],
         test_images=test_images, test_labels=test_labels,
     )
-    head_direct, classes = batch_ridge_head(
-        embed_images(random_backend, images[all_idx]), all_labels
-    )
-    assert np.allclose(snapshots[-1].ridge.head.weights, head_direct.weights, atol=1e-9)
-    assert snapshots[-1].ridge.classes == classes
+    direct = ridge_classifier(random_backend, images[all_idx], all_labels)
+    assert np.allclose(snapshots[-1].ridge.head.weights, direct.head.weights, atol=1e-9)
+    assert snapshots[-1].ridge.classes == direct.classes
     assert rows[-1][3] <= 12
 
 
 def test_cl_run_single_batch_reduces_to_frozen_classification(random_backend):
     images, labels = _image_batch(6, "solo", seed=29)
-    snapshots, rows = cl_run(images, [("solo", np.arange(6))], random_backend,
-                             buffer_capacity=4)
-    head_direct, classes = batch_ridge_head(embed_images(random_backend, images), labels)
-    assert snapshots[0].ridge.classes == classes == ("solo",)
-    assert np.allclose(snapshots[0].ridge.head.weights, head_direct.weights, atol=1e-12)
+    [(snapshots, rows)] = cl_sweep(images, [("solo", np.arange(6))], random_backend, [4])
+    direct = ridge_classifier(random_backend, images, labels)
+    assert snapshots[0].ridge.classes == direct.classes == ("solo",)
+    assert np.allclose(snapshots[0].ridge.head.weights, direct.head.weights, atol=1e-12)
     assert rows[0][3] == 4  # buffer truncated to capacity
 
 
 def test_cl_run_order_invariant_head(random_backend):
     images, batches, _, _ = _small_cl_problem(random_backend, num_classes=3)
-    snaps_fwd, _ = cl_run(images, batches, random_backend, buffer_capacity=9)
-    snaps_rev, _ = cl_run(images, batches[::-1], random_backend, buffer_capacity=9)
+    [(snaps_fwd, _)] = cl_sweep(images, batches, random_backend, [9])
+    [(snaps_rev, _)] = cl_sweep(images, batches[::-1], random_backend, [9])
     w1 = snaps_fwd[-1].ridge.head.weights
     w2 = snaps_rev[-1].ridge.head.weights
     assert np.linalg.norm(w1 - w2) <= 1e-6 * max(1.0, np.linalg.norm(w1))
@@ -424,14 +419,14 @@ def test_cl_run_rejects_repeated_class(random_backend):
     images, batches, _, _ = _small_cl_problem(random_backend, num_classes=2)
     label, idx = batches[0]
     with pytest.raises(ValidationError, match="twice"):
-        cl_run(images, [(label, idx), (label, idx)], random_backend, buffer_capacity=8)
+        cl_sweep(images, [(label, idx), (label, idx)], random_backend, [8])
 
 
 def test_cl_rows_csv_shape(random_backend):
     images, batches, test_images, test_labels = _small_cl_problem(random_backend,
                                                                  num_classes=2)
-    _, rows = cl_run(images, batches, random_backend, buffer_capacity=8,
-                     test_images=test_images, test_labels=test_labels)
+    [(_, rows)] = cl_sweep(images, batches, random_backend, [8],
+                           test_images=test_images, test_labels=test_labels)
     csv = cl_rows_to_csv(rows)
     lines = csv.strip().splitlines()
     assert lines[0] == "t,acc_ridge,acc_fine_tuned,buffer_size"
@@ -449,7 +444,8 @@ def test_cl_sweep_matches_independent_runs_bitwise(random_backend, warm_start):
     swept = list(cl_sweep(images, batches, random_backend, capacities, **kwargs))
     assert len(swept) == len(capacities)
     for cap, (snapshots, rows) in zip(capacities, swept):
-        alone_snapshots, alone_rows = cl_run(images, batches, random_backend, cap, **kwargs)
+        [(alone_snapshots, alone_rows)] = cl_sweep(images, batches, random_backend, [cap],
+                                                   **kwargs)
         assert rows == alone_rows
         assert len(snapshots) == len(alone_snapshots) == len(batches)
         for a, b in zip(snapshots, alone_snapshots):
@@ -465,9 +461,9 @@ def test_cl_sweep_matches_independent_runs_bitwise(random_backend, warm_start):
 def test_cl_warm_start_carries_the_tuned_backend(random_backend):
     images, batches, _, _ = _small_cl_problem(random_backend, num_classes=3)
     ft_cfg = TrainConfig(epochs=2, lr=0.01, batch_size=4, lr_schedule="cosine", seed=3)
-    cold, _ = cl_run(images, batches, random_backend, 9, fine_tune_cfg=ft_cfg)
-    warm, _ = cl_run(images, batches, random_backend, 9, fine_tune_cfg=ft_cfg,
-                     warm_start=True)
+    [(cold, _)] = cl_sweep(images, batches, random_backend, [9], fine_tune_cfg=ft_cfg)
+    [(warm, _)] = cl_sweep(images, batches, random_backend, [9], fine_tune_cfg=ft_cfg,
+                           warm_start=True)
     frozen = random_backend.get_flat()
     # step 2 starts from the frozen backend either way; step 3 differs
     assert np.array_equal(cold[1].fine_tuned.backend.get_flat(),
@@ -486,8 +482,8 @@ def test_fine_tuned_models_keep_the_input_width(random_backend, warm_start):
     backend.input_width = 24
     images, batches, _, _ = _small_cl_problem(backend, num_classes=3)
     ft_cfg = TrainConfig(epochs=1, lr=0.01, batch_size=4, lr_schedule="cosine", seed=3)
-    snapshots, _ = cl_run(images, batches, backend, 9, fine_tune_cfg=ft_cfg,
-                          warm_start=warm_start)
+    [(snapshots, _)] = cl_sweep(images, batches, backend, [9], fine_tune_cfg=ft_cfg,
+                                warm_start=warm_start)
     assert {s.ridge.backend.input_width for s in snapshots} == {24}
     assert {s.fine_tuned.backend.input_width for s in snapshots} == {24}
 
@@ -500,7 +496,7 @@ def test_cl_sweep_validates_every_capacity_before_any_work(random_backend, monke
     with pytest.raises(ValidationError, match="capacity 2 leaves no budget for 3 classes"):
         cl_sweep(images, batches, random_backend, [9, 2])
     with pytest.raises(ValidationError, match="capacity 0"):
-        cl_run(images, batches, random_backend, 0)
+        cl_sweep(images, batches, random_backend, [0])
 
 
 def test_rebalanced_buffer_equals_stepwise_selection(random_backend):

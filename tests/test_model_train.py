@@ -67,24 +67,24 @@ def test_linear_head_dimension_mismatch():
 def test_embed_deterministic_and_size_agnostic():
     backend = ConvNetBackend(seed=3)
     a = _prepared_image(12, 40, seed=5)
-    assert np.array_equal(backend.embed_image(a), backend.embed_image(a))
+    assert np.array_equal(backend.embed_batch(a[None])[0], backend.embed_batch(a[None])[0])
     wide = _prepared_image(19, 100, seed=6)
     tall = _prepared_image(60, 12, seed=7)
-    assert backend.embed_image(wide).shape == (backend.embed_dim,)
-    assert backend.embed_image(tall).shape == (backend.embed_dim,)
+    assert backend.embed_batch(wide[None])[0].shape == (backend.embed_dim,)
+    assert backend.embed_batch(tall[None])[0].shape == (backend.embed_dim,)
 
 
 def test_embed_rejects_below_minimum():
     backend = ConvNetBackend(seed=3)
     small = _prepared_image(4, 40)
     with pytest.raises(ValidationError, match="minimum"):
-        backend.embed_image(small)
+        backend.embed_batch(small[None])
 
 
 def test_embed_constant_zero_image_finite():
     backend = ConvNetBackend(seed=3)
     img = TactileImage(data=np.zeros((12, 20)), normalized=True)
-    emb = backend.embed_image(prepare_for_model(img))
+    emb = backend.embed_batch(prepare_for_model(img)[None])[0]
     assert np.isfinite(emb).all()
 
 
@@ -186,7 +186,7 @@ def test_model_accepts_jitter_beyond_unit_range():
     assert noisy.data.max() > 1.0 or noisy.data.min() < -1.0
     prepped = prepare_for_model(noisy)
     assert float(np.abs(prepped).max()) == float(np.abs(noisy.data).max())
-    emb = backend.embed_image(prepped)
+    emb = backend.embed_batch(prepped[None])[0]
     assert np.isfinite(emb).all()
 
 
@@ -373,7 +373,7 @@ def test_composition_probs_contracts(random_backend):
 def test_composition_threshold_rule(random_backend):
     d = random_backend.embed_dim
     img = _normalized_image(12, 40, seed=9)
-    emb = random_backend.embed_image(prepare_for_model(img))
+    emb = random_backend.embed_batch(prepare_for_model(img)[None])[0]
     # craft heads with fixed logits via bias, zero weights
     biases = [3.0, 1.0, -2.0, -4.0, 0.2, -0.1]
     head = LinearHead(np.zeros((d, 6)), np.array(biases))
@@ -417,8 +417,8 @@ def test_checkpoint_round_trip(tmp_path, random_backend):
     assert loaded.meta == ckpt.meta
     assert set(loaded.heads) == {"classify"}
     img = _prepared_image(12, 40, seed=12)
-    a = random_backend.embed_image(img)
-    b = loaded.backend.embed_image(img)
+    a = random_backend.embed_batch(img[None])[0]
+    b = loaded.backend.embed_batch(img[None])[0]
     # float32 storage quantizes parameters
     assert np.abs(a - b).max() <= 1e-4 * max(1.0, np.abs(a).max())
     assert np.abs(loaded.heads["classify"].weights - head.weights).max() <= 1e-6

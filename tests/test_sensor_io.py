@@ -19,7 +19,6 @@ from taclearn.sensor_io import (
     SensorSpec,
     SensorStream,
     SyntheticTextureConfig,
-    generate_dataset,
     generate_synthetic,
     load_manifest,
     load_manifest_streams,
@@ -27,6 +26,7 @@ from taclearn.sensor_io import (
     _CSV_HEADER_PREFIX,
     _parse_csv_header,
     _read_lines,
+    synthetic_sensor_spec,
     write_manifest,
     write_stream,
 )
@@ -108,24 +108,30 @@ def test_sensor_spec_validation():
 CFG = SyntheticTextureConfig(num_classes=5, channels=12, stream_length=64, seed=123)
 
 
+def _synthetic_stream(cfg, class_id, index=0):
+    """Sample `index` of class `class_id` as a labelled stream."""
+    readings = generate_synthetic(cfg, class_id, [index])[0]
+    return SensorStream(spec=synthetic_sensor_spec(cfg), readings=readings, label=class_id)
+
+
 def test_synthetic_deterministic():
-    a = generate_synthetic(CFG, 2, index=7)
-    b = generate_synthetic(CFG, 2, index=7)
-    assert np.array_equal(a.readings, b.readings)
-    c = generate_synthetic(CFG, 2, index=8)
-    assert not np.array_equal(a.readings, c.readings)
+    a = generate_synthetic(CFG, 2, [7])
+    b = generate_synthetic(CFG, 2, [7])
+    assert np.array_equal(a, b)
+    c = generate_synthetic(CFG, 2, [8])
+    assert not np.array_equal(a, c)
 
 
-def test_synthetic_labels_and_range():
-    s = generate_synthetic(CFG, 4, index=0)
-    assert s.label == 4
-    lo, hi = s.spec.value_range
-    assert s.readings.min() >= lo and s.readings.max() <= hi
+def test_synthetic_shape_and_range():
+    readings = generate_synthetic(CFG, 4, range(3))
+    assert readings.shape == (3, CFG.stream_length, CFG.channels)
+    lo, hi = synthetic_sensor_spec(CFG).value_range
+    assert readings.min() >= lo and readings.max() <= hi
 
 
 def test_synthetic_class_out_of_range():
     with pytest.raises(ValidationError, match="class_id 7"):
-        generate_synthetic(CFG, 7)
+        generate_synthetic(CFG, 7, [0])
 
 
 def test_synthetic_config_validation():
@@ -137,11 +143,16 @@ def test_synthetic_config_validation():
         SyntheticTextureConfig(
             num_classes=2, channels=4, stream_length=64, base_frequency_range=(0.1, 0.6)
         )
+    for noise_floor in (math.nan, math.inf, -0.1):
+        with pytest.raises(ValidationError, match="noise_floor must be finite and >= 0"):
+            SyntheticTextureConfig(num_classes=2, channels=4, stream_length=64,
+                                   noise_floor=noise_floor)
 
 
-# sha256 of the stacked float64 readings of generate_dataset, recorded from
-# the per-stream generator before it was vectorized; any change to the
-# generator's output bytes changes them.
+# sha256 of every class's readings at indices start..start+per_class-1,
+# concatenated in class order as float64, recorded from the per-stream
+# generator before it was vectorized; any change to the generator's output
+# bytes changes them.
 GENERATOR_DIGESTS = [
     (dict(num_classes=5, channels=12, stream_length=64, seed=123), 7, 0,
      "46b35dc70dd70855426832243cb608eddfd27e7a883f7578bca3a8e59b0093c4"),
@@ -154,29 +165,31 @@ GENERATOR_DIGESTS = [
 
 @pytest.mark.parametrize("kwargs, per_class, start, digest", GENERATOR_DIGESTS)
 def test_generator_bytes_pinned(kwargs, per_class, start, digest):
-    streams = generate_dataset(SyntheticTextureConfig(**kwargs), per_class, start)
-    assert [s.label for s in streams] == [c for c in range(kwargs["num_classes"])
-                                          for _ in range(per_class)]
-    block = np.stack([s.readings for s in streams]).astype("<f8")
+    cfg = SyntheticTextureConfig(**kwargs)
+    indices = range(start, start + per_class)
+    block = np.concatenate([generate_synthetic(cfg, c, indices)
+                            for c in range(cfg.num_classes)]).astype("<f8")
+    assert block.shape == (cfg.num_classes * per_class, cfg.stream_length, cfg.channels)
     assert hashlib.sha256(block.tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("noise_floor", [0.05, 0.0])
 def test_single_stream_equals_its_dataset_row(noise_floor):
+    # a sample's bytes do not depend on which other indices share its pass
     cfg = SyntheticTextureConfig(num_classes=3, channels=5, stream_length=40,
                                  noise_floor=noise_floor, seed=21)
-    streams = generate_dataset(cfg, samples_per_class=4, start_index=2)
     for c in range(3):
+        block = generate_synthetic(cfg, c, range(2, 6))
         for i in range(4):
-            row = streams[c * 4 + i]
-            alone = generate_synthetic(cfg, c, 2 + i)
-            assert alone.label == row.label == c
-            assert alone.readings.tobytes() == row.readings.tobytes()
+            alone = generate_synthetic(cfg, c, [2 + i])
+            assert alone.tobytes() == block[i : i + 1].tobytes()
+        assert generate_synthetic(cfg, c, [5, 2]).tobytes() == block[[3, 0]].tobytes()
+    assert generate_synthetic(cfg, 1, []).shape == (0, 40, 5)
 
 
-def _power_spectrum(stream):
-    # independent oracle: mean channel periodogram
-    spec = np.abs(np.fft.rfft(stream.readings, axis=0)) ** 2
+def _power_spectrum(readings):
+    # independent oracle: mean channel periodogram of one stream's readings
+    spec = np.abs(np.fft.rfft(readings, axis=0)) ** 2
     return spec.mean(axis=1)
 
 
@@ -185,9 +198,9 @@ def test_spectral_1nn_separates_noiseless_classes():
     cfg = SyntheticTextureConfig(
         num_classes=2, channels=12, stream_length=64, noise_floor=0.0, seed=9
     )
-    streams = generate_dataset(cfg, samples_per_class=50)
-    feats = np.array([_power_spectrum(s) for s in streams])
-    labels = np.array([s.label for s in streams])
+    readings = np.concatenate([generate_synthetic(cfg, c, range(50)) for c in range(2)])
+    feats = np.array([_power_spectrum(r) for r in readings])
+    labels = np.repeat([0, 1], 50)
     dists = np.linalg.norm(feats[:, None, :] - feats[None, :, :], axis=2)
     np.fill_diagonal(dists, np.inf)
     predicted = labels[np.argmin(dists, axis=1)]
@@ -195,7 +208,7 @@ def test_spectral_1nn_separates_noiseless_classes():
 
 
 def test_csv_round_trip_exact(tmp_path):
-    stream = generate_synthetic(CFG, 1, index=3)
+    stream = _synthetic_stream(CFG, 1, index=3)
     p = tmp_path / "rt.csv"
     write_stream(p, stream, fmt="csv")
     loaded = load_stream(p, stream.spec)
@@ -203,7 +216,7 @@ def test_csv_round_trip_exact(tmp_path):
 
 
 def test_binary_round_trip_bit_exact(tmp_path):
-    stream = generate_synthetic(CFG, 0, index=0)
+    stream = _synthetic_stream(CFG, 0)
     p = tmp_path / "rt.bin"
     write_stream(p, stream, fmt="binary")
     loaded = load_stream(p, stream.spec)
@@ -211,7 +224,7 @@ def test_binary_round_trip_bit_exact(tmp_path):
 
 
 def test_binary_truncated_errors(tmp_path):
-    stream = generate_synthetic(CFG, 0, index=0)
+    stream = _synthetic_stream(CFG, 0)
     p = tmp_path / "rt.bin"
     write_stream(p, stream, fmt="binary")
     p.write_bytes(p.read_bytes()[:-3])
@@ -245,7 +258,7 @@ def test_manifest_streams_load(tmp_path):
     (tmp_path / "streams").mkdir()
     entries = []
     for c in range(2):
-        s = generate_synthetic(cfg, c)
+        s = _synthetic_stream(cfg, c)
         rel = f"streams/c{c}.csv"
         write_stream(tmp_path / rel, s, fmt="csv")
         entries.append(ManifestEntry(rel, str(c), "train", None))
@@ -267,7 +280,7 @@ def test_binary_non_finite_names_file_and_index(tmp_path):
 
 
 def test_with_label_does_not_recheck_readings(monkeypatch):
-    stream = generate_synthetic(CFG, 1, index=0)
+    stream = _synthetic_stream(CFG, 1)
     monkeypatch.setattr(SensorStream, "__post_init__", lambda self: pytest.fail("re-checked"))
     relabelled = stream.with_label("1", frozenset({"Wool"}))
     assert (relabelled.label, relabelled.constituents) == ("1", frozenset({"Wool"}))

@@ -9,6 +9,7 @@ from taclearn.sensor_io import (
     SensorStream,
     SyntheticTextureConfig,
     generate_synthetic,
+    synthetic_sensor_spec,
 )
 from taclearn.tactile_image import (
     NotNormalizedError,
@@ -29,18 +30,19 @@ def _stream(n, t, seed=0):
 
 def test_biotac_like_window_shape():
     stream = _stream(19, 400)
-    plane = image_plane(stream, 0, 399)
+    plane = image_plane(stream.readings, stream.spec, 0, 399)
     assert plane.shape == (19, 400)
     assert not plane.flags.writeable and np.shares_memory(plane, stream.readings)
 
 
 def test_contactile_like_full_stream_default():
-    assert image_plane(_stream(27, 599)).shape == (27, 599)
+    stream = _stream(27, 599)
+    assert image_plane(stream.readings, stream.spec).shape == (27, 599)
 
 
 def test_single_reading_window():
     stream = _stream(6, 10)
-    plane = image_plane(stream, 0, 0)
+    plane = image_plane(stream.readings, stream.spec, 0, 0)
     assert plane.shape == (6, 1)
     assert np.array_equal(plane[:, 0], stream.readings[0])
 
@@ -51,7 +53,7 @@ def test_column_fidelity_random_windows():
     for _ in range(20):
         j = rng.randint(50)
         k = j + rng.randint(50 - j)
-        plane = image_plane(stream, j, k)
+        plane = image_plane(stream.readings, stream.spec, j, k)
         for c in range(k - j + 1):
             assert np.array_equal(plane[:, c], stream.readings[j + c])
 
@@ -59,11 +61,11 @@ def test_column_fidelity_random_windows():
 def test_window_bounds_errors():
     stream = _stream(4, 10)
     with pytest.raises(WindowError):
-        image_plane(stream, 5, 3)
+        image_plane(stream.readings, stream.spec, 5, 3)
     with pytest.raises(WindowError):
-        image_plane(stream, 0, 10)
+        image_plane(stream.readings, stream.spec, 0, 10)
     with pytest.raises(WindowError):
-        image_plane(stream, -1, 3)
+        image_plane(stream.readings, stream.spec, -1, 3)
 
 
 def test_camera_frame_pass_through():
@@ -71,11 +73,11 @@ def test_camera_frame_pass_through():
                      frame_h=3, frame_w=4, value_range=(0.0, 1.0))
     readings = np.arange(24, dtype=float).reshape(2, 12)
     stream = SensorStream(spec=cam, readings=readings)
-    plane = image_plane(stream, frame_index=1)
+    plane = image_plane(stream.readings, stream.spec, frame_index=1)
     assert plane.shape == (3, 4)
     assert plane[0, 0] == 12.0
     with pytest.raises(WindowError):
-        image_plane(stream, frame_index=2)
+        image_plane(stream.readings, stream.spec, frame_index=2)
 
 
 def test_normalize_endpoints_midpoint_clamp():
@@ -150,8 +152,26 @@ def test_prepare_requires_normalization():
 
 def test_compute_bounds_from_streams():
     cfg = SyntheticTextureConfig(num_classes=2, channels=4, stream_length=32, seed=5)
-    streams = [generate_synthetic(cfg, c, i) for c in range(2) for i in range(3)]
-    lo, hi = compute_bounds(streams)
+    arrays = [generate_synthetic(cfg, c, range(3)) for c in range(2)]
+    lo, hi = compute_bounds(arrays)
     assert lo < hi
-    for s in streams:
-        assert lo <= s.readings.min() and s.readings.max() <= hi
+    assert (lo, hi) == compute_bounds(r for a in arrays for r in a)
+    for a in arrays:
+        assert lo <= a.min() and a.max() <= hi
+
+
+def test_image_plane_of_a_stack_is_each_streams_plane():
+    cfg = SyntheticTextureConfig(num_classes=2, channels=4, stream_length=32, seed=5)
+    spec = synthetic_sensor_spec(cfg)
+    readings = generate_synthetic(cfg, 1, range(3))
+    planes = image_plane(readings, spec, 2, 20)
+    assert planes.shape == (3, 4, 19) and np.shares_memory(planes, readings)
+    for r, plane in zip(readings, planes):
+        assert np.array_equal(plane, image_plane(r, spec, 2, 20))
+    cam = SensorSpec("cam", channels=6, sample_rate_hz=10.0, kind=CAMERA_FRAMES,
+                     frame_h=2, frame_w=3, value_range=(0.0, 1.0))
+    frames = np.arange(48, dtype=float).reshape(4, 2, 6)
+    stack = image_plane(frames, cam, frame_index=1)
+    assert stack.shape == (4, 2, 3)
+    for r, plane in zip(frames, stack):
+        assert np.array_equal(plane, image_plane(r, cam, frame_index=1))
