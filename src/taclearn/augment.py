@@ -72,8 +72,8 @@ class AugmentConfig:
             raise ValidationError(
                 f"crop lengths must satisfy 1 <= min <= max, got {self.crop_len_range}"
             )
-        if self.jitter_level < 0:
-            raise ValidationError(f"jitter_level must be >= 0, got {self.jitter_level}")
+        if not 0 <= self.jitter_level < math.inf:
+            raise ValidationError(f"jitter_level must be finite and >= 0, got {self.jitter_level}")
 
 
 def flip_temporal(image: TactileImage) -> TactileImage:
@@ -108,8 +108,8 @@ def _resample_axis(data: np.ndarray, new_len: int) -> np.ndarray:
 
 def temporal_width(width: int, factor: float) -> int:
     """The width `resize_temporal` gives an image `width` readings wide."""
-    if factor <= 0:
-        raise ValidationError(f"resize factor must be positive, got {factor}")
+    if not 0 < factor < math.inf:
+        raise ValidationError(f"resize factor must be finite and positive, got {factor}")
     new_w = int(np.floor(width * factor + 0.5))
     if new_w < 1:
         raise ValidationError(f"resize factor {factor} collapses width {width} to zero")
@@ -139,8 +139,8 @@ def crop_temporal(image: TactileImage, start: int, length: int) -> TactileImage:
 
 def jitter(image: TactileImage, level: float, rng: Prng) -> TactileImage:
     """Add i.i.d. uniform noise on [-level, +level] to every entry."""
-    if level < 0:
-        raise ValidationError(f"jitter level must be >= 0, got {level}")
+    if not 0 <= level < math.inf:
+        raise ValidationError(f"jitter level must be finite and >= 0, got {level}")
     if level == 0:
         return image
     noise = rng.uniform(-level, level, size=image.data.shape)

@@ -155,9 +155,9 @@ def _constituent_map(config):
 
 def _synthetic_classes(config):
     """The synthetic sensor's spec and, per split, its sample count and a
-    generator of its classes' (label, constituents, readings), generated one
-    class at a time and only when asked for; a split without samples yields
-    none. The test split starts at index train_per_class."""
+    generator of its classes' (name, label, constituents, readings),
+    generated one class at a time and only when asked for; a split without
+    samples yields none. The test split starts at index train_per_class."""
     synth = _synthetic_config(config)
     train_n = config.get_int("dataset", "train_per_class", 40)
     test_n = config.get_int("dataset", "test_per_class", 10)
@@ -166,96 +166,86 @@ def _synthetic_classes(config):
     def classes(n, start):
         indices = range(start, start + n)
         for c in range(synth.num_classes if n > 0 else 0):
-            yield str(c), cons_map.get(str(c)), generate_synthetic(synth, c, indices)
+            yield f"class {c}", str(c), cons_map.get(str(c)), generate_synthetic(synth, c, indices)
 
     return synthetic_sensor_spec(synth), {
         "train": (max(0, train_n) * synth.num_classes, classes(train_n, 0)),
         "test": (max(0, test_n) * synth.num_classes, classes(test_n, train_n))}
 
 
-def _synthetic_splits(config, splits, window):
-    """`_load_bundle`'s raw splits, bounds and image shape in synthetic mode.
+def _read_splits(config, splits, window):
+    """`_load_bundle`'s raw stacks with their labels and constituent sets,
+    bounds, image shape, sensor spec and manifest.
 
-    Each class is copied straight into its split's preallocated stack, so a
-    split's readings never sit beside its stack; the train split is generated
-    for its bounds alone when it is not asked for. A split without samples
-    yields no stack. Every synthetic stream has one length, so every image
-    has one shape.
+    Each mode supplies, per split, a sample count and groups (name, label,
+    constituents, readings): one per class in synthetic mode, one per stream
+    in manifest mode. One loop folds the train split's min and max when the
+    bounds are not given, and copies each group's images straight into its
+    split's preallocated stack. The parsed streams are locals here, so they
+    are gone once the stacks are returned.
     """
-    spec, classes = _synthetic_classes(config)
-    if not classes["train"][0]:
+    mode = config.get_str("dataset", "mode")
+    if mode == "synthetic":
+        manifest, bounds = None, None
+        spec, sources = _synthetic_classes(config)
+    elif mode == "manifest":
+        man_path = config.get_str("dataset", "manifest")
+        manifest = load_manifest(man_path)
+        spec, bounds = manifest.spec, manifest.norm_bounds
+        read = tuple(dict.fromkeys(("train", *splits))) if bounds is None else splits
+        # parse the streams of `read` once each, in manifest order
+        wanted = replace(manifest, entries=[e for e in manifest.entries if e.split in read])
+        streams = load_manifest_streams(man_path, wanted)[1]
+        sources = {split: (len(manifest.split(split)),
+                           [(e.path, e.label, e.constituents, s.readings[None])
+                            for e, s in zip(wanted.entries, streams) if e.split == split])
+                   for split in ("train", "test")}
+    else:
+        raise ValidationError(f"[dataset] mode must be synthetic or manifest, got {mode!r}")
+    if not sources["train"][0]:
         raise ValidationError("dataset has no training samples")
+
     lo, hi, shape, raw = np.inf, -np.inf, None, {}
     for split in dict.fromkeys(("train", *splits)):
-        size, groups = classes[split]
+        size, groups = sources[split]
         stack, labels, cons = None, [], []
-        for label, constituents, readings in groups:
-            if split == "train":
-                glo, ghi = compute_bounds([readings])
-                lo, hi = min(lo, glo), max(hi, ghi)
+        for name, label, constituents, readings in groups:
+            if split == "train" and bounds is None:
+                lo, hi = min(lo, float(readings.min())), max(hi, float(readings.max()))
             planes = image_plane(readings, spec, *window)
             shape = shape or planes.shape[1:]
+            if planes.shape[1:] != shape:
+                raise ValidationError(
+                    f"{name}: image is {planes.shape[1]}x{planes.shape[2]}, the dataset's first "
+                    f"is {shape[0]}x{shape[1]}; every image must have one shape (set "
+                    f"[transform] window_start and window_end to cut every stream to one window)")
             if split in splits:
                 if stack is None:
                     stack = np.empty((size, *shape))
-                    raw[split] = stack, labels, cons, spec
+                    raw[split] = stack, labels, cons
                 stack[len(labels) : len(labels) + len(planes)] = planes
                 labels += [label] * len(planes)
                 cons += [constituents] * len(planes)
-    return raw, (lo, hi), shape
+    # the folded pair refuses degenerate data with compute_bounds' own error
+    return raw, bounds or compute_bounds([np.array((lo, hi))]), shape, spec, manifest
 
 
 def _load_bundle(config, splits=("train", "test")) -> _Bundle:
-    """Images of `splits`. The train split is also read when the normalization
-    bounds (synthetic mode, or a manifest without norm_lo/norm_hi) come from
-    it; read only for them, it yields no images. Every image read must have
-    one shape, whose width is the input width unless ``[transform]
-    input_width`` sets it."""
-    mode = config.get_str("dataset", "mode")
+    """Images of `splits`, read by `_read_splits`. The train split is also
+    read when the normalization bounds (synthetic mode, or a manifest without
+    norm_lo/norm_hi) come from it; read only for them, it yields no images.
+    Every image read must have one shape, whose width is the input width
+    unless ``[transform] input_width`` sets it."""
     input_width = config.get_int("transform", "input_width", None, minimum=1)
     window = (config.get_int("transform", "window_start", None),
               config.get_int("transform", "window_end", None),
               config.get_int("transform", "frame_index", 0))
-    if mode == "synthetic":
-        manifest = None
-        raw, bounds, shape = _synthetic_splits(config, splits, window)
-    elif mode == "manifest":
-        man_path = config.get_str("dataset", "manifest")
-        manifest = load_manifest(man_path)
-        bounds = manifest.norm_bounds
-        read = tuple(dict.fromkeys(("train", *splits))) if bounds is None else splits
-        # parse the streams of `read` once each, in manifest order
-        wanted = replace(manifest, entries=[e for e in manifest.entries if e.split in read])
-        streams = {split: [] for split in read}
-        for entry, stream in zip(wanted.entries, load_manifest_streams(man_path, wanted)[1]):
-            streams[entry.split].append(stream)
-        if not manifest.split("train"):
-            raise ValidationError("dataset has no training samples")
-
-        bounds = bounds or compute_bounds(s.readings for s in streams["train"])
-        planes = {split: [image_plane(s.readings, s.spec, *window) for s in streams[split]]
-                  for split in read}
-        shape = next((p.shape for split in read for p in planes[split]), (None, None))
-        odd = next(((split, i, p.shape) for split in read for i, p in enumerate(planes[split])
-                    if p.shape != shape), None)
-        if odd is not None:
-            split, i, (h, w) = odd
-            raise ValidationError(
-                f"{manifest.split(split)[i].path}: image is {h}x{w}, the dataset's first is "
-                f"{shape[0]}x{shape[1]}; every image must have one shape (set [transform] "
-                f"window_start and window_end to cut every stream to one window)")
-        # np.array, unlike np.stack, lays the transposed views out row-major
-        raw = {split: (np.array(planes[split]), [str(s.label) for s in streams[split]],
-                       [s.constituents for s in streams[split]], streams[split][0].spec)
-               for split in splits if streams[split]}
-        del streams, planes
-    else:
-        raise ValidationError(f"[dataset] mode must be synthetic or manifest, got {mode!r}")
+    raw, bounds, shape, spec, manifest = _read_splits(config, splits, window)
 
     def stack(split):
         if split not in raw:
             return None, [], []
-        planes, labels, cons, spec = raw.pop(split)
+        planes, labels, cons = raw.pop(split)
         return normalize(planes, *bounds, source=spec), labels, cons
 
     train, test = stack("train"), stack("test")
@@ -269,7 +259,7 @@ def _load_bundle(config, splits=("train", "test")) -> _Bundle:
     # 1.7M, train on 200 19x400 streams 14k and 424k, cl --sweep on 10 classes
     # x 600 images 39k and 127k. Other allocators just make it.
     np.empty(10 << 20, dtype=np.uint8)
-    return _Bundle(*train, *test, input_width or shape[1], bounds, manifest)
+    return _Bundle(*train, *test, input_width or (shape and shape[1]), bounds, manifest)
 
 
 def _augment_config(config, args, input_width, run_seed):
@@ -344,13 +334,13 @@ def cmd_ingest(args) -> int:
     if mode == "synthetic":
         spec, classes = _synthetic_classes(config)
         groups = {split: list(gen) for split, (_, gen) in classes.items()}
-        bounds = compute_bounds(readings for _, _, readings in groups["train"])
+        bounds = compute_bounds(readings for *_, readings in groups["train"])
         out = _prepare_out(args, config, run_seed)
         (out / "streams").mkdir(exist_ok=True)
         entries = []
         per_class_counter: dict[str, int] = {}
         for split in ("train", "test"):
-            for label, constituents, readings in groups[split]:
+            for _, label, constituents, readings in groups[split]:
                 for r in readings:
                     idx = per_class_counter.get(label, 0)
                     per_class_counter[label] = idx + 1

@@ -13,6 +13,7 @@ shortest-repr floats, so every value in a report reads back exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,8 +149,8 @@ def speed_sweep(classifier: Classifier, images, labels, factors) -> list[tuple[f
     """
     backend, curve, workspace = classifier.backend, [], {}
     for factor in factors:
-        if factor <= 0:
-            raise ValidationError(f"speed factor must be positive, got {factor}")
+        if not 0 < factor < math.inf:
+            raise ValidationError(f"speed factor must be finite and positive, got {factor}")
         width = temporal_width(images.width, 1.0 / factor)
         step = embed_chunk(backend, images.data.shape[-2], width)
         embeddings = np.concatenate([
@@ -193,6 +194,8 @@ def composition_eval(backend: ConvNetBackend, head: LinearHead, images, truths,
                      threshold: float = 0.5, task_id: str = "composition") -> EvalReport:
     """Score the composition head's predictions over a stack and the
     parallel true constituent sets."""
+    if not math.isfinite(threshold):
+        raise ValidationError(f"composition threshold must be finite, got {threshold}")
     truths = list(truths)
     if len(truths) != len(images):
         raise ValidationError(f"{len(truths)} constituent sets for {len(images)} images")

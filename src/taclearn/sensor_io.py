@@ -93,8 +93,6 @@ class SensorStream:
 
     spec: SensorSpec
     readings: np.ndarray  # (T, channels) float64
-    label: object = None
-    constituents: frozenset[str] | None = None
 
     def __post_init__(self):
         readings = np.asarray(self.readings, dtype=np.float64)
@@ -113,19 +111,6 @@ class SensorStream:
         if bad.size:
             raise NonFiniteValueError(f"non-finite value in reading {bad[0]}")
         readings.setflags(write=False)
-
-    @property
-    def length(self) -> int:
-        return self.readings.shape[0]
-
-    def with_label(self, label, constituents=None) -> "SensorStream":
-        """A relabelled copy; it shares the readings, checked and read-only already."""
-        stream = object.__new__(SensorStream)
-        # setting every field in __init__'s order keeps the instance dict key-shared
-        for name, value in (("spec", self.spec), ("readings", self.readings),
-                            ("label", label), ("constituents", constituents)):
-            object.__setattr__(stream, name, value)
-        return stream
 
 
 @dataclass(frozen=True)
@@ -445,14 +430,11 @@ def load_manifest(path) -> Manifest:
 def load_manifest_streams(manifest_path, manifest: Manifest | None = None):
     """Load every sample in a manifest, resolving paths relative to it.
 
-    Returns (manifest, streams) with labels and constituents attached.
+    Returns (manifest, streams), one stream per entry in entry order; the
+    entries hold the labels and constituent sets.
     """
     manifest_path = Path(manifest_path)
     if manifest is None:
         manifest = load_manifest(manifest_path)
     base = manifest_path.parent
-    streams = []
-    for entry in manifest.entries:
-        stream = load_stream(base / entry.path, manifest.spec)
-        streams.append(stream.with_label(entry.label, entry.constituents))
-    return manifest, streams
+    return manifest, [load_stream(base / e.path, manifest.spec) for e in manifest.entries]

@@ -65,8 +65,8 @@ class TactileImage:
     def __getitem__(self, index) -> "TactileImage":
         return self.with_data(self.data[index])
 
-    def with_data(self, data: np.ndarray, **changes) -> "TactileImage":
-        return replace(self, data=data, **changes)
+    def with_data(self, data: np.ndarray) -> "TactileImage":
+        return replace(self, data=data)
 
 
 def image_plane(readings: np.ndarray, spec: SensorSpec, j: int | None = None,

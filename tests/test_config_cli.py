@@ -440,6 +440,38 @@ def test_synthetic_eval_noise_normalizes_only_test_images(tmp_path, trained, mon
     assert [len(planes) for planes in normalized] == [3 * 3]
 
 
+@pytest.mark.parametrize("mode, old, new, message", [
+    ("speed", "speeds = 0.5,1.0,2.0", "speeds = nan", "speed factor must be finite"),
+    ("speed", "speeds = 0.5,1.0,2.0", "speeds = 0.5,inf", "speed factor must be finite"),
+    ("noise", "noise_levels = 0,0.25", "noise_levels = nan", "jitter level must be finite"),
+    ("noise", "noise_levels = 0,0.25", "noise_levels = 0,inf", "jitter level must be finite"),
+    ("composition", "[eval]\n", "[eval]\nthreshold = nan\n",
+     "composition threshold must be finite"),
+], ids=["speeds-nan", "speeds-inf", "noise_levels-nan", "noise_levels-inf", "threshold-nan"])
+def test_non_finite_eval_values_exit_one_before_outputs(tmp_path, trained, capsys, mode, old,
+                                                        new, message):
+    from taclearn.fabric import CONSTITUENTS
+    from taclearn.model import Checkpoint, LinearHead, load_checkpoint, save_checkpoint
+
+    cfg, ckpt = trained
+    text = cfg.read_text()
+    assert old in text
+    text = text.replace(old, new, 1)
+    if mode == "composition":
+        # the trained backend under a composition head, and a truth per class
+        backend = load_checkpoint(ckpt).backend
+        ckpt = tmp_path / "composition.tacm"
+        head = LinearHead.zeros(backend.embed_dim, len(CONSTITUENTS))
+        save_checkpoint(ckpt, Checkpoint(backend=backend, heads={"composition": head}))
+        text += "\n[composition]\n0 = Cotton\n1 = Wool\n2 = Linen;Viscose\n"
+    cfg.write_text(text)
+    out = tmp_path / "never"
+    assert main(["eval", mode, "--config", str(cfg), "--checkpoint", str(ckpt),
+                 "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_rerun_bit_identical(tmp_path, trained):
     cfg, ckpt = trained
     out1 = tmp_path / "e1"
@@ -642,6 +674,40 @@ def test_ingested_manifest_in_another_directory_trains(tmp_path):
         "../source/streams/")
     assert main(["train", "--config", manifest_cfg(resolved / "manifest.txt"),
                  "--out", str(tmp_path / "train"), "--no-augment"]) == 0
+
+
+@pytest.mark.parametrize("norm", ["kept", "removed"])
+def test_synthetic_and_ingested_manifest_datasets_load_to_the_same_stacks(tmp_path, norm):
+    # both dataset modes fill their stacks through one loop: the manifest that
+    # ingest writes for a synthetic dataset gives the synthetic dataset's
+    # bounds, stack bytes, labels and constituent sets
+    from taclearn.cli import _load_bundle
+
+    window = "[transform]\nwindow_start = 2\nwindow_end = 28\n"
+    cfg = _write_cfg(tmp_path)
+    cfg.write_text(cfg.read_text().replace("[transform]\n", window)
+                   + "\n[composition]\n0 = Cotton;Wool\n2 = Linen\n")
+    data = tmp_path / "data"
+    assert main(["ingest", "--config", str(cfg), "--out", str(data)]) == 0
+    manifest = data / "manifest.txt"
+    if norm == "removed":
+        manifest.write_text("".join(line for line in manifest.read_text().splitlines(True)
+                                    if not line.startswith("norm_")))
+        assert load_manifest(manifest).norm_bounds is None
+    manifest_cfg = tmp_path / "manifest.cfg"
+    manifest_cfg.write_text(f"[dataset]\nmode = manifest\nmanifest = {manifest}\n\n{window}")
+    synthetic, ingested = (_load_bundle(load_config(path)) for path in (cfg, manifest_cfg))
+    assert ingested.bounds == synthetic.bounds
+    for split in ("train", "test"):
+        expected = getattr(synthetic, f"{split}_images")
+        images = getattr(ingested, f"{split}_images")
+        assert images.data.shape == expected.data.shape == (3 * {"train": 6, "test": 3}[split],
+                                                            10, 27)
+        assert images.data.tobytes() == expected.data.tobytes()
+        assert images.source == expected.source
+        for field in ("labels", "cons"):
+            assert getattr(ingested, f"{split}_{field}") == getattr(synthetic, f"{split}_{field}")
+    assert synthetic.test_cons[::3] == [frozenset({"Cotton", "Wool"}), None, frozenset({"Linen"})]
 
 
 @pytest.fixture()
@@ -1064,8 +1130,11 @@ def test_synthetic_split_is_built_class_by_class(split):
     ("train", "resize_max = 1.25", "resize_max = inf", "resize factors must be finite"),
     ("train", "noise_floor = 0.05", "noise_floor = nan", "noise_floor must be finite"),
     ("ingest", "noise_floor = 0.05", "noise_floor = inf", "noise_floor must be finite"),
+    ("train", "jitter_level = 0.1", "jitter_level = nan", "jitter_level must be finite"),
+    ("train", "jitter_level = 0.1", "jitter_level = inf", "jitter_level must be finite"),
 ], ids=["lr-nan", "lr-inf", "weight_decay-nan", "ft_lr-nan", "ft_weight_decay-inf",
-        "ridge_lambda-inf", "resize_max-inf", "noise_floor-nan", "noise_floor-inf"])
+        "ridge_lambda-inf", "resize_max-inf", "noise_floor-nan", "noise_floor-inf",
+        "jitter_level-nan", "jitter_level-inf"])
 def test_non_finite_config_values_exit_one_before_outputs(tmp_path, capsys, command, old, new,
                                                           message):
     cfg = _write_cfg(tmp_path)

@@ -109,9 +109,9 @@ CFG = SyntheticTextureConfig(num_classes=5, channels=12, stream_length=64, seed=
 
 
 def _synthetic_stream(cfg, class_id, index=0):
-    """Sample `index` of class `class_id` as a labelled stream."""
+    """Sample `index` of class `class_id` as a stream."""
     readings = generate_synthetic(cfg, class_id, [index])[0]
-    return SensorStream(spec=synthetic_sensor_spec(cfg), readings=readings, label=class_id)
+    return SensorStream(spec=synthetic_sensor_spec(cfg), readings=readings)
 
 
 def test_synthetic_deterministic():
@@ -265,9 +265,12 @@ def test_manifest_streams_load(tmp_path):
     manifest = Manifest(spec=s.spec, entries=entries)
     mpath = tmp_path / "manifest.txt"
     write_manifest(mpath, manifest)
-    _, streams = load_manifest_streams(mpath)
-    assert len(streams) == 2
-    assert streams[1].label == "1"
+    loaded, streams = load_manifest_streams(mpath)
+    assert loaded.entries == entries
+    # one stream per entry, in entry order
+    for entry, stream in zip(entries, streams, strict=True):
+        expected = generate_synthetic(cfg, int(entry.label), [0])[0]
+        assert np.array_equal(stream.readings, expected)
 
 
 def test_binary_non_finite_names_file_and_index(tmp_path):
@@ -277,15 +280,6 @@ def test_binary_non_finite_names_file_and_index(tmp_path):
     spec = SensorSpec("s", channels=2, sample_rate_hz=1.0)
     with pytest.raises(NonFiniteValueError, match=f"^{p}: non-finite value in reading 1$"):
         load_stream(p, spec)
-
-
-def test_with_label_does_not_recheck_readings(monkeypatch):
-    stream = _synthetic_stream(CFG, 1)
-    monkeypatch.setattr(SensorStream, "__post_init__", lambda self: pytest.fail("re-checked"))
-    relabelled = stream.with_label("1", frozenset({"Wool"}))
-    assert (relabelled.label, relabelled.constituents) == ("1", frozenset({"Wool"}))
-    assert relabelled.readings is stream.readings and not relabelled.readings.flags.writeable
-    assert (stream.label, stream.constituents) == (1, None)
 
 
 def _load_csv_reference(path, spec):
