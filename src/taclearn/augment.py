@@ -50,6 +50,12 @@ from .sensor_io import CAMERA_FRAMES
 from .tactile_image import TactileImage
 
 
+# The widest temporal axis a resize may produce: 2**16 readings, about 100
+# times the widest sensor template (27x599). One 12-row plane at this width
+# takes 6 MB in float64, and its block-1 columns about 28 MB in float32.
+MAX_TEMPORAL_WIDTH = 2**16
+
+
 @dataclass(frozen=True)
 class AugmentConfig:
     flip_prob: float = 0.5
@@ -107,13 +113,22 @@ def _resample_axis(data: np.ndarray, new_len: int) -> np.ndarray:
 
 
 def temporal_width(width: int, factor: float) -> int:
-    """The width `resize_temporal` gives an image `width` readings wide."""
+    """The width `resize_temporal` gives an image `width` readings wide; at
+    most MAX_TEMPORAL_WIDTH."""
     if not 0 < factor < math.inf:
         raise ValidationError(f"resize factor must be finite and positive, got {factor}")
     new_w = int(np.floor(width * factor + 0.5))
     if new_w < 1:
         raise ValidationError(f"resize factor {factor} collapses width {width} to zero")
+    _check_width(new_w, width, factor)
     return new_w
+
+
+def _check_width(new_w, width, factor):
+    if new_w > MAX_TEMPORAL_WIDTH:
+        raise ValidationError(
+            f"resize factor {factor} stretches width {width} to {new_w} readings, "
+            f"above the maximum of {MAX_TEMPORAL_WIDTH}")
 
 
 def resize_temporal(image: TactileImage, factor: float) -> TactileImage:
@@ -193,6 +208,7 @@ def random_augment(images: TactileImage, cfg: AugmentConfig, rng: Prng,
             raise ValidationError(f"resize factor {factor} collapses width {in_w} to zero")
         else:
             new_h = out_h
+        _check_width(new_w, in_w, factor)
         if new_w < lo:
             raise ValidationError(
                 f"image width {new_w} after resize is below minimum crop length {lo}"

@@ -18,10 +18,13 @@ width), even over a loaded checkpoint's; the other eval modes keep the width
 the checkpoint recorded, and without one the images keep their own.
 
 Exit codes: 0 success, 1 validation error (bad config, files, parameters),
-2 runtime failure. Validation runs before anything is written. At a fixed
-BLAS thread count every output is a deterministic function of (config,
-seed), so reruns produce identical bytes; the thread count can change the
-last bits of GEMM results and with them a training history.
+2 runtime failure. Validation runs before anything is written. Every output
+is a deterministic function of (config, seed), so reruns produce identical
+bytes: importing taclearn pins BLAS to one thread, because the thread count
+can change the last bits of GEMM results and with them a training history.
+A thread variable set in the environment (``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``) overrides the pin, and outputs are
+then reproducible at that count only.
 """
 
 from __future__ import annotations
@@ -146,11 +149,10 @@ def _synthetic_config(config):
 
 
 def _constituent_map(config):
-    items = config.section_items("composition")
-    mapping = {}
-    for label, names in items.items():
-        mapping[label] = frozenset(n for n in names.split(";") if n)
-    return mapping
+    """Label -> constituent set; an empty list reads as None (no set), as
+    `load_manifest` reads the empty field `ingest` writes for it."""
+    return {label: frozenset(n for n in names.split(";") if n) or None
+            for label, names in config.section_items("composition").items()}
 
 
 def _synthetic_classes(config):
@@ -252,12 +254,12 @@ def _load_bundle(config, splits=("train", "test")) -> _Bundle:
     # The streams are gone; then freeing one 10 MB block raises glibc's
     # adaptive mmap threshold to 10 MB, so malloc keeps up to 20 MB of freed heap.
     # Training's backward caches are allocated afresh for every minibatch and
-    # freed block by block during backward, and block 0's columns alone
-    # (0.66 MB at batch 16, 12x64) exceed the 128 KB default threshold, so
-    # without the block they would fault in afresh for every batch. Minor
-    # faults with and without it: train on experiments/synthetic.cfg 9k and
-    # 1.7M, train on 200 19x400 streams 14k and 424k, cl --sweep on 10 classes
-    # x 600 images 39k and 127k. Other allocators just make it.
+    # freed block by block during backward, and block 0's float32 columns
+    # alone (0.33 MB at batch 16, 12x64) exceed the 128 KB default threshold,
+    # so without the block they would fault in afresh for every batch. Minor
+    # faults with and without it: train on experiments/synthetic.cfg 8.9k and
+    # 50k, train on 200 19x400 streams 11k and 153k, cl --sweep on 10 classes
+    # x 600 images 36k and 38k. Other allocators just make it.
     np.empty(10 << 20, dtype=np.uint8)
     return _Bundle(*train, *test, input_width or (shape and shape[1]), bounds, manifest)
 

@@ -145,13 +145,15 @@ def speed_sweep(classifier: Classifier, images, labels, factors) -> list[tuple[f
     `embed_chunk` at a time, each just before `embed_images` takes it, so no
     whole resized stack exists and every embedding keeps the chunk, and so
     the bytes, that embedding the whole resized stack would give it. The
-    chunks share one workspace.
+    chunks share one workspace. Every factor, and the width it gives (at most
+    `augment.MAX_TEMPORAL_WIDTH`), is checked before the first embedding.
     """
-    backend, curve, workspace = classifier.backend, [], {}
+    backend, curve, workspace, widths = classifier.backend, [], {}, []
     for factor in factors:
         if not 0 < factor < math.inf:
             raise ValidationError(f"speed factor must be finite and positive, got {factor}")
-        width = temporal_width(images.width, 1.0 / factor)
+        widths.append(temporal_width(images.width, 1.0 / factor))
+    for factor, width in zip(factors, widths):
         step = embed_chunk(backend, images.data.shape[-2], width)
         embeddings = np.concatenate([
             embed_images(backend, images.with_data(_resample_axis(images.data[s : s + step], width)),

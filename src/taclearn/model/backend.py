@@ -145,8 +145,10 @@ class ConvNetBackend:
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
         """(N, H, W) planes, each fed to every input channel as one read-only
-        view (conv_forward copies its input), or (N, in_channels, H, W) input."""
-        x = np.asarray(x, dtype=np.float64)
+        view (conv_forward copies its input), or (N, in_channels, H, W) input.
+        float32 input stays float32; any other input becomes float64."""
+        x = np.asarray(x)
+        x = x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
         if x.ndim not in (3, 4) or (x.ndim == 4 and x.shape[1] != self.in_channels):
             raise ValidationError(
                 f"expected (N, H, W) planes or (N, {self.in_channels}, H, W) input, "
@@ -163,7 +165,8 @@ class ConvNetBackend:
         return x
 
     def forward(self, x: np.ndarray, workspace: dict | None = None):
-        """Returns (embeddings (N, d), cache for backward).
+        """Returns (embeddings (N, d), cache for backward), computed in the
+        input's dtype (see `_check_input`).
 
         With a `workspace` (see `layers`) the pass is forward-only: every block
         gathers into the workspace's buffers, ReLU runs in place on the fresh
@@ -184,18 +187,19 @@ class ConvNetBackend:
         return emb, None if workspace is not None else (caches, gap_shape)
 
     def backward(self, demb: np.ndarray, cache):
-        """Gradients for every parameter, aligned with params(). Consumes
-        `cache`: each block's columns and mask are dropped once used."""
+        """float64 gradients for every parameter, aligned with params(),
+        computed in the forward pass's dtype. Consumes `cache`: each block's
+        columns and mask are dropped once used."""
         caches, gap_shape = cache
-        dh = layers.gap_backward(demb, gap_shape)
+        dh = layers.gap_backward(demb.astype(caches[-1][1].dtype, copy=False), gap_shape)
         grads: list[np.ndarray] = []
         for i in reversed(range(len(caches))):
             conv_cache, mask = caches.pop()
             dh = layers.relu_backward(dh, mask)
             # nothing upstream of block 0 takes a gradient
             dh, dw, db = layers.conv_backward(dh, conv_cache, input_grad=i > 0)
-            grads.append(db)
-            grads.append(dw)
+            grads.append(db.astype(np.float64, copy=False))
+            grads.append(dw.astype(np.float64, copy=False))
         grads.reverse()
         return grads
 

@@ -1,10 +1,12 @@
 """Neural network layer primitives with explicit backward passes.
 
-All math is float64 numpy. Convolution is im2col with the batch folded into
-the GEMM columns: `cols` is channel-major, (Cin*kh*kw, N*OH*OW), gathered
-with one copy from a `sliding_window_view` of the input transposed to
-(Cin, N, H, W) and written into a padded buffer (border zeroed, interior
-assigned), so each direction is one GEMM. An input whose channels are one
+The conv layers compute in their input's dtype, with the weights cast on
+each call: float32 for training and embedding, float64 for the
+finite-difference gradient checks. Convolution is im2col with the batch
+folded into the GEMM columns: `cols` is channel-major, (Cin*kh*kw,
+N*OH*OW), gathered with one copy from a `sliding_window_view` of the input
+transposed to (Cin, N, H, W) and written into a padded buffer (border
+zeroed, interior assigned), so each direction is one GEMM. An input whose channels are one
 broadcast plane (stride 0 on the channel axis, as the encoder feeds a tactile
 image to its three input channels) is padded and gathered once, and its
 kh*kw rows are copied to the other channels: the columns, and so the GEMM,
@@ -38,39 +40,42 @@ def _col_slices(kh, kw, stride, out_h, out_w):
             )
 
 
-def _buffer(workspace, key, shape):
-    """A `shape` float64 array: fresh without a workspace, else a view of
-    workspace[key], which is replaced when too small. The old buffer is
-    released before the larger one is allocated, so the two never coexist."""
+def _buffer(workspace, key, shape, dtype):
+    """A `shape` array of `dtype`: fresh without a workspace, else a view of
+    workspace[key], which is replaced when too small or of another dtype. The
+    old buffer is released before the new one is allocated, so the two never
+    coexist."""
     if workspace is None:
-        return np.empty(shape)
+        return np.empty(shape, dtype)
     size = math.prod(shape)
-    if key not in workspace or workspace[key].size < size:
+    old = workspace.get(key)
+    if old is None or old.size < size or old.dtype != dtype:
         workspace.pop(key, None)
-        workspace[key] = np.empty(size)
+        workspace[key] = np.empty(size, dtype)
     return workspace[key][:size].reshape(shape)
 
 
 def conv_forward(x, w, b, stride=2, pad=1, workspace=None):
-    """x: (N, Cin, H, W), w: (Cout, Cin, kh, kw), b: (Cout,).
+    """x: (N, Cin, H, W), w: (Cout, Cin, kh, kw), b: (Cout,); computes in x's dtype.
 
     Returns (out, cache). With a `workspace` dict the padded input and the
     columns go into its buffers and the cache is None.
     """
     n, c, h, width = x.shape
     c_out, _, kh, kw = w.shape
+    w, b = w.astype(x.dtype, copy=False), b.astype(x.dtype, copy=False)
     out_h = (h + 2 * pad - kh) // stride + 1
     out_w = (width + 2 * pad - kw) // stride + 1
     src = x[:, :1] if x.strides[1] == 0 else x  # one plane behind every channel
     c_src = src.shape[1]
-    xp = _buffer(workspace, "padded", (c_src, n, h + 2 * pad, width + 2 * pad))
+    xp = _buffer(workspace, "padded", (c_src, n, h + 2 * pad, width + 2 * pad), x.dtype)
     xp[:, :, :pad] = 0.0
     xp[:, :, pad + h :] = 0.0
     xp[:, :, pad : pad + h, :pad] = 0.0
     xp[:, :, pad : pad + h, pad + width :] = 0.0
     xp[:, :, pad : pad + h, pad : pad + width] = src.transpose(1, 0, 2, 3)
     windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    cols = _buffer(workspace, "cols", (c, kh, kw, n, out_h, out_w))
+    cols = _buffer(workspace, "cols", (c, kh, kw, n, out_h, out_w), x.dtype)
     cols[:c_src] = windows.transpose(0, 4, 5, 1, 2, 3)
     cols[c_src:] = cols[:1]
     cols = cols.reshape(c * kh * kw, n * out_h * out_w)
@@ -81,7 +86,8 @@ def conv_forward(x, w, b, stride=2, pad=1, workspace=None):
 
 
 def conv_backward(dout, cache, input_grad=True):
-    """Returns (dx, dw, db); dx is None when `input_grad` is false."""
+    """Returns (dx, dw, db) in the forward pass's dtype; dx is None when
+    `input_grad` is false."""
     x_shape, cols, w, stride, pad, out_h, out_w = cache
     n, c, h, width = x_shape
     c_out, _, kh, kw = w.shape
@@ -91,7 +97,7 @@ def conv_backward(dout, cache, input_grad=True):
     if not input_grad:
         return None, dw, db
     dcols = (w.reshape(c_out, -1).T @ dm).reshape(c, kh, kw, n, out_h, out_w)
-    dxp = np.zeros((c, n, h + 2 * pad, width + 2 * pad))
+    dxp = np.zeros((c, n, h + 2 * pad, width + 2 * pad), dcols.dtype)
     for ki, kj, si, sj in _col_slices(kh, kw, stride, out_h, out_w):
         dxp[:, :, si, sj] += dcols[:, ki, kj]
     dx = dxp[:, :, pad : pad + h, pad : pad + width].transpose(1, 0, 2, 3)

@@ -105,8 +105,10 @@ def prepare_batch(images, input_width: int | None = None) -> np.ndarray:
 def embed_chunk(backend: ConvNetBackend, height: int, width: int) -> int:
     """How many (height, width) planes `embed_images` passes through the
     backend at once: at most 64, the size measured best at 12x64, and 2**17
-    pixels at the backend's input width (else `width`), which keeps block 1's
-    columns (about 72 bytes per input pixel) near 10 MB at wide sensor shapes."""
+    pixels at the backend's input width (else `width`). The float32 pass
+    holds about 108 bytes per input pixel at its peak (13.3 MB traced at 17
+    planes of 19x400), 36 of them block 1's columns. Bounds of 2**15, 2**16
+    and 2**18 pixels embedded 19x400, 60x75 and 27x599 stacks more slowly."""
     width = width if backend.input_width is None else backend.input_width
     return max(1, min(64, 2**17 // (height * width)))
 
@@ -114,15 +116,17 @@ def embed_chunk(backend: ConvNetBackend, height: int, width: int) -> int:
 def embed_images(backend: ConvNetBackend, images, workspace: dict | None = None) -> np.ndarray:
     """Embeddings of a normalized stack, resized to the backend's input width
     chunk by chunk (`embed_chunk` planes), just before each chunk's
-    forward-only pass. Chunks share one workspace (see `layers`); pass the
-    same dict to successive calls to share it across them too."""
+    forward-only pass. Each resized chunk is cast to float32, so the pass
+    computes in float32, as training does. Chunks share one workspace (see
+    `layers`); pass the same dict to successive calls to share it across
+    them too."""
     planes = prepare_for_model(images)
     width = planes.shape[-1] if backend.input_width is None else backend.input_width
     chunk = embed_chunk(backend, *planes.shape[1:])
     out = np.empty((len(planes), backend.embed_dim))
     workspace = {} if workspace is None else workspace
     for start in range(0, len(planes), chunk):
-        x = _resample_axis(planes[start : start + chunk], width)
+        x = _resample_axis(planes[start : start + chunk], width).astype(np.float32)
         out[start : start + chunk] = backend.embed_batch(x, workspace)
     return out
 
@@ -201,7 +205,9 @@ def _train_loop(images, targets, cfg, aug_cfg, backend, head, loss, val_eval=Non
                 x = planes[idx]
             else:
                 x = random_augment(images[idx], aug_cfg, aug_rng, backend.input_width)
-            emb, cache = backend.forward(x, workspace)
+            # the encoder computes in float32, as in `embed_images`; parameters,
+            # velocities and the SGD step stay float64
+            emb, cache = backend.forward(x.astype(np.float32), workspace)
             value, dlogits = loss(layers.linear_forward(emb, head.weights, head.bias),
                                   targets[idx])
             if not np.isfinite(value):

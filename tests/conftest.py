@@ -4,7 +4,12 @@ The pretrained backend plays the role of the transferable embedding model:
 it is trained once per session on its own synthetic task (different seed and
 class count from every downstream experiment) and then used frozen wherever
 a fixed representation is required.
+
+taclearn is imported before numpy, so the tests run at the one BLAS thread
+the package pins, as the CLI does.
 """
+
+import taclearn  # noqa: F401,I001 - first, see above
 
 import numpy as np
 import pytest

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from taclearn.augment import (
+    MAX_TEMPORAL_WIDTH,
     AugmentConfig,
     _resample_axis,
     crop_temporal,
@@ -12,6 +13,7 @@ from taclearn.augment import (
     random_augment,
     resize_temporal,
     resize_to_width,
+    temporal_width,
 )
 from taclearn.errors import ValidationError
 from taclearn.prng import Prng
@@ -150,6 +152,17 @@ def test_random_augment_too_short_after_resize():
     )
     with pytest.raises(ValidationError, match="below minimum crop"):
         random_augment(_stack(img), cfg, Prng(0))
+
+
+def test_resized_width_is_bounded():
+    # refused from the width alone: no array of that width is built
+    assert temporal_width(64, MAX_TEMPORAL_WIDTH / 64) == MAX_TEMPORAL_WIDTH
+    for factor in (1 / 1e-300, 1 / 1e-6, (MAX_TEMPORAL_WIDTH + 1) / 64):
+        with pytest.raises(ValidationError, match="above the maximum"):
+            temporal_width(64, factor)
+    cfg = AugmentConfig(resize_factor_range=(1e6, 1e6))
+    with pytest.raises(ValidationError, match="above the maximum"):
+        random_augment(_stack(_image(h=4, w=20)), cfg, Prng(0))
 
 
 def test_flip_rate_matches_binomial():

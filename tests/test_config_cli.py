@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -337,6 +338,35 @@ def test_threads_flag_is_rejected(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_outputs_do_not_depend_on_the_blas_thread_variables(tmp_path):
+    # taclearn pins BLAS to one thread unless a thread variable is set, so a
+    # run with them unset writes the bytes of a run at OPENBLAS_NUM_THREADS=1;
+    # this preset's cl --sweep writes a different checkpoint at two threads
+    import taclearn
+
+    src = os.path.dirname(os.path.dirname(taclearn.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    unset = {k: v for k, v in os.environ.items()
+             if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    config = Path(__file__).resolve().parents[1] / "experiments" / "synthetic.cfg"
+    runs = {}
+    for name, env in (("unset", unset), ("one", dict(unset, OPENBLAS_NUM_THREADS="1"))):
+        runs[name] = subprocess.Popen(
+            [sys.executable, "-m", "taclearn.cli", "cl", "--sweep", "--config", str(config),
+             "--out", str(tmp_path / name)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(env, PYTHONPATH=path))
+    outputs = {}
+    for name, proc in runs.items():
+        stdout, stderr = proc.communicate(timeout=600)
+        assert proc.returncode == 0, stderr
+        out = tmp_path / name
+        outputs[name] = stdout, {str(f.relative_to(out)): f.read_bytes()
+                                 for f in sorted(out.rglob("*")) if f.is_file()}
+    assert "final_fine_tuned_cap50.tacm" in outputs["one"][1]
+    assert outputs["unset"] == outputs["one"]
+
+
 def test_cl_rerun_bit_identical(tmp_path):
     cfg = _write_cfg(tmp_path)
     out1 = tmp_path / "c1"
@@ -472,6 +502,26 @@ def test_non_finite_eval_values_exit_one_before_outputs(tmp_path, trained, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("speeds", ["1.0,1e-300", "1.0,1e-6"])
+def test_speed_factor_stretching_past_the_width_bound_exits_one(tmp_path, trained, capsys,
+                                                                monkeypatch, speeds):
+    # 32 / 1e-300 and 32 / 1e-6 readings are refused before the first
+    # embedding or resize, so the wide array is never allocated
+    from taclearn import evaluate
+
+    cfg, ckpt = trained
+    cfg.write_text(cfg.read_text().replace("speeds = 0.5,1.0,2.0", f"speeds = {speeds}", 1))
+    calls = []
+    for name in ("embed_images", "_resample_axis"):
+        monkeypatch.setattr(evaluate, name, lambda *args, **kwargs: calls.append(args))
+    out = tmp_path / "never"
+    assert main(["eval", "speed", "--config", str(cfg), "--checkpoint", str(ckpt),
+                 "--out", str(out)]) == 1
+    assert "above the maximum of 65536" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
 def test_eval_rerun_bit_identical(tmp_path, trained):
     cfg, ckpt = trained
     out1 = tmp_path / "e1"
@@ -540,6 +590,29 @@ def test_composition_without_schedule_exits_one(tmp_path, capsys):
     assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
     assert "cosine or constant" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_composition_class_without_constituents_exits_one_in_both_modes(tmp_path, capsys):
+    # `0 =` gives class 0 no constituent set, in synthetic mode as in the
+    # manifest ingest writes for it, whose field for it is empty
+    cfg = tmp_path / "comp.cfg"
+    cfg.write_text(COMPOSITION_CFG.replace("0 = Cotton;Wool", "0 ="))
+    data = tmp_path / "data"
+    assert main(["ingest", "--config", str(cfg), "--out", str(data)]) == 0
+    capsys.readouterr()
+    synthetic_dataset = COMPOSITION_CFG[COMPOSITION_CFG.index("[dataset]"):
+                                        COMPOSITION_CFG.index("[transform]")]
+    manifest_cfg = tmp_path / "manifest.cfg"
+    manifest_cfg.write_text(COMPOSITION_CFG.replace(
+        synthetic_dataset, f"[dataset]\nmode = manifest\nmanifest = {data / 'manifest.txt'}\n\n"))
+    errors = []
+    for path in (cfg, manifest_cfg):
+        out = tmp_path / f"never-{path.stem}"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 1
+        errors.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert errors[0] == errors[1]
+    assert "sample 0 has none" in errors[0]
 
 
 _NARROW = ("input_width = 32", "input_width = 16")

@@ -105,9 +105,10 @@ def test_planes_feed_every_input_channel():
 
 def test_embed_images_equals_the_training_forward_chunk_by_chunk():
     # 150 planes at 19x40 embed as chunks of 64, 64 and 22 through one
-    # forward-only workspace, with the bytes of the training forward pass
+    # forward-only workspace, with the bytes of the training forward pass,
+    # which computes in float32
     backend = ConvNetBackend(seed=6)
-    planes = Prng(27).uniform(-1, 1, size=(150, 19, 40))
+    planes = Prng(27).uniform(-1, 1, size=(150, 19, 40)).astype(np.float32)
     expected = np.concatenate([backend.forward(planes[s : s + 64])[0] for s in (0, 64, 128)])
     embeddings = embed_images(backend, TactileImage(planes, normalized=True))
     assert np.array_equal(embeddings, expected)
@@ -115,15 +116,34 @@ def test_embed_images_equals_the_training_forward_chunk_by_chunk():
 
 def test_embed_images_embeds_a_wide_stack_chunk_by_chunk():
     # 40 planes at 16x300 embed as chunks of 2**17 // 4800 = 27 and 13 planes,
-    # with the bytes of the training forward pass on those chunks; one pass
-    # over the whole stack agrees to rounding only, because OpenBLAS's last
-    # bits depend on a GEMM's column count
+    # with the bytes of the float32 training forward pass on those chunks; in
+    # float64, one pass over the whole stack agrees with those chunks to
+    # rounding only, because OpenBLAS's last bits depend on a GEMM's column count
     backend = ConvNetBackend(seed=6)
     planes = Prng(28).uniform(-1, 1, size=(40, 16, 300))
     embeddings = embed_images(backend, TactileImage(planes, normalized=True))
-    expected = np.concatenate([backend.forward(planes[:27])[0], backend.forward(planes[27:])[0]])
+    single = planes.astype(np.float32)
+    expected = np.concatenate([backend.forward(single[:27])[0], backend.forward(single[27:])[0]])
     assert np.array_equal(embeddings, expected)
-    assert np.abs(embeddings - backend.forward(planes)[0]).max() <= 1e-12
+    chunked = np.concatenate([backend.forward(planes[:27])[0], backend.forward(planes[27:])[0]])
+    assert np.abs(chunked - backend.forward(planes)[0]).max() <= 1e-12
+
+
+def test_float32_input_runs_in_float32_with_float64_gradients():
+    # the float32 compute of training and embedding: float32 activations and
+    # GEMMs, float64 gradients for the float64 parameters, both within float32
+    # rounding of the float64 pass, which a float64 input still takes
+    backend = ConvNetBackend(seed=6)
+    planes = Prng(41).uniform(-1, 1, size=(5, 12, 40))
+    emb64, cache64 = backend.forward(planes)
+    emb32, cache32 = backend.forward(planes.astype(np.float32))
+    assert (emb64.dtype, emb32.dtype) == (np.float64, np.float32)
+    assert np.abs(emb32 - emb64).max() <= 1e-5 * np.abs(emb64).max()
+    demb = Prng(42).uniform(-1, 1, size=emb64.shape)
+    for exact, mixed in zip(backend.backward(demb, cache64), backend.backward(demb, cache32)):
+        assert mixed.dtype == np.float64 and mixed.shape == exact.shape
+        assert np.abs(mixed - exact).max() <= 1e-5 * np.abs(exact).max()
+    assert all(p.dtype == np.float64 for p in backend.params())
 
 
 def test_embed_images_resizes_chunk_by_chunk(monkeypatch):
