@@ -447,17 +447,17 @@ def cmd_cl(args) -> int:
         test_labels=bundle.test_labels or None, warm_start=warm_start,
     )
     out = _prepare_out(args, config, run_seed)
-    for cap, (snapshots, rows) in zip(capacities, runs):
+    for cap, (final, rows) in zip(capacities, runs):
         suffix = f"_cap{cap}" if len(capacities) > 1 else ""
         (out / f"cl_steps{suffix}.csv").write_text(cl_rows_to_csv(rows), encoding="utf-8")
         for t, acc_r, acc_f, size in rows:
             acc_r_s = "" if acc_r is None else f" acc_ridge={acc_r!r}"
             acc_f_s = "" if acc_f is None else f" acc_ft={acc_f!r}"
             print(f"capacity={cap} t={t}{acc_r_s}{acc_f_s} buffer={size}")
-        final = snapshots[-1]
         for name, clf in (("ridge", final.ridge), ("fine_tuned", final.fine_tuned)):
             save_checkpoint(out / f"final_{name}{suffix}.tacm",
                             _model_checkpoint(clf.backend, "classify", clf.head, clf.classes))
+        del final, clf  # written: the next capacity's pass runs without them
     return 0
 
 

@@ -152,16 +152,19 @@ class MemoryBuffer:
         """The buffer holding each class's herding-ordered list cut to the budget.
 
         Cutting keeps the earliest-selected prefix, and budgets only shrink as
-        classes arrive, so cutting the full herded list gives the same buffer
-        as cutting the previous step's buffer.
+        classes arrive, so cutting a herded list gives the same buffer as
+        cutting the previous step's buffer. A budget never exceeds
+        `capacity`, so lists herded only `capacity` deep cut the same.
         """
         budget = cls.budget(capacity, len(herded))
         return cls(capacity=capacity, per_class={k: v[:budget] for k, v in herded.items()})
 
 
-def herding_order(embeddings: np.ndarray) -> list[int]:
-    """Greedy herding: at each step add the sample whose inclusion brings the
-    running mean closest to the class mean. Ties break to the lowest index.
+def herding_order(embeddings: np.ndarray, count: int) -> list[int]:
+    """The first min(count, n) picks of greedy herding: at each step add the
+    sample whose inclusion brings the running mean closest to the class mean.
+    Ties break to the lowest index. A pick depends only on the earlier ones,
+    so any count gives a prefix of the full order.
 
     Step m picks the row e minimising ||mu - (total + e)/m||. With
     r = m*mu - total that is the row minimising ||e||^2 - 2 e.r, so one
@@ -184,7 +187,7 @@ def herding_order(embeddings: np.ndarray) -> list[int]:
     order: list[int] = []
     total = np.zeros(d)
     taken = np.zeros(n, dtype=bool)
-    for m in range(1, n + 1):
+    for m in range(1, min(count, n) + 1):
         score = sq_norms - 2.0 * (embeddings @ (m * mu - total))
         score[taken] = np.inf
         band = (rounding * float(np.sum((m * np.abs(mu) + np.abs(total) + col_max) ** 2))
@@ -202,7 +205,7 @@ def herding_order(embeddings: np.ndarray) -> list[int]:
 
 @dataclass
 class ClSnapshot:
-    """State after one continual step: the ridge floor and the adapted model."""
+    """State after the last continual step: the ridge floor and the adapted model."""
 
     task_index: int
     ridge: Classifier
@@ -250,29 +253,35 @@ def cl_sweep(images, batches, backend: ConvNetBackend, capacities, ridge_lambda:
     sees only that batch and the buffer; earlier batches are gone by
     construction.
 
-    The ridge statistics and heads, each class's full herding order and the
-    ridge-floor accuracies do not depend on the capacity. They are computed
-    here, once, before this returns, together with every validation; the
-    test set is embedded once by the frozen backend for all ridge scores.
-    The returned iterator then yields (snapshots, rows) per capacity, in
-    order, doing only the capacity-dependent work: cutting the herded lists
-    to the budget, fine-tuning and scoring the fine-tuned model. Each row is
-    (t, acc of ridge floor, acc of fine-tuned model, buffer size), with
-    accuracies over the test items belonging to classes seen so far (or None
-    when no test set is supplied).
+    The ridge statistics and heads, each class's herding order up to the
+    largest capacity (no budget reaches past it) and the ridge-floor
+    accuracies do not depend on the capacity. They are computed here, once,
+    before this returns, together with every validation; the test set is
+    embedded once by the frozen backend for all ridge scores. The returned
+    iterator then yields (final snapshot, rows) per capacity, in order, doing
+    only the capacity-dependent work: cutting the herded lists to the budget,
+    fine-tuning and scoring the fine-tuned model. Only the last step's models
+    are kept. Each row is (t, acc of ridge floor, acc of fine-tuned model,
+    buffer size), with accuracies over the test items belonging to classes
+    seen so far (or None when no test set is supplied).
     """
     batches = [(label, np.asarray(idx, dtype=np.int64)) for label, idx in batches]
     capacities = list(capacities)
+    if not batches or not capacities:
+        raise ValidationError("cl_sweep needs at least one batch and one capacity")
     n_classes = len({label for label, _ in batches})
-    for capacity in capacities:
-        MemoryBuffer.budget(capacity, max(n_classes, 1))
-    steps = _shared_pass(images, batches, backend, ridge_lambda, test_images, test_labels)
+    for i, capacity in enumerate(capacities):
+        MemoryBuffer.budget(capacity, n_classes)
+        if capacity in capacities[:i]:
+            raise ValidationError(f"capacity {capacity} is listed more than once")
+    steps = _shared_pass(images, batches, backend, ridge_lambda, test_images, test_labels,
+                         max(capacities))
     return (_capacity_pass(steps, images, test_images, capacity, fine_tune_cfg, aug_cfg,
                            warm_start)
             for capacity in capacities)
 
 
-def _shared_pass(images, batches, backend, ridge_lambda, test_images, test_labels):
+def _shared_pass(images, batches, backend, ridge_lambda, test_images, test_labels, depth):
     state = RlsState(dim=backend.embed_dim, ridge_lambda=ridge_lambda)
     test_emb = None
     if test_images is not None:
@@ -284,7 +293,7 @@ def _shared_pass(images, batches, backend, ridge_lambda, test_images, test_label
             raise ValidationError(f"class {label!r} appears twice in the sequence")
         embeddings = embed_images(backend, images[idx])
         state = rls_update(state, embeddings, [label] * len(idx))
-        herded[label] = idx[herding_order(embeddings)]
+        herded[label] = idx[herding_order(embeddings, depth)]
         ridge_clf = Classifier(backend, ridge_solve(state), state.classes)
         test = acc_ridge = None
         if test_emb is not None:
@@ -297,31 +306,25 @@ def _shared_pass(images, batches, backend, ridge_lambda, test_images, test_label
 
 
 def _capacity_pass(steps, images, test_images, capacity, fine_tune_cfg, aug_cfg, warm_start):
-    snapshots: list[ClSnapshot] = []
     rows: list[tuple] = []
-    prev_tuned: Classifier | None = None
+    tuned: Classifier | None = None  # None while the ridge model stands unchanged
     for t, step in enumerate(steps, start=1):
         buffer = MemoryBuffer.rebalanced(capacity, step.herded)
-        ridge_clf = step.ridge
         if fine_tune_cfg is not None and fine_tune_cfg.epochs > 0 and t >= 2:
             # with a single class there is nothing to discriminate yet
-            start = ridge_clf
-            if warm_start and prev_tuned is not None:
-                start = replace(ridge_clf, backend=prev_tuned.backend)
+            start = step.ridge
+            if warm_start and tuned is not None:
+                start = replace(step.ridge, backend=tuned.backend)
+            tuned = None  # only `start` may still need the previous model
             tuned = fine_tune(start, images, buffer, fine_tune_cfg, aug_cfg)
             acc_tuned = None if step.test is None else tuned.accuracy(
                 test_images[step.test[0]], step.test[1])
         else:
-            # an unchanged copy of the ridge model scores exactly as it does
-            tuned = ridge_clf.clone()
-            acc_tuned = step.acc_ridge
-        prev_tuned = tuned
-        snapshots.append(
-            ClSnapshot(task_index=t, ridge=ridge_clf, fine_tuned=tuned,
-                       buffer_sizes=buffer.sizes())
-        )
+            # the unchanged ridge model scores exactly as it does
+            tuned, acc_tuned = None, step.acc_ridge
         rows.append((t, step.acc_ridge, acc_tuned, buffer.total))
-    return snapshots, rows
+    fine_tuned = step.ridge.clone() if tuned is None else tuned
+    return ClSnapshot(len(steps), step.ridge, fine_tuned, buffer.sizes()), rows
 
 
 def cl_rows_to_csv(rows) -> str:

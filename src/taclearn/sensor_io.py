@@ -144,6 +144,7 @@ class SyntheticTextureConfig:
 # them per channel by a fixed signature in [0.5, 1.5].
 _HARMONIC_AMPLITUDES = (1.0, 0.5, 0.25)
 _SIGNATURE_SPAN = (0.5, 1.5)
+_GENERATE_VALUES = 2**15  # readings per generation block; a 12x64 stream holds 768
 
 
 def synthetic_sensor_spec(config: SyntheticTextureConfig) -> SensorSpec:
@@ -170,14 +171,15 @@ def _class_signature(config: SyntheticTextureConfig, class_id: int) -> np.ndarra
 
 def generate_synthetic(config: SyntheticTextureConfig, class_id: int, indices) -> np.ndarray:
     """Class `class_id`'s readings at sample `indices`, one (n, stream_length,
-    channels) array made in one vectorized pass.
+    channels) array, generated in vectorized blocks of about
+    `_GENERATE_VALUES` readings so that the temporaries stay block-sized.
 
     Each class has a distinct base frequency inside the configured range and
     a fixed per-channel harmonic amplitude signature. Sample i draws from the
     generator spawned at (2, class_id, i): first one phase per (channel,
     harmonic), then, when the noise floor is positive, one uniform noise value
-    per (reading, channel). No value depends on which other indices share the
-    pass, so a sample's bytes are a function of (config, class_id, i) alone.
+    per (reading, channel). No value depends on which other indices share a
+    block, so a sample's bytes are a function of (config, class_id, i) alone.
     Values are rounded to float32 so both stream file formats round-trip
     exactly.
     """
@@ -185,29 +187,40 @@ def generate_synthetic(config: SyntheticTextureConfig, class_id: int, indices) -
         raise ValidationError(
             f"class_id {class_id} out of range for {config.num_classes} classes"
         )
+    indices = list(indices)
     if min(indices, default=0) < 0:
         raise ValidationError(f"index must be non-negative, got {min(indices)}")
-    n, c, t_len = len(indices), config.channels, config.stream_length
+    c, t_len = config.channels, config.stream_length
     k_len = len(_HARMONIC_AMPLITUDES)
     signature = _class_signature(config, class_id)
     root = Prng(config.seed)
-    rngs = [root.spawn(2, class_id, i) for i in indices]
     noise = config.noise_floor > 0
-    draws = random_rows(rngs, c * k_len + (t_len * c if noise else 0))
-    phases = 2.0 * math.pi * draws[:, : c * k_len].reshape(n, c, k_len)
     lo, hi = config.base_frequency_range
     base = lo + (class_id + 0.5) * (hi - lo) / config.num_classes
     t = np.arange(t_len, dtype=np.float64)
-    # the order k = 1, 2, 3 of the sums fixes their rounding, and so the bytes
-    readings = np.zeros((n, t_len, c))
-    for k, amp in enumerate(_HARMONIC_AMPLITUDES, start=1):
-        readings += (amp * signature[k - 1]) * np.sin(
-            (2.0 * math.pi * base * k * t)[:, None] + phases[:, None, :, k - 1]
-        )
-    if noise:  # Prng.uniform's lo + (hi - lo) * u, rounding included
-        lo_n, hi_n = -config.noise_floor, config.noise_floor
-        readings = readings + (lo_n + (hi_n - lo_n) * draws[:, c * k_len:].reshape(n, t_len, c))
-    return readings.astype(np.float32).astype(np.float64)
+    out = np.empty((len(indices), t_len, c))
+    step = max(1, _GENERATE_VALUES // (t_len * c))
+    for start in range(0, len(indices), step):
+        block = indices[start : start + step]
+        n = len(block)
+        rngs = [root.spawn(2, class_id, i) for i in block]
+        draws = random_rows(rngs, c * k_len + (t_len * c if noise else 0))
+        phases = 2.0 * math.pi * draws[:, : c * k_len].reshape(n, c, k_len)
+        # the order k = 1, 2, 3 of the sums fixes their rounding, and so the bytes
+        readings = np.zeros((n, t_len, c))
+        wave = np.empty_like(readings)
+        for k, amp in enumerate(_HARMONIC_AMPLITUDES, start=1):
+            np.add((2.0 * math.pi * base * k * t)[:, None], phases[:, None, :, k - 1], out=wave)
+            np.sin(wave, out=wave)
+            wave *= amp * signature[k - 1]
+            readings += wave
+        if noise:  # Prng.uniform's lo + (hi - lo) * u, rounding included
+            lo_n, hi_n = -config.noise_floor, config.noise_floor
+            np.multiply(draws[:, c * k_len:].reshape(n, t_len, c), hi_n - lo_n, out=wave)
+            wave += lo_n
+            readings += wave
+        out[start : start + n] = readings.astype(np.float32)
+    return out
 
 
 def load_stream(path, spec: SensorSpec) -> SensorStream:

@@ -300,6 +300,21 @@ def test_cl_capacity_below_class_count_exits_one_before_outputs(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("capacities, message", [
+    ("6,6", "capacity 6 is listed more than once"),
+    ("", "[cl] sweep_capacities is empty"),
+], ids=["repeated", "empty"])
+def test_cl_sweep_capacity_list_is_refused_before_outputs(tmp_path, capsys, capacities,
+                                                          message):
+    cfg = _write_cfg(tmp_path)
+    cfg.write_text(cfg.read_text().replace("sweep_capacities = 6,12",
+                                           f"sweep_capacities = {capacities}"))
+    out = tmp_path / "never"
+    assert main(["cl", "--config", str(cfg), "--out", str(out), "--sweep"]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cl_truncated_backend_checkpoint_exits_one(tmp_path, capsys):
     from taclearn.model import Checkpoint, ConvNetBackend, save_checkpoint
 
@@ -1154,10 +1169,11 @@ noise_levels = 0,0.2
 @pytest.mark.parametrize("split", ["train", "test"])
 def test_synthetic_split_is_built_class_by_class(split):
     # each generated class is copied straight into its split's stack, so a
-    # split's streams never sit beside it: traced memory peaks under the
-    # stacks plus seven classes' readings (one class's generation). Holding
-    # every stream beside its stack peaked at 74 MB for train, and at 48 MB
-    # for test alone, whose bounds come from the train split.
+    # split's streams never sit beside it, and a class is generated in
+    # blocks: traced memory peaks under the stacks plus four classes'
+    # readings (2.9 measured; generating a class in one pass took 5.1).
+    # Holding every stream beside its stack peaked at 74 MB for train, and
+    # at 48 MB for test alone, whose bounds come from the train split.
     import tracemalloc
 
     import numpy as np
@@ -1178,7 +1194,7 @@ def test_synthetic_split_is_built_class_by_class(split):
         tracemalloc.stop()
     images = bundle.train_images if split == "train" else bundle.test_images
     class_bytes = 150 * 256 * 12 * 8
-    assert peak <= images.data.nbytes + 7 * class_bytes
+    assert peak <= images.data.nbytes + 4 * class_bytes
 
     synth = _synthetic_config(config)
     spec = synthetic_sensor_spec(synth)

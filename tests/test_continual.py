@@ -159,7 +159,7 @@ def test_herding_first_pick_nearest_mean():
     rng = Prng(4)
     embs = _random_embeddings(rng, 10, 2)
     mu = embs.mean(axis=0)
-    order = herding_order(embs)
+    order = herding_order(embs, len(embs))
     nearest = int(np.argmin(np.linalg.norm(embs - mu, axis=1)))
     assert order[0] == nearest
 
@@ -167,7 +167,7 @@ def test_herding_first_pick_nearest_mean():
 def test_herding_matches_exhaustive_per_step_oracle():
     rng = Prng(5)
     embs = _random_embeddings(rng, 10, 2)
-    order = herding_order(embs)
+    order = herding_order(embs, len(embs))
     # brute force: recompute each greedy step with explicit loops
     mu = embs.mean(axis=0)
     total = np.zeros(2)
@@ -212,28 +212,37 @@ def _embedding_arrays(elements, max_rows=24, max_dim=6):
 @given(_embedding_arrays(st.integers(-3, 3).map(float)))
 def test_herding_matches_reference_on_small_integers(embs):
     # few distinct values: exact ties and duplicate rows are common
-    assert herding_order(embs) == _herding_order_reference(embs)
+    assert herding_order(embs, len(embs)) == _herding_order_reference(embs)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_embedding_arrays(st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)))
 @example(np.array([[1.86561181e-160], [0.0]]))  # squares underflow to subnormals
 def test_herding_matches_reference_on_floats(embs):
-    assert herding_order(embs) == _herding_order_reference(embs)
+    assert herding_order(embs, len(embs)) == _herding_order_reference(embs)
 
 
 @settings(max_examples=50, deadline=None)
 @given(_embedding_arrays(st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
                          max_rows=1, max_dim=8))
 def test_herding_single_row(embs):
-    assert herding_order(embs) == _herding_order_reference(embs) == [0]
+    assert herding_order(embs, len(embs)) == _herding_order_reference(embs) == [0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_embedding_arrays(st.integers(-3, 3).map(float)))
+def test_herding_to_a_count_is_a_prefix_of_the_full_order(embs):
+    # the sweep herds each class only as deep as its largest budget
+    full = _herding_order_reference(embs)
+    for count in range(1, len(embs) + 3):
+        assert herding_order(embs, count) == full[:count]
 
 
 def test_herding_matches_reference_on_embedding_scale_data():
     rng = np.random.default_rng(3)
     embs = np.abs(rng.normal(size=(300, 128)))
     embs[7] = embs[3]
-    assert herding_order(embs) == _herding_order_reference(embs)
+    assert herding_order(embs, len(embs)) == _herding_order_reference(embs)
 
 
 @settings(max_examples=100, deadline=None)
@@ -241,7 +250,7 @@ def test_herding_matches_reference_on_embedding_scale_data():
 def test_herding_matches_reference_when_scores_overflow(embs):
     # both formulas overflow here; herding falls back to re-scoring every row
     with np.errstate(over="ignore", invalid="ignore"):
-        assert herding_order(embs) == _herding_order_reference(embs)
+        assert herding_order(embs, len(embs)) == _herding_order_reference(embs)
 
 
 # The step-by-step buffer update that MemoryBuffer.rebalanced replaced, kept
@@ -264,7 +273,7 @@ def select_exemplars(buffer: MemoryBuffer, images, labels, backend: ConvNetBacke
         if label in per_class:
             raise ValidationError(f"class {label!r} already has stored exemplars")
         idx = np.array([i for i, l in enumerate(labels) if l == label])
-        order = herding_order(embeddings[idx])
+        order = herding_order(embeddings[idx], len(idx))
         per_class[label] = idx[order]
     return MemoryBuffer.rebalanced(buffer.capacity, per_class)
 
@@ -386,7 +395,7 @@ def test_cl_run_single_step_equals_batch_baseline(random_backend):
                                                                  num_classes=2)
     (label, idx), (label2, idx2) = batches
     all_labels = [label] * len(idx) + [label2] * len(idx2)
-    [(snapshots, rows)] = cl_sweep(
+    [(final, rows)] = cl_sweep(
         images, [(label, idx), (label2, idx2)], random_backend, [12],
         test_images=test_images, test_labels=test_labels,
     )
@@ -394,26 +403,27 @@ def test_cl_run_single_step_equals_batch_baseline(random_backend):
     # a float32 embedding's last bits depend on the chunk it is computed in
     embeddings = np.concatenate([embed_images(random_backend, images[i]) for i in (idx, idx2)])
     state = rls_update(RlsState(dim=random_backend.embed_dim), embeddings, all_labels)
-    assert np.allclose(snapshots[-1].ridge.head.weights, ridge_solve(state).weights, atol=1e-9)
-    assert snapshots[-1].ridge.classes == state.classes
+    assert np.allclose(final.ridge.head.weights, ridge_solve(state).weights, atol=1e-9)
+    assert final.ridge.classes == state.classes
     assert rows[-1][3] <= 12
 
 
 def test_cl_run_single_batch_reduces_to_frozen_classification(random_backend):
     images, labels = _image_batch(6, "solo", seed=29)
-    [(snapshots, rows)] = cl_sweep(images, [("solo", np.arange(6))], random_backend, [4])
+    [(final, rows)] = cl_sweep(images, [("solo", np.arange(6))], random_backend, [4])
     direct = ridge_classifier(random_backend, images, labels)
-    assert snapshots[0].ridge.classes == direct.classes == ("solo",)
-    assert np.allclose(snapshots[0].ridge.head.weights, direct.head.weights, atol=1e-12)
+    assert final.task_index == 1
+    assert final.ridge.classes == direct.classes == ("solo",)
+    assert np.allclose(final.ridge.head.weights, direct.head.weights, atol=1e-12)
     assert rows[0][3] == 4  # buffer truncated to capacity
 
 
 def test_cl_run_order_invariant_head(random_backend):
     images, batches, _, _ = _small_cl_problem(random_backend, num_classes=3)
-    [(snaps_fwd, _)] = cl_sweep(images, batches, random_backend, [9])
-    [(snaps_rev, _)] = cl_sweep(images, batches[::-1], random_backend, [9])
-    w1 = snaps_fwd[-1].ridge.head.weights
-    w2 = snaps_rev[-1].ridge.head.weights
+    [(final_fwd, _)] = cl_sweep(images, batches, random_backend, [9])
+    [(final_rev, _)] = cl_sweep(images, batches[::-1], random_backend, [9])
+    w1 = final_fwd.ridge.head.weights
+    w2 = final_rev.ridge.head.weights
     assert np.linalg.norm(w1 - w2) <= 1e-6 * max(1.0, np.linalg.norm(w1))
 
 
@@ -445,37 +455,37 @@ def test_cl_sweep_matches_independent_runs_bitwise(random_backend, warm_start):
     capacities = [4, 9]  # smaller first: a buffer leaking forward would show
     swept = list(cl_sweep(images, batches, random_backend, capacities, **kwargs))
     assert len(swept) == len(capacities)
-    for cap, (snapshots, rows) in zip(capacities, swept):
-        [(alone_snapshots, alone_rows)] = cl_sweep(images, batches, random_backend, [cap],
-                                                   **kwargs)
+    for cap, (a, rows) in zip(capacities, swept):
+        [(b, alone_rows)] = cl_sweep(images, batches, random_backend, [cap], **kwargs)
         assert rows == alone_rows
-        assert len(snapshots) == len(alone_snapshots) == len(batches)
-        for a, b in zip(snapshots, alone_snapshots):
-            assert a.buffer_sizes == b.buffer_sizes
-            assert np.array_equal(a.ridge.head.weights, b.ridge.head.weights)
-            assert np.array_equal(a.fine_tuned.backend.get_flat(), b.fine_tuned.backend.get_flat())
-            assert np.array_equal(a.fine_tuned.head.weights, b.fine_tuned.head.weights)
+        assert a.task_index == b.task_index == len(batches)
+        assert a.buffer_sizes == b.buffer_sizes
+        assert np.array_equal(a.ridge.head.weights, b.ridge.head.weights)
+        assert np.array_equal(a.fine_tuned.backend.get_flat(), b.fine_tuned.backend.get_flat())
+        assert np.array_equal(a.fine_tuned.head.weights, b.fine_tuned.head.weights)
     # the two capacities really did fine-tune on different buffers
-    assert not np.array_equal(swept[0][0][-1].fine_tuned.backend.get_flat(),
-                              swept[1][0][-1].fine_tuned.backend.get_flat())
+    assert not np.array_equal(swept[0][0].fine_tuned.backend.get_flat(),
+                              swept[1][0].fine_tuned.backend.get_flat())
 
 
 def test_cl_warm_start_carries_the_tuned_backend(random_backend):
     images, batches, _, _ = _small_cl_problem(random_backend, num_classes=3)
     ft_cfg = TrainConfig(epochs=2, lr=0.01, batch_size=4, lr_schedule="cosine", seed=3)
-    [(cold, _)] = cl_sweep(images, batches, random_backend, [9], fine_tune_cfg=ft_cfg)
-    [(warm, _)] = cl_sweep(images, batches, random_backend, [9], fine_tune_cfg=ft_cfg,
-                           warm_start=True)
     frozen = random_backend.get_flat()
+    cold, warm = {}, {}
+    for steps in (2, 3):  # a sweep's final models are its last step's
+        [(cold[steps], _)] = cl_sweep(images, batches[:steps], random_backend, [9],
+                                      fine_tune_cfg=ft_cfg)
+        [(warm[steps], _)] = cl_sweep(images, batches[:steps], random_backend, [9],
+                                      fine_tune_cfg=ft_cfg, warm_start=True)
+        # warm start never touches the ridge floor
+        assert np.array_equal(cold[steps].ridge.head.weights, warm[steps].ridge.head.weights)
     # step 2 starts from the frozen backend either way; step 3 differs
-    assert np.array_equal(cold[1].fine_tuned.backend.get_flat(),
-                          warm[1].fine_tuned.backend.get_flat())
-    assert not np.array_equal(cold[2].fine_tuned.backend.get_flat(),
-                              warm[2].fine_tuned.backend.get_flat())
+    assert np.array_equal(cold[2].fine_tuned.backend.get_flat(),
+                          warm[2].fine_tuned.backend.get_flat())
+    assert not np.array_equal(cold[3].fine_tuned.backend.get_flat(),
+                              warm[3].fine_tuned.backend.get_flat())
     assert np.array_equal(random_backend.get_flat(), frozen)
-    # warm start never touches the ridge floor
-    for a, b in zip(cold, warm):
-        assert np.array_equal(a.ridge.head.weights, b.ridge.head.weights)
 
 
 @pytest.mark.parametrize("warm_start", [False, True])
@@ -484,10 +494,10 @@ def test_fine_tuned_models_keep_the_input_width(random_backend, warm_start):
     backend.input_width = 24
     images, batches, _, _ = _small_cl_problem(backend, num_classes=3)
     ft_cfg = TrainConfig(epochs=1, lr=0.01, batch_size=4, lr_schedule="cosine", seed=3)
-    [(snapshots, _)] = cl_sweep(images, batches, backend, [9], fine_tune_cfg=ft_cfg,
+    for steps in (1, 2, 3):  # step 1 keeps an unchanged copy of the ridge model
+        [(final, _)] = cl_sweep(images, batches[:steps], backend, [9], fine_tune_cfg=ft_cfg,
                                 warm_start=warm_start)
-    assert {s.ridge.backend.input_width for s in snapshots} == {24}
-    assert {s.fine_tuned.backend.input_width for s in snapshots} == {24}
+        assert final.ridge.backend.input_width == final.fine_tuned.backend.input_width == 24
 
 
 def test_cl_sweep_validates_every_capacity_before_any_work(random_backend, monkeypatch):
@@ -499,6 +509,46 @@ def test_cl_sweep_validates_every_capacity_before_any_work(random_backend, monke
         cl_sweep(images, batches, random_backend, [9, 2])
     with pytest.raises(ValidationError, match="capacity 0"):
         cl_sweep(images, batches, random_backend, [0])
+    with pytest.raises(ValidationError, match="capacity 9 is listed more than once"):
+        cl_sweep(images, batches, random_backend, [9, 12, 9])
+    with pytest.raises(ValidationError, match="at least one batch and one capacity"):
+        cl_sweep(images, batches, random_backend, [])
+    with pytest.raises(ValidationError, match="at least one batch and one capacity"):
+        cl_sweep(images, [], random_backend, [9])
+
+
+@pytest.mark.parametrize("warm_start", [False, True])
+def test_cl_sweep_keeps_only_the_models_it_needs(random_backend, monkeypatch, warm_start):
+    # each capacity keeps its current tuned model (and, warm, the previous
+    # one); keeping every step's models held about ten per capacity here
+    import gc
+    import weakref
+
+    import taclearn.continual as continual
+
+    alive = weakref.WeakSet()
+    clone, fine_tune_ = ConvNetBackend.clone, continual.fine_tune
+
+    def tracked_clone(self):
+        other = clone(self)
+        alive.add(other)
+        return other
+
+    counts = []
+
+    def counted_fine_tune(*args, **kwargs):
+        gc.collect()
+        counts.append(len(alive))
+        return fine_tune_(*args, **kwargs)
+
+    monkeypatch.setattr(ConvNetBackend, "clone", tracked_clone)
+    monkeypatch.setattr(continual, "fine_tune", counted_fine_tune)
+    images, batches, _, _ = _small_cl_problem(random_backend, num_classes=6, per_class=4)
+    ft_cfg = TrainConfig(epochs=1, lr=0.01, batch_size=4, lr_schedule="cosine", seed=3)
+    rows = [rows for _, rows in cl_sweep(images, batches, random_backend, [12, 18],
+                                         fine_tune_cfg=ft_cfg, warm_start=warm_start)]
+    assert len(rows) == 2 and len(counts) == 2 * 5
+    assert max(counts) <= 3
 
 
 def test_rebalanced_buffer_equals_stepwise_selection(random_backend):
@@ -507,7 +557,8 @@ def test_rebalanced_buffer_equals_stepwise_selection(random_backend):
     for label, seed in [("a", 14), ("b", 15), ("c", 16)]:
         images, labels = _image_batch(5, label, seed)
         buffer = select_exemplars(buffer, images, labels, random_backend)
-        herded[label] = np.array(herding_order(embed_images(random_backend, images)))
+        embeddings = embed_images(random_backend, images)
+        herded[label] = np.array(herding_order(embeddings, len(embeddings)))
         rebalanced = MemoryBuffer.rebalanced(7, herded)
         assert rebalanced.sizes() == buffer.sizes()
         for k in herded:

@@ -24,6 +24,7 @@ from taclearn.sensor_io import (
     load_manifest_streams,
     load_stream,
     _CSV_HEADER_PREFIX,
+    _GENERATE_VALUES,
     _parse_csv_header,
     _read_lines,
     synthetic_sensor_spec,
@@ -185,6 +186,11 @@ def test_single_stream_equals_its_dataset_row(noise_floor):
             assert alone.tobytes() == block[i : i + 1].tobytes()
         assert generate_synthetic(cfg, c, [5, 2]).tobytes() == block[[3, 0]].tobytes()
     assert generate_synthetic(cfg, 1, []).shape == (0, 40, 5)
+    # a class larger than one generation block crosses a block edge
+    assert 300 > _GENERATE_VALUES // (40 * 5)
+    big = generate_synthetic(cfg, 2, range(300))
+    for i in range(300):
+        assert generate_synthetic(cfg, 2, [i]).tobytes() == big[i : i + 1].tobytes()
 
 
 def _power_spectrum(readings):
