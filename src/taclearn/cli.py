@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import AugmentConfig
+from .augment import MAX_TEMPORAL_WIDTH, AugmentConfig
 from .config import load_config
 from .continual import cl_rows_to_csv, cl_sweep
 from .errors import RuntimeFailure, ValidationError
@@ -46,7 +46,8 @@ from .evaluate import (EvalReport, composition_eval, curve_to_csv, kfold_eval, l
 from .model import (Checkpoint, Classifier, ConvNetBackend, TrainConfig, history_to_csv,
                     load_checkpoint, save_checkpoint, train_composition, train_supervised)
 from .prng import Prng
-from .sensor_io import (Manifest, ManifestEntry, SensorStream, SyntheticTextureConfig,
+from .sensor_io import (MAX_SAMPLES_PER_CLASS, MAX_SYNTHETIC_CHANNELS, MAX_SYNTHETIC_CLASSES,
+                        Manifest, ManifestEntry, SensorStream, SyntheticTextureConfig,
                         generate_synthetic, load_manifest, load_manifest_streams,
                         synthetic_sensor_spec, write_manifest, write_stream)
 from .tactile_image import TactileImage, compute_bounds, image_plane, normalize
@@ -136,9 +137,10 @@ class _Bundle:
 
 def _synthetic_config(config):
     return SyntheticTextureConfig(
-        num_classes=config.get_int("dataset", "num_classes"),
-        channels=config.get_int("dataset", "channels", 12),
-        stream_length=config.get_int("dataset", "stream_length", 64),
+        num_classes=config.get_int("dataset", "num_classes", maximum=MAX_SYNTHETIC_CLASSES),
+        channels=config.get_int("dataset", "channels", 12, maximum=MAX_SYNTHETIC_CHANNELS),
+        stream_length=config.get_int("dataset", "stream_length", 64,
+                                     maximum=MAX_TEMPORAL_WIDTH),
         base_frequency_range=(
             config.get_float("dataset", "base_freq_lo", 0.05),
             config.get_float("dataset", "base_freq_hi", 0.45),
@@ -161,8 +163,8 @@ def _synthetic_classes(config):
     generated one class at a time and only when asked for; a split without
     samples yields none. The test split starts at index train_per_class."""
     synth = _synthetic_config(config)
-    train_n = config.get_int("dataset", "train_per_class", 40)
-    test_n = config.get_int("dataset", "test_per_class", 10)
+    train_n = config.get_int("dataset", "train_per_class", 40, maximum=MAX_SAMPLES_PER_CLASS)
+    test_n = config.get_int("dataset", "test_per_class", 10, maximum=MAX_SAMPLES_PER_CLASS)
     cons_map = _constituent_map(config)
 
     def classes(n, start):
@@ -238,7 +240,8 @@ def _load_bundle(config, splits=("train", "test")) -> _Bundle:
     norm_lo/norm_hi) come from it; read only for them, it yields no images.
     Every image read must have one shape, whose width is the input width
     unless ``[transform] input_width`` sets it."""
-    input_width = config.get_int("transform", "input_width", None, minimum=1)
+    input_width = config.get_int("transform", "input_width", None, minimum=1,
+                                 maximum=MAX_TEMPORAL_WIDTH)
     window = (config.get_int("transform", "window_start", None),
               config.get_int("transform", "window_end", None),
               config.get_int("transform", "frame_index", 0))
@@ -253,13 +256,15 @@ def _load_bundle(config, splits=("train", "test")) -> _Bundle:
     train, test = stack("train"), stack("test")
     # The streams are gone; then freeing one 10 MB block raises glibc's
     # adaptive mmap threshold to 10 MB, so malloc keeps up to 20 MB of freed heap.
-    # Training's backward caches are allocated afresh for every minibatch and
-    # freed block by block during backward, and block 0's float32 columns
-    # alone (0.33 MB at batch 16, 12x64) exceed the 128 KB default threshold,
-    # so without the block they would fault in afresh for every batch. Minor
-    # faults with and without it: train on experiments/synthetic.cfg 8.9k and
-    # 50k, train on 200 19x400 streams 11k and 153k, cl --sweep on 10 classes
-    # x 600 images 36k and 38k. Other allocators just make it.
+    # Every conv block call allocates its padded input and columns afresh:
+    # training's caches, freed block by block during backward, and embedding's
+    # buffers, freed as each block returns. Block 0's float32 columns alone
+    # (0.33 MB at batch 16, 12x64) exceed the 128 KB default threshold, so
+    # without the block they would fault in afresh on every call. Minor faults
+    # with and without it, peak RSS within 0.6 MB: train on 100 19x400 streams
+    # 11k and 131k, eval speed on 100 such streams 11k and 61k, eval speed on
+    # experiments/synthetic.cfg 7.9k and 11k, cl --sweep on 10 classes x 600
+    # images 15k and 20k. Other allocators just make it.
     np.empty(10 << 20, dtype=np.uint8)
     return _Bundle(*train, *test, input_width or (shape and shape[1]), bounds, manifest)
 
@@ -447,17 +452,17 @@ def cmd_cl(args) -> int:
         test_labels=bundle.test_labels or None, warm_start=warm_start,
     )
     out = _prepare_out(args, config, run_seed)
-    for cap, (final, rows) in zip(capacities, runs):
+    for cap, (ridge, fine_tuned, rows) in zip(capacities, runs):
         suffix = f"_cap{cap}" if len(capacities) > 1 else ""
         (out / f"cl_steps{suffix}.csv").write_text(cl_rows_to_csv(rows), encoding="utf-8")
         for t, acc_r, acc_f, size in rows:
             acc_r_s = "" if acc_r is None else f" acc_ridge={acc_r!r}"
             acc_f_s = "" if acc_f is None else f" acc_ft={acc_f!r}"
             print(f"capacity={cap} t={t}{acc_r_s}{acc_f_s} buffer={size}")
-        for name, clf in (("ridge", final.ridge), ("fine_tuned", final.fine_tuned)):
+        for name, clf in (("ridge", ridge), ("fine_tuned", fine_tuned)):
             save_checkpoint(out / f"final_{name}{suffix}.tacm",
                             _model_checkpoint(clf.backend, "classify", clf.head, clf.classes))
-        del final, clf  # written: the next capacity's pass runs without them
+        del ridge, fine_tuned, clf  # written: the next capacity's pass runs without them
     return 0
 
 

@@ -26,6 +26,10 @@ class ConfigError(ValidationError):
     """Config file problem, with file and line context where possible."""
 
 
+class _AboveMaximum(ValueError):
+    """A parsed value above its bound; args[0] describes what it must be."""
+
+
 @dataclass(frozen=True)
 class _Entry:
     value: str
@@ -55,17 +59,21 @@ class ExperimentConfig:
             return default
         try:
             return convert(entry.value)
-        except ValueError:
+        except ValueError as exc:
+            need = exc.args[0] if isinstance(exc, _AboveMaximum) else describe
             raise ConfigError(
-                f"{self.path}:{entry.line}: [{section}] {key} must be {describe}, "
+                f"{self.path}:{entry.line}: [{section}] {key} must be {need}, "
                 f"got {entry.value!r}"
             ) from None
 
-    def get_int(self, section, key, default=_MISSING, minimum=None) -> int:
+    def get_int(self, section, key, default=_MISSING, minimum=None, maximum=None) -> int:
         def convert(text):
-            if minimum is not None and int(text) < minimum:
+            value = int(text)
+            if minimum is not None and value < minimum:
                 raise ValueError(text)
-            return int(text)
+            if maximum is not None and value > maximum:
+                raise _AboveMaximum(f"an integer <= {maximum}")
+            return value
 
         describe = "an integer" if minimum is None else f"an integer >= {minimum}"
         return self._typed(section, key, default, convert, describe)

@@ -203,16 +203,6 @@ def herding_order(embeddings: np.ndarray, count: int) -> list[int]:
     return order
 
 
-@dataclass
-class ClSnapshot:
-    """State after the last continual step: the ridge floor and the adapted model."""
-
-    task_index: int
-    ridge: Classifier
-    fine_tuned: Classifier
-    buffer_sizes: dict
-
-
 def fine_tune(ridge_clf: Classifier, images, buffer: MemoryBuffer, cfg: TrainConfig,
               aug_cfg: AugmentConfig | None = None) -> Classifier:
     """Adapt a copy of the ridge model on the buffer's samples of the stack
@@ -258,12 +248,14 @@ def cl_sweep(images, batches, backend: ConvNetBackend, capacities, ridge_lambda:
     accuracies do not depend on the capacity. They are computed here, once,
     before this returns, together with every validation; the test set is
     embedded once by the frozen backend for all ridge scores. The returned
-    iterator then yields (final snapshot, rows) per capacity, in order, doing
-    only the capacity-dependent work: cutting the herded lists to the budget,
-    fine-tuning and scoring the fine-tuned model. Only the last step's models
-    are kept. Each row is (t, acc of ridge floor, acc of fine-tuned model,
-    buffer size), with accuracies over the test items belonging to classes
-    seen so far (or None when no test set is supplied).
+    iterator then yields (ridge, fine_tuned, rows) per capacity, in order,
+    doing only the capacity-dependent work: cutting the herded lists to the
+    budget, fine-tuning and scoring the fine-tuned model. Only the last
+    step's two models are kept; its fine-tuned model is a copy of its ridge
+    model when that step did not fine-tune. Each row is (t, acc of ridge
+    floor, acc of fine-tuned model, buffer size), with accuracies over the
+    test items belonging to classes seen so far (or None when no test set is
+    supplied).
     """
     batches = [(label, np.asarray(idx, dtype=np.int64)) for label, idx in batches]
     capacities = list(capacities)
@@ -323,8 +315,7 @@ def _capacity_pass(steps, images, test_images, capacity, fine_tune_cfg, aug_cfg,
             # the unchanged ridge model scores exactly as it does
             tuned, acc_tuned = None, step.acc_ridge
         rows.append((t, step.acc_ridge, acc_tuned, buffer.total))
-    fine_tuned = step.ridge.clone() if tuned is None else tuned
-    return ClSnapshot(len(steps), step.ridge, fine_tuned, buffer.sizes()), rows
+    return step.ridge, step.ridge.clone() if tuned is None else tuned, rows
 
 
 def cl_rows_to_csv(rows) -> str:

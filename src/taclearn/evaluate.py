@@ -144,11 +144,11 @@ def speed_sweep(classifier: Classifier, images, labels, factors) -> list[tuple[f
     fewer readings over the same surface). The stack is resized one
     `embed_chunk` at a time, each just before `embed_images` takes it, so no
     whole resized stack exists and every embedding keeps the chunk, and so
-    the bytes, that embedding the whole resized stack would give it. The
-    chunks share one workspace. Every factor, and the width it gives (at most
-    `augment.MAX_TEMPORAL_WIDTH`), is checked before the first embedding.
+    the bytes, that embedding the whole resized stack would give it. Every
+    factor, and the width it gives (at most `augment.MAX_TEMPORAL_WIDTH`), is
+    checked before the first embedding.
     """
-    backend, curve, workspace, widths = classifier.backend, [], {}, []
+    backend, curve, widths = classifier.backend, [], []
     for factor in factors:
         if not 0 < factor < math.inf:
             raise ValidationError(f"speed factor must be finite and positive, got {factor}")
@@ -156,8 +156,7 @@ def speed_sweep(classifier: Classifier, images, labels, factors) -> list[tuple[f
     for factor, width in zip(factors, widths):
         step = embed_chunk(backend, images.data.shape[-2], width)
         embeddings = np.concatenate([
-            embed_images(backend, images.with_data(_resample_axis(images.data[s : s + step], width)),
-                         workspace)
+            embed_images(backend, images.with_data(_resample_axis(images.data[s : s + step], width)))
             for s in range(0, len(images), step)])
         curve.append((float(factor), classifier.accuracy(images, labels, embeddings)))
     return curve

@@ -164,27 +164,26 @@ class ConvNetBackend:
             x = np.broadcast_to(x[:, None], (len(x), self.in_channels, *x.shape[1:]))
         return x
 
-    def forward(self, x: np.ndarray, workspace: dict | None = None):
+    def forward(self, x: np.ndarray, keep_cache: bool = True):
         """Returns (embeddings (N, d), cache for backward), computed in the
         input's dtype (see `_check_input`).
 
-        With a `workspace` (see `layers`) the pass is forward-only: every block
-        gathers into the workspace's buffers, ReLU runs in place on the fresh
-        GEMM output, and the cache is None.
+        With `keep_cache=False` the pass is forward-only: the cache is None,
+        so each block's padded input and columns are freed when it returns.
         """
         x = self._check_input(x)
         caches = []
         h = x
         for w, b in zip(self.weights, self.biases):
             h, conv_cache = layers.conv_forward(h, w, b, self.stride, pad=self.kernel // 2,
-                                                workspace=workspace)
+                                                keep_cache=keep_cache)
             # ReLU in place on the fresh GEMM output; its output is positive
             # exactly where its input is, so it is also backward's mask
             np.maximum(h, 0.0, out=h)
-            if workspace is None:
+            if keep_cache:
                 caches.append((conv_cache, h))
         emb, gap_shape = layers.gap_forward(h)
-        return emb, None if workspace is not None else (caches, gap_shape)
+        return emb, (caches, gap_shape) if keep_cache else None
 
     def backward(self, demb: np.ndarray, cache):
         """float64 gradients for every parameter, aligned with params(),
@@ -203,11 +202,9 @@ class ConvNetBackend:
         grads.reverse()
         return grads
 
-    def embed_batch(self, x: np.ndarray, workspace: dict | None = None) -> np.ndarray:
-        """Embeddings (N, d) from a forward-only pass; pass one `workspace`
-        dict to every call to reuse its buffers (a fresh one otherwise)."""
-        emb, _ = self.forward(x, {} if workspace is None else workspace)
-        return emb
+    def embed_batch(self, x: np.ndarray) -> np.ndarray:
+        """Embeddings (N, d) from a forward-only pass, which keeps no cache."""
+        return self.forward(x, keep_cache=False)[0]
 
     def arch_header(self) -> str:
         widths = ",".join(str(w) for w in self.widths)

@@ -18,15 +18,12 @@ exactly adjoint and survives finite-difference checks. Block 0 calls it with
 `input_grad=False`, which skips the dX GEMM and the scatter, since nothing
 upstream takes a gradient.
 
-A forward-only caller passes a workspace, a dict that holds one padded-input
-and one column buffer across calls: every block and every chunk writes into
-them, they grow to the largest block's need, and no cache is returned, so
-nothing outlives the call but the output.
+Every call allocates its padded input and its columns afresh. A forward-only
+caller passes `keep_cache=False`: no cache is returned, so both buffers are
+freed when the call returns and nothing outlives it but the output.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -40,26 +37,10 @@ def _col_slices(kh, kw, stride, out_h, out_w):
             )
 
 
-def _buffer(workspace, key, shape, dtype):
-    """A `shape` array of `dtype`: fresh without a workspace, else a view of
-    workspace[key], which is replaced when too small or of another dtype. The
-    old buffer is released before the new one is allocated, so the two never
-    coexist."""
-    if workspace is None:
-        return np.empty(shape, dtype)
-    size = math.prod(shape)
-    old = workspace.get(key)
-    if old is None or old.size < size or old.dtype != dtype:
-        workspace.pop(key, None)
-        workspace[key] = np.empty(size, dtype)
-    return workspace[key][:size].reshape(shape)
-
-
-def conv_forward(x, w, b, stride=2, pad=1, workspace=None):
+def conv_forward(x, w, b, stride=2, pad=1, keep_cache=True):
     """x: (N, Cin, H, W), w: (Cout, Cin, kh, kw), b: (Cout,); computes in x's dtype.
 
-    Returns (out, cache). With a `workspace` dict the padded input and the
-    columns go into its buffers and the cache is None.
+    Returns (out, cache); the cache is None unless `keep_cache`.
     """
     n, c, h, width = x.shape
     c_out, _, kh, kw = w.shape
@@ -68,20 +49,20 @@ def conv_forward(x, w, b, stride=2, pad=1, workspace=None):
     out_w = (width + 2 * pad - kw) // stride + 1
     src = x[:, :1] if x.strides[1] == 0 else x  # one plane behind every channel
     c_src = src.shape[1]
-    xp = _buffer(workspace, "padded", (c_src, n, h + 2 * pad, width + 2 * pad), x.dtype)
+    xp = np.empty((c_src, n, h + 2 * pad, width + 2 * pad), x.dtype)
     xp[:, :, :pad] = 0.0
     xp[:, :, pad + h :] = 0.0
     xp[:, :, pad : pad + h, :pad] = 0.0
     xp[:, :, pad : pad + h, pad + width :] = 0.0
     xp[:, :, pad : pad + h, pad : pad + width] = src.transpose(1, 0, 2, 3)
     windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    cols = _buffer(workspace, "cols", (c, kh, kw, n, out_h, out_w), x.dtype)
+    cols = np.empty((c, kh, kw, n, out_h, out_w), x.dtype)
     cols[:c_src] = windows.transpose(0, 4, 5, 1, 2, 3)
     cols[c_src:] = cols[:1]
     cols = cols.reshape(c * kh * kw, n * out_h * out_w)
     out = w.reshape(c_out, -1) @ cols
     out += b[:, None]
-    cache = None if workspace is not None else (x.shape, cols, w, stride, pad, out_h, out_w)
+    cache = (x.shape, cols, w, stride, pad, out_h, out_w) if keep_cache else None
     return out.reshape(c_out, n, out_h, out_w).transpose(1, 0, 2, 3), cache
 
 

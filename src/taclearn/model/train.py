@@ -106,28 +106,26 @@ def embed_chunk(backend: ConvNetBackend, height: int, width: int) -> int:
     """How many (height, width) planes `embed_images` passes through the
     backend at once: at most 64, the size measured best at 12x64, and 2**17
     pixels at the backend's input width (else `width`). The float32 pass
-    holds about 108 bytes per input pixel at its peak (13.3 MB traced at 17
+    holds about 84 bytes per input pixel at its peak (10.8 MB traced at 17
     planes of 19x400), 36 of them block 1's columns. Bounds of 2**15, 2**16
     and 2**18 pixels embedded 19x400, 60x75 and 27x599 stacks more slowly."""
     width = width if backend.input_width is None else backend.input_width
     return max(1, min(64, 2**17 // (height * width)))
 
 
-def embed_images(backend: ConvNetBackend, images, workspace: dict | None = None) -> np.ndarray:
+def embed_images(backend: ConvNetBackend, images) -> np.ndarray:
     """Embeddings of a normalized stack, resized to the backend's input width
     chunk by chunk (`embed_chunk` planes), just before each chunk's
     forward-only pass. Each resized chunk is cast to float32, so the pass
-    computes in float32, as training does. Chunks share one workspace (see
-    `layers`); pass the same dict to successive calls to share it across
-    them too."""
+    computes in float32, as training does; each block's buffers live only
+    while that block runs."""
     planes = prepare_for_model(images)
     width = planes.shape[-1] if backend.input_width is None else backend.input_width
     chunk = embed_chunk(backend, *planes.shape[1:])
     out = np.empty((len(planes), backend.embed_dim))
-    workspace = {} if workspace is None else workspace
     for start in range(0, len(planes), chunk):
         x = _resample_axis(planes[start : start + chunk], width).astype(np.float32)
-        out[start : start + chunk] = backend.embed_batch(x, workspace)
+        out[start : start + chunk] = backend.embed_batch(x)
     return out
 
 
@@ -190,8 +188,6 @@ def _train_loop(images, targets, cfg, aug_cfg, backend, head, loss, val_eval=Non
     n = len(images)
     # the normalization check; random_augment resizes augmented minibatches
     planes = prepare_batch(images, backend.input_width if aug_cfg is None else None)
-    # a frozen backend takes no gradient, so it runs the forward-only pass
-    workspace = {} if cfg.freeze_backend else None
     shuffle_root = Prng(cfg.seed).spawn(1)
     for epoch in range(cfg.epochs):
         if cfg.lr_schedule == "cosine":
@@ -206,8 +202,10 @@ def _train_loop(images, targets, cfg, aug_cfg, backend, head, loss, val_eval=Non
             else:
                 x = random_augment(images[idx], aug_cfg, aug_rng, backend.input_width)
             # the encoder computes in float32, as in `embed_images`; parameters,
-            # velocities and the SGD step stay float64
-            emb, cache = backend.forward(x.astype(np.float32), workspace)
+            # velocities and the SGD step stay float64. A frozen backend takes
+            # no gradient, so it runs the forward-only pass
+            emb, cache = backend.forward(x.astype(np.float32),
+                                         keep_cache=not cfg.freeze_backend)
             value, dlogits = loss(layers.linear_forward(emb, head.weights, head.bias),
                                   targets[idx])
             if not np.isfinite(value):

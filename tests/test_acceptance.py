@@ -320,7 +320,7 @@ def test_criterion_08_cl_buffer_trend(budget_backend):
 
         floors, tuned = [], []
         for per_class in (5, 10, 20, 40):
-            [(_, rows)] = cl_sweep(
+            [(_, _, rows)] = cl_sweep(
                 train_images, batches, budget_backend, [per_class * 5], ridge_lambda=1.0,
                 fine_tune_cfg=ft_cfg, aug_cfg=None, test_images=test_images,
                 test_labels=test_labels,

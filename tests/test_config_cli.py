@@ -659,8 +659,8 @@ def test_encoder_sees_the_configured_input_width(tmp_path, monkeypatch, case):
     widths = set()
     forward = ConvNetBackend.forward
     monkeypatch.setattr(ConvNetBackend, "forward",
-                        lambda self, x, workspace=None:
-                        widths.add(x.shape[-1]) or forward(self, x, workspace))
+                        lambda self, x, keep_cache=True:
+                        widths.add(x.shape[-1]) or forward(self, x, keep_cache))
     checkpoint = tmp_path / "train" / "model.tacm"
     for command in commands:
         extra = ["--checkpoint", str(checkpoint)] if command[0] == "eval" else []
@@ -1234,6 +1234,27 @@ def test_non_finite_config_values_exit_one_before_outputs(tmp_path, capsys, comm
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key", [
+    ("dataset", "num_classes"), ("dataset", "channels"), ("dataset", "stream_length"),
+    ("dataset", "train_per_class"), ("dataset", "test_per_class"),
+    ("transform", "input_width"),
+])
+def test_impossible_dataset_sizes_exit_one_before_outputs(tmp_path, capsys, section, key):
+    # at 2**62 each of these used to end in numpy's ValueError or a MemoryError
+    # (exit 2), or, for test_per_class, in a train run that never read it
+    import re
+
+    cfg = _write_cfg(tmp_path)
+    text, count = re.subn(rf"^{key} = .*$", f"{key} = {2**62}", cfg.read_text(), flags=re.M)
+    assert count == 1
+    cfg.write_text(text)
+    out = tmp_path / "never"
+    for command in ("train", "cl"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"[{section}] {key} must be an integer <= " in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command, splits", [

@@ -395,7 +395,7 @@ def test_cl_run_single_step_equals_batch_baseline(random_backend):
                                                                  num_classes=2)
     (label, idx), (label2, idx2) = batches
     all_labels = [label] * len(idx) + [label2] * len(idx2)
-    [(final, rows)] = cl_sweep(
+    [(ridge, _, rows)] = cl_sweep(
         images, [(label, idx), (label2, idx2)], random_backend, [12],
         test_images=test_images, test_labels=test_labels,
     )
@@ -403,27 +403,27 @@ def test_cl_run_single_step_equals_batch_baseline(random_backend):
     # a float32 embedding's last bits depend on the chunk it is computed in
     embeddings = np.concatenate([embed_images(random_backend, images[i]) for i in (idx, idx2)])
     state = rls_update(RlsState(dim=random_backend.embed_dim), embeddings, all_labels)
-    assert np.allclose(final.ridge.head.weights, ridge_solve(state).weights, atol=1e-9)
-    assert final.ridge.classes == state.classes
+    assert np.allclose(ridge.head.weights, ridge_solve(state).weights, atol=1e-9)
+    assert ridge.classes == state.classes
     assert rows[-1][3] <= 12
 
 
 def test_cl_run_single_batch_reduces_to_frozen_classification(random_backend):
     images, labels = _image_batch(6, "solo", seed=29)
-    [(final, rows)] = cl_sweep(images, [("solo", np.arange(6))], random_backend, [4])
+    [(ridge, _, rows)] = cl_sweep(images, [("solo", np.arange(6))], random_backend, [4])
     direct = ridge_classifier(random_backend, images, labels)
-    assert final.task_index == 1
-    assert final.ridge.classes == direct.classes == ("solo",)
-    assert np.allclose(final.ridge.head.weights, direct.head.weights, atol=1e-12)
+    assert [row[0] for row in rows] == [1]
+    assert ridge.classes == direct.classes == ("solo",)
+    assert np.allclose(ridge.head.weights, direct.head.weights, atol=1e-12)
     assert rows[0][3] == 4  # buffer truncated to capacity
 
 
 def test_cl_run_order_invariant_head(random_backend):
     images, batches, _, _ = _small_cl_problem(random_backend, num_classes=3)
-    [(final_fwd, _)] = cl_sweep(images, batches, random_backend, [9])
-    [(final_rev, _)] = cl_sweep(images, batches[::-1], random_backend, [9])
-    w1 = final_fwd.ridge.head.weights
-    w2 = final_rev.ridge.head.weights
+    [(ridge_fwd, _, _)] = cl_sweep(images, batches, random_backend, [9])
+    [(ridge_rev, _, _)] = cl_sweep(images, batches[::-1], random_backend, [9])
+    w1 = ridge_fwd.head.weights
+    w2 = ridge_rev.head.weights
     assert np.linalg.norm(w1 - w2) <= 1e-6 * max(1.0, np.linalg.norm(w1))
 
 
@@ -437,8 +437,8 @@ def test_cl_run_rejects_repeated_class(random_backend):
 def test_cl_rows_csv_shape(random_backend):
     images, batches, test_images, test_labels = _small_cl_problem(random_backend,
                                                                  num_classes=2)
-    [(_, rows)] = cl_sweep(images, batches, random_backend, [8],
-                           test_images=test_images, test_labels=test_labels)
+    [(_, _, rows)] = cl_sweep(images, batches, random_backend, [8],
+                              test_images=test_images, test_labels=test_labels)
     csv = cl_rows_to_csv(rows)
     lines = csv.strip().splitlines()
     assert lines[0] == "t,acc_ridge,acc_fine_tuned,buffer_size"
@@ -455,17 +455,17 @@ def test_cl_sweep_matches_independent_runs_bitwise(random_backend, warm_start):
     capacities = [4, 9]  # smaller first: a buffer leaking forward would show
     swept = list(cl_sweep(images, batches, random_backend, capacities, **kwargs))
     assert len(swept) == len(capacities)
-    for cap, (a, rows) in zip(capacities, swept):
-        [(b, alone_rows)] = cl_sweep(images, batches, random_backend, [cap], **kwargs)
+    for cap, (ridge, tuned, rows) in zip(capacities, swept):
+        [(alone_ridge, alone_tuned, alone_rows)] = cl_sweep(images, batches, random_backend,
+                                                            [cap], **kwargs)
         assert rows == alone_rows
-        assert a.task_index == b.task_index == len(batches)
-        assert a.buffer_sizes == b.buffer_sizes
-        assert np.array_equal(a.ridge.head.weights, b.ridge.head.weights)
-        assert np.array_equal(a.fine_tuned.backend.get_flat(), b.fine_tuned.backend.get_flat())
-        assert np.array_equal(a.fine_tuned.head.weights, b.fine_tuned.head.weights)
+        assert [t for t, *_ in rows] == list(range(1, len(batches) + 1))
+        assert max(size for *_, size in rows) <= cap
+        assert np.array_equal(ridge.head.weights, alone_ridge.head.weights)
+        assert np.array_equal(tuned.backend.get_flat(), alone_tuned.backend.get_flat())
+        assert np.array_equal(tuned.head.weights, alone_tuned.head.weights)
     # the two capacities really did fine-tune on different buffers
-    assert not np.array_equal(swept[0][0].fine_tuned.backend.get_flat(),
-                              swept[1][0].fine_tuned.backend.get_flat())
+    assert not np.array_equal(swept[0][1].backend.get_flat(), swept[1][1].backend.get_flat())
 
 
 def test_cl_warm_start_carries_the_tuned_backend(random_backend):
@@ -474,17 +474,15 @@ def test_cl_warm_start_carries_the_tuned_backend(random_backend):
     frozen = random_backend.get_flat()
     cold, warm = {}, {}
     for steps in (2, 3):  # a sweep's final models are its last step's
-        [(cold[steps], _)] = cl_sweep(images, batches[:steps], random_backend, [9],
-                                      fine_tune_cfg=ft_cfg)
-        [(warm[steps], _)] = cl_sweep(images, batches[:steps], random_backend, [9],
-                                      fine_tune_cfg=ft_cfg, warm_start=True)
+        [cold[steps]] = cl_sweep(images, batches[:steps], random_backend, [9],
+                                 fine_tune_cfg=ft_cfg)
+        [warm[steps]] = cl_sweep(images, batches[:steps], random_backend, [9],
+                                 fine_tune_cfg=ft_cfg, warm_start=True)
         # warm start never touches the ridge floor
-        assert np.array_equal(cold[steps].ridge.head.weights, warm[steps].ridge.head.weights)
+        assert np.array_equal(cold[steps][0].head.weights, warm[steps][0].head.weights)
     # step 2 starts from the frozen backend either way; step 3 differs
-    assert np.array_equal(cold[2].fine_tuned.backend.get_flat(),
-                          warm[2].fine_tuned.backend.get_flat())
-    assert not np.array_equal(cold[3].fine_tuned.backend.get_flat(),
-                              warm[3].fine_tuned.backend.get_flat())
+    assert np.array_equal(cold[2][1].backend.get_flat(), warm[2][1].backend.get_flat())
+    assert not np.array_equal(cold[3][1].backend.get_flat(), warm[3][1].backend.get_flat())
     assert np.array_equal(random_backend.get_flat(), frozen)
 
 
@@ -495,9 +493,9 @@ def test_fine_tuned_models_keep_the_input_width(random_backend, warm_start):
     images, batches, _, _ = _small_cl_problem(backend, num_classes=3)
     ft_cfg = TrainConfig(epochs=1, lr=0.01, batch_size=4, lr_schedule="cosine", seed=3)
     for steps in (1, 2, 3):  # step 1 keeps an unchanged copy of the ridge model
-        [(final, _)] = cl_sweep(images, batches[:steps], backend, [9], fine_tune_cfg=ft_cfg,
-                                warm_start=warm_start)
-        assert final.ridge.backend.input_width == final.fine_tuned.backend.input_width == 24
+        [(ridge, tuned, _)] = cl_sweep(images, batches[:steps], backend, [9],
+                                       fine_tune_cfg=ft_cfg, warm_start=warm_start)
+        assert ridge.backend.input_width == tuned.backend.input_width == 24
 
 
 def test_cl_sweep_validates_every_capacity_before_any_work(random_backend, monkeypatch):
@@ -545,8 +543,8 @@ def test_cl_sweep_keeps_only_the_models_it_needs(random_backend, monkeypatch, wa
     monkeypatch.setattr(continual, "fine_tune", counted_fine_tune)
     images, batches, _, _ = _small_cl_problem(random_backend, num_classes=6, per_class=4)
     ft_cfg = TrainConfig(epochs=1, lr=0.01, batch_size=4, lr_schedule="cosine", seed=3)
-    rows = [rows for _, rows in cl_sweep(images, batches, random_backend, [12, 18],
-                                         fine_tune_cfg=ft_cfg, warm_start=warm_start)]
+    rows = [rows for _, _, rows in cl_sweep(images, batches, random_backend, [12, 18],
+                                            fine_tune_cfg=ft_cfg, warm_start=warm_start)]
     assert len(rows) == 2 and len(counts) == 2 * 5
     assert max(counts) <= 3
 

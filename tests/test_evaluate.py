@@ -194,9 +194,9 @@ class _Recorder:
         self.classifier, self.backend = classifier, classifier.backend
         self.planes, self.chunks = [], []
 
-    def record_chunk(self, backend, images, workspace=None):
+    def record_chunk(self, backend, images):
         self.chunks.append(images.data)
-        return embed_images(backend, images, workspace)
+        return embed_images(backend, images)
 
     def accuracy(self, images, labels, embeddings=None):
         if not isinstance(images, TactileImage):  # the oracle's list of images
@@ -234,19 +234,17 @@ def test_stacked_sweeps_match_per_image_oracle(monkeypatch, fitted, sweep, oracl
 
 def test_speed_sweep_embeds_the_chunks_of_the_whole_resized_stack(monkeypatch, fitted):
     # each chunk is one embed_images call, cut where embed_images would cut the
-    # whole resized stack, so every embedding keeps its bytes; the calls share
-    # one workspace
+    # whole resized stack, so every embedding keeps its bytes
     clf, _, _, test_images, test_labels = fitted
     backend = clf.backend.clone()
     backend.input_width = 1000
     clf = Classifier(backend, clf.head, clf.classes)
-    calls, workspaces, embeddings = [], [], []
+    calls, embeddings = [], []
     real_accuracy = Classifier.accuracy
 
-    def record_chunk(backend_, images, workspace):
+    def record_chunk(backend_, images):
         calls.append(len(images))
-        workspaces.append(workspace)
-        return embed_images(backend_, images, workspace)
+        return embed_images(backend_, images)
 
     def record_embeddings(self, images, labels, emb=None):
         embeddings.append(emb)
@@ -257,7 +255,6 @@ def test_speed_sweep_embeds_the_chunks_of_the_whole_resized_stack(monkeypatch, f
     speed_sweep(clf, test_images, test_labels, [0.5, 2.0])
     monkeypatch.undo()
     assert calls == [13, 2, 13, 2]
-    assert all(w is workspaces[0] for w in workspaces)
     for factor, emb in zip([0.5, 2.0], embeddings):
         whole = embed_images(backend, resize_temporal(test_images, 1.0 / factor))
         assert emb.tobytes() == whole.tobytes()

@@ -105,20 +105,23 @@ def test_conv_gathers_a_broadcast_plane_once_with_the_bytes_of_its_copy():
         assert np.array_equal(got, want)
 
 
-def test_forward_with_a_workspace_keeps_no_cache_and_reuses_its_buffers():
+def test_forward_without_a_cache_gives_the_cached_pass_bytes():
+    # the forward-only pass keeps no cache and computes what the cached pass
+    # computes, block by block and end to end, in either dtype
     backend = ConvNetBackend(seed=5)
-    chunks = Prng(26).uniform(-1, 1, size=(3, 6, 12, 40))
-    workspace = {}
-    emb, cache = backend.forward(chunks[0], workspace)
-    assert cache is None
-    assert np.array_equal(emb, backend.forward(chunks[0])[0])
-    buffers = dict(workspace)
-    assert sorted(buffers) == ["cols", "padded"]
-    for chunk in chunks[1:]:
-        emb, cache = backend.forward(chunk, workspace)
-        assert cache is None
-        assert np.array_equal(emb, backend.forward(chunk)[0])
-        assert all(workspace[key] is buffers[key] for key in buffers)
+    rng = Prng(26)
+    for dtype in (np.float32, np.float64):
+        x = rng.uniform(-1, 1, size=(3, 3, 12, 40)).astype(dtype)
+        w, b = backend.weights[0], backend.biases[0]
+        out, cache = layers.conv_forward(x, w, b, keep_cache=False)
+        cached_out, cached = layers.conv_forward(x, w, b)
+        assert cache is None and cached is not None
+        assert out.dtype == dtype and out.tobytes() == cached_out.tobytes()
+        for planes in x:
+            emb, cache = backend.forward(planes, keep_cache=False)
+            cached_emb, cached = backend.forward(planes)
+            assert cache is None and cached is not None
+            assert emb.dtype == dtype and emb.tobytes() == cached_emb.tobytes()
 
 
 def test_conv_backward_without_input_grad_keeps_weight_grads():

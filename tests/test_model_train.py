@@ -104,9 +104,9 @@ def test_planes_feed_every_input_channel():
 
 
 def test_embed_images_equals_the_training_forward_chunk_by_chunk():
-    # 150 planes at 19x40 embed as chunks of 64, 64 and 22 through one
-    # forward-only workspace, with the bytes of the training forward pass,
-    # which computes in float32
+    # 150 planes at 19x40 embed as chunks of 64, 64 and 22 through the
+    # forward-only pass, with the bytes of the training forward pass, which
+    # computes in float32
     backend = ConvNetBackend(seed=6)
     planes = Prng(27).uniform(-1, 1, size=(150, 19, 40)).astype(np.float32)
     expected = np.concatenate([backend.forward(planes[s : s + 64])[0] for s in (0, 64, 128)])
@@ -172,7 +172,7 @@ def test_embed_images_chunks_by_input_pixels(monkeypatch, shape, input_width, ch
     seen = []
     embed_batch = ConvNetBackend.embed_batch
     monkeypatch.setattr(ConvNetBackend, "embed_batch",
-                        lambda self, x, ws=None: seen.append(x.shape) or embed_batch(self, x, ws))
+                        lambda self, x: seen.append(x.shape) or embed_batch(self, x))
     planes = Prng(30).uniform(-1, 1, size=shape)
     embed_images(ConvNetBackend(seed=8, input_width=input_width),
                  TactileImage(planes, normalized=True))
@@ -298,19 +298,19 @@ def test_freeze_backend_flag(tiny_dataset):
 
 def test_frozen_backend_trains_on_forward_only_passes(tiny_dataset, monkeypatch):
     # no backward reads a frozen backend's cache, so training runs the
-    # workspace pass; the head's bytes are those the cached pass gives
-    forward, workspaces = ConvNetBackend.forward, []
+    # forward-only pass; the head's bytes are those the cached pass gives
+    forward, keeps = ConvNetBackend.forward, []
 
-    def spy(self, x, workspace=None):
-        workspaces.append(workspace)
-        return forward(self, x, workspace)
+    def spy(self, x, keep_cache=True):
+        keeps.append(keep_cache)
+        return forward(self, x, keep_cache)
 
     cfg = TrainConfig(epochs=3, lr=0.05, batch_size=8, lr_schedule="cosine",
                       seed=7, freeze_backend=True)
     monkeypatch.setattr(ConvNetBackend, "forward", spy)
     _, head, history = train_supervised(*tiny_dataset, cfg, backend=ConvNetBackend(seed=7))
-    assert len(workspaces) == 9 and all(w is workspaces[0] is not None for w in workspaces)
-    monkeypatch.setattr(ConvNetBackend, "forward", lambda self, x, workspace=None: forward(self, x))
+    assert len(keeps) == 9 and all(keep is False for keep in keeps)
+    monkeypatch.setattr(ConvNetBackend, "forward", lambda self, x, keep_cache=True: forward(self, x))
     _, cached_head, cached_history = train_supervised(*tiny_dataset, cfg,
                                                       backend=ConvNetBackend(seed=7))
     assert head.weights.tobytes() == cached_head.weights.tobytes()
