@@ -6,13 +6,16 @@ process: temporal flipping (motion direction reversed), temporal resizing
 and drift).
 
 The per-image ops are pure: they never mutate their input and consume
-randomness only from an explicitly passed generator. Jitter may push values
-outside [-1, 1] by up to its level; nothing re-clamps, because the
-noise-robustness suites measure exactly that excursion.
+randomness only from an explicitly passed generator. Every op computes in
+its input's dtype and returns it, as the conv layers do: on a float32 stack
+(a dataset split) the interpolation fractions and the jitter noise are
+rounded to float32 first. Jitter may push values outside [-1, 1] by up to
+its level; nothing re-clamps, because the noise-robustness suites measure
+exactly that excursion.
 
 `random_augment` augments a whole training minibatch: one normalized stack
-(B, H, W) in and one float64 array (B, H, W_out) out. Its result, and the
-generator state it leaves, are those of augmenting the planes one after
+(B, H, W) in and one array (B, H, W_out) of its dtype out. Its result, and
+the generator state it leaves, are those of augmenting the planes one after
 another with the per-image ops,
 each image drawing in this order: flip (one uniform draw), resize (one
 factor draw), crop (one length and one start draw), jitter (one uniform
@@ -52,7 +55,7 @@ from .tactile_image import TactileImage
 
 # The widest temporal axis a resize may produce: 2**16 readings, about 100
 # times the widest sensor template (27x599). One 12-row plane at this width
-# takes 6 MB in float64, and its block-1 columns about 28 MB in float32.
+# takes 3 MB in float32, and its block-1 columns about 28 MB.
 MAX_TEMPORAL_WIDTH = 2**16
 
 
@@ -102,7 +105,7 @@ def _resample_axis(data: np.ndarray, new_len: int) -> np.ndarray:
         pos = np.arange(new_len) * ((old_len - 1) / (new_len - 1))
     left = np.minimum(pos.astype(np.int64), old_len - 1)
     right = np.minimum(left + 1, old_len - 1)
-    frac = pos - left
+    frac = (pos - left).astype(data.dtype)
     # a[..., l] * (1 - f) + a[..., r] * f in place, with two temporaries
     out = data[..., left]
     out *= 1.0 - frac
@@ -159,7 +162,7 @@ def jitter(image: TactileImage, level: float, rng: Prng) -> TactileImage:
     if level == 0:
         return image
     noise = rng.uniform(-level, level, size=image.data.shape)
-    return image.with_data(image.data + noise)
+    return image.with_data(image.data + noise.astype(image.data.dtype))
 
 
 def _resample_maps(old_len, new_len, positions):
@@ -181,7 +184,7 @@ def _gather(data, left, right, frac, copy):
     if copy.all():
         return a
     b = rows[base + right]
-    frac = frac[:, :, None]
+    frac = frac[:, :, None].astype(data.dtype)
     return np.where(copy[:, None, None], a, a * (1.0 - frac) + b * frac)
 
 
@@ -245,7 +248,7 @@ def random_augment(images: TactileImage, cfg: AugmentConfig, rng: Prng,
         step = (r * length[:, None, None] + c + 1).astype(np.uint64)
         u = uniform_at(np.array(noise_states, np.uint64)[:, None, None], step)
         level_lo, level_hi = -cfg.jitter_level, cfg.jitter_level
-        data = data + (level_lo + (level_hi - level_lo) * u)
+        data = data + (level_lo + (level_hi - level_lo) * u).astype(data.dtype)
 
     if is_camera:
         r = np.broadcast_to(np.arange(out_h), (n, out_h))

@@ -50,7 +50,7 @@ from .sensor_io import (MAX_SAMPLES_PER_CLASS, MAX_SYNTHETIC_CHANNELS, MAX_SYNTH
                         Manifest, ManifestEntry, SensorStream, SyntheticTextureConfig,
                         generate_synthetic, load_manifest, load_manifest_streams,
                         synthetic_sensor_spec, write_manifest, write_stream)
-from .tactile_image import TactileImage, compute_bounds, image_plane, normalize
+from .tactile_image import TactileImage, calibrate, compute_bounds, image_plane, normalize
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,15 +178,20 @@ def _synthetic_classes(config):
 
 
 def _read_splits(config, splits, window):
-    """`_load_bundle`'s raw stacks with their labels and constituent sets,
-    bounds, image shape, sensor spec and manifest.
+    """`_load_bundle`'s normalized stacks with their labels and constituent
+    sets, bounds, image shape and manifest.
 
     Each mode supplies, per split, a sample count and groups (name, label,
     constituents, readings): one per class in synthetic mode, one per stream
-    in manifest mode. One loop folds the train split's min and max when the
-    bounds are not given, and copies each group's images straight into its
-    split's preallocated stack. The parsed streams are locals here, so they
-    are gone once the stacks are returned.
+    in manifest mode. One loop copies each group's images straight into its
+    split's preallocated float32 stack, each value rounded once from its
+    float64 normalization. A manifest's bounds are known before the loop
+    (given, or folded from the parsed train streams), so each stream, whose
+    CSV readings need not be float32-exact, is normalized in float64 as it
+    is stored. Synthetic readings are float32-exact, so the loop stores a
+    class raw while it folds the train split's min and max, and each stack
+    is normalized in place once the loop ends. The parsed streams are locals
+    here, so they are gone once the stacks are returned.
     """
     mode = config.get_str("dataset", "mode")
     if mode == "synthetic":
@@ -208,8 +213,10 @@ def _read_splits(config, splits, window):
         raise ValidationError(f"[dataset] mode must be synthetic or manifest, got {mode!r}")
     if not sources["train"][0]:
         raise ValidationError("dataset has no training samples")
+    if manifest is not None and bounds is None:
+        bounds = compute_bounds(readings for *_, readings in sources["train"][1])
 
-    lo, hi, shape, raw = np.inf, -np.inf, None, {}
+    lo, hi, shape, stacks = np.inf, -np.inf, None, {}
     for split in dict.fromkeys(("train", *splits)):
         size, groups = sources[split]
         stack, labels, cons = None, [], []
@@ -225,13 +232,19 @@ def _read_splits(config, splits, window):
                     f"[transform] window_start and window_end to cut every stream to one window)")
             if split in splits:
                 if stack is None:
-                    stack = np.empty((size, *shape))
-                    raw[split] = stack, labels, cons
+                    stack = np.empty((size, *shape), np.float32)
+                    stacks[split] = stack, labels, cons
+                if manifest is not None:
+                    planes = calibrate(planes.astype(np.float64), *bounds)
                 stack[len(labels) : len(labels) + len(planes)] = planes
                 labels += [label] * len(planes)
                 cons += [constituents] * len(planes)
     # the folded pair refuses degenerate data with compute_bounds' own error
-    return raw, bounds or compute_bounds([np.array((lo, hi))]), shape, spec, manifest
+    bounds = bounds or compute_bounds([np.array((lo, hi))])
+    return ({split: (normalize(stack, *bounds, source=spec) if manifest is None
+                     else TactileImage(stack, spec, normalized=True), labels, cons)
+             for split, (stack, labels, cons) in stacks.items()},
+            bounds, shape, manifest)
 
 
 def _load_bundle(config, splits=("train", "test")) -> _Bundle:
@@ -245,15 +258,8 @@ def _load_bundle(config, splits=("train", "test")) -> _Bundle:
     window = (config.get_int("transform", "window_start", None),
               config.get_int("transform", "window_end", None),
               config.get_int("transform", "frame_index", 0))
-    raw, bounds, shape, spec, manifest = _read_splits(config, splits, window)
-
-    def stack(split):
-        if split not in raw:
-            return None, [], []
-        planes, labels, cons = raw.pop(split)
-        return normalize(planes, *bounds, source=spec), labels, cons
-
-    train, test = stack("train"), stack("test")
+    stacks, bounds, shape, manifest = _read_splits(config, splits, window)
+    train, test = (stacks.get(split, (None, [], [])) for split in ("train", "test"))
     # The streams are gone; then freeing one 10 MB block raises glibc's
     # adaptive mmap threshold to 10 MB, so malloc keeps up to 20 MB of freed heap.
     # Every conv block call allocates its padded input and columns afresh:
@@ -261,10 +267,10 @@ def _load_bundle(config, splits=("train", "test")) -> _Bundle:
     # buffers, freed as each block returns. Block 0's float32 columns alone
     # (0.33 MB at batch 16, 12x64) exceed the 128 KB default threshold, so
     # without the block they would fault in afresh on every call. Minor faults
-    # with and without it, peak RSS within 0.6 MB: train on 100 19x400 streams
-    # 11k and 131k, eval speed on 100 such streams 11k and 61k, eval speed on
-    # experiments/synthetic.cfg 7.9k and 11k, cl --sweep on 10 classes x 600
-    # images 15k and 20k. Other allocators just make it.
+    # with and without it, with float32 stacks and peak RSS within 1.1 MB:
+    # train on 100 19x400 streams 11k and 99k, eval speed on 100 such streams
+    # 10k and 58k, cl --sweep on 10 classes x 600 images 13k either way. Other
+    # allocators just make it.
     np.empty(10 << 20, dtype=np.uint8)
     return _Bundle(*train, *test, input_width or (shape and shape[1]), bounds, manifest)
 

@@ -132,9 +132,6 @@ class MemoryBuffer:
     def classes(self) -> tuple:
         return tuple(sorted(self.per_class))
 
-    def sizes(self) -> dict:
-        return {k: len(v) for k, v in self.per_class.items()}
-
     def items(self) -> tuple[np.ndarray, list]:
         """Every stored index, class by class in sorted order, and its label."""
         return (np.concatenate([self.per_class[label] for label in self.classes]),
@@ -283,7 +280,10 @@ def _shared_pass(images, batches, backend, ridge_lambda, test_images, test_label
     for label, idx in batches:
         if label in herded:
             raise ValidationError(f"class {label!r} appears twice in the sequence")
-        embeddings = embed_images(backend, images[idx])
+        # a class that is one ascending run of the stack is embedded from a
+        # view of it, not from a copy
+        run = len(idx) and np.array_equal(idx, np.arange(idx[0], idx[0] + len(idx)))
+        embeddings = embed_images(backend, images[idx[0] : idx[-1] + 1] if run else images[idx])
         state = rls_update(state, embeddings, [label] * len(idx))
         herded[label] = idx[herding_order(embeddings, depth)]
         ridge_clf = Classifier(backend, ridge_solve(state), state.classes)

@@ -116,15 +116,15 @@ def embed_chunk(backend: ConvNetBackend, height: int, width: int) -> int:
 def embed_images(backend: ConvNetBackend, images) -> np.ndarray:
     """Embeddings of a normalized stack, resized to the backend's input width
     chunk by chunk (`embed_chunk` planes), just before each chunk's
-    forward-only pass. Each resized chunk is cast to float32, so the pass
-    computes in float32, as training does; each block's buffers live only
-    while that block runs."""
+    forward-only pass. The pass computes in float32, as training does (a
+    float64 stack's chunks are cast); each block's buffers live only while
+    that block runs."""
     planes = prepare_for_model(images)
     width = planes.shape[-1] if backend.input_width is None else backend.input_width
     chunk = embed_chunk(backend, *planes.shape[1:])
     out = np.empty((len(planes), backend.embed_dim))
     for start in range(0, len(planes), chunk):
-        x = _resample_axis(planes[start : start + chunk], width).astype(np.float32)
+        x = _resample_axis(planes[start : start + chunk], width).astype(np.float32, copy=False)
         out[start : start + chunk] = backend.embed_batch(x)
     return out
 
@@ -204,7 +204,7 @@ def _train_loop(images, targets, cfg, aug_cfg, backend, head, loss, val_eval=Non
             # the encoder computes in float32, as in `embed_images`; parameters,
             # velocities and the SGD step stay float64. A frozen backend takes
             # no gradient, so it runs the forward-only pass
-            emb, cache = backend.forward(x.astype(np.float32),
+            emb, cache = backend.forward(x.astype(np.float32, copy=False),
                                          keep_cache=not cfg.freeze_backend)
             value, dlogits = loss(layers.linear_forward(emb, head.weights, head.bias),
                                   targets[idx])

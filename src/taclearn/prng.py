@@ -123,8 +123,15 @@ def uniform_at(states: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """The uniform double a generator in state ``states`` yields as its
     ``draws``-th draw (1-based); uint64 arrays, broadcast together."""
     with np.errstate(over="ignore"):
-        counters = states + np.uint64(_GAMMA) * draws
-        z = (counters ^ (counters >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * _TWO53_INV
+        # the finalizer runs in place on the counters, so at most one
+        # temporary of the output's size lives beside them
+        z = states + np.uint64(_GAMMA) * draws
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u *= _TWO53_INV
+    return u

@@ -115,7 +115,7 @@ class SensorStream:
 
 # The largest synthetic dataset a config may ask for, checked where the config
 # is read. With the stream length at most augment.MAX_TEMPORAL_WIDTH, a split's
-# float64 stack stays below 2**62 bytes, so every size is one an array can have.
+# float32 stack stays below 2**61 bytes, so every size is one an array can have.
 MAX_SYNTHETIC_CLASSES = 2**16
 MAX_SYNTHETIC_CHANNELS = 2**10
 MAX_SAMPLES_PER_CLASS = 2**16

@@ -4,8 +4,9 @@ Vector-stream sensors become 2-D images by stacking consecutive readings as
 columns (channel axis x time axis); camera sensors pass their frames through
 natively. An image is one (H, W) plane, normalized to [-1, 1] with
 dataset-level calibration bounds before it reaches the model. A dataset
-split is one stack (N, H, W) of such planes, all of one shape, held in a
-single `TactileImage`.
+split is one float32 stack (N, H, W) of such planes, all of one shape, held
+in a single `TactileImage`; each of its values is rounded once from its
+float64 normalization.
 
 Multi-modal sensors keep whatever channel order the manifest delivered; the
 loader does not reorder modalities.
@@ -31,8 +32,9 @@ class NotNormalizedError(ValidationError):
 
 @dataclass(frozen=True)
 class TactileImage:
-    """Tactile input: `data` is one (H, W) plane or a stack (N, H, W) of them;
-    the per-image ops take either, and `len` and indexing act on the first axis.
+    """Tactile input: `data` is one (H, W) plane or a stack (N, H, W) of them,
+    float32 if given float32 (a dataset split's stack), else float64; the
+    per-image ops take either, and `len` and indexing act on the first axis.
 
     `normalized` records that the entries were calibrated into [-1, 1].
     Later additive noise (the test-time jitter suites) may push values
@@ -45,7 +47,8 @@ class TactileImage:
     normalized: bool = False
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
+        data = np.asarray(self.data)
+        data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         object.__setattr__(self, "data", data)
         if data.ndim not in (2, 3):
             raise ValidationError(f"image must be an (H, W) plane or stack, got {data.shape}")
@@ -88,22 +91,33 @@ def image_plane(readings: np.ndarray, spec: SensorSpec, j: int | None = None,
 
 
 def normalize(planes, lo: float, hi: float, source: SensorSpec | None = None) -> TactileImage:
-    """The normalized image of `planes` (one plane or a stack): the affine map
-    [lo, hi] -> [-1, 1], values beyond either end clamped to it. The map runs
-    in place on a float64 array, so a split's stack needs no second copy."""
+    """The normalized image of `planes` (one plane or a stack), mapped in
+    place by `calibrate`, so a split's stack needs no second copy. The map
+    computes in float64: float32 planes go through float64 chunks of 2**16
+    values, each value rounded once; any other input is mapped as float64."""
     if not lo < hi:
         raise ValidationError(f"normalization bounds need lo < hi, got ({lo}, {hi})")
-    planes = np.asarray(planes, dtype=np.float64)
+    planes = np.asarray(planes)
+    planes = np.ascontiguousarray(planes, np.float32 if planes.dtype == np.float32 else np.float64)
     if planes.size and not np.isfinite([planes.min(), planes.max()]).all():  # clamping hides inf
         raise ValidationError("image contains non-finite values")
+    flat = planes.reshape(-1)
+    for start in range(0, flat.size, 2**16):
+        part = flat[start : start + 2**16]
+        part[...] = calibrate(part.astype(np.float64, copy=False), lo, hi)  # float64: in place
+    return TactileImage(data=planes, source=source, normalized=True)
+
+
+def calibrate(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """`values`, a float64 array, mapped in place by the affine map [lo, hi]
+    -> [-1, 1] (lo < hi), values beyond either end clamped to it."""
     if lo != -1.0 or hi != 1.0:
         # at (-1, 1) the map is the identity; evaluating it would only add
         # rounding, which would break normalize's idempotence
-        planes -= lo
-        planes *= 2.0 / (hi - lo)
-        planes -= 1.0
-    np.clip(planes, -1.0, 1.0, out=planes)
-    return TactileImage(data=planes, source=source, normalized=True)
+        values -= lo
+        values *= 2.0 / (hi - lo)
+        values -= 1.0
+    return np.clip(values, -1.0, 1.0, out=values)
 
 
 def prepare_for_model(image: TactileImage) -> np.ndarray:

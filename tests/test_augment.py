@@ -72,18 +72,20 @@ def test_resize_errors():
                                               (48, 64), (400, 800), (599, 400)])
 def test_resample_axis_matches_the_one_expression_form(old_len, new_len):
     # the in-place form must give the bytes of a[..., l] * (1 - f) + a[..., r] * f,
-    # on a stack and on a transposed view alike
+    # on a stack and on a transposed view alike, computed in the input's dtype
     data = Prng(old_len * 1000 + new_len).uniform(-1, 1, size=(3, 5, old_len))
-    for a in (data, data.swapaxes(0, 1)):
-        pos = (np.array([(old_len - 1) / 2.0]) if new_len == 1
-               else np.arange(new_len) * ((old_len - 1) / (new_len - 1)))
-        left = np.minimum(pos.astype(np.int64), old_len - 1)
-        right = np.minimum(left + 1, old_len - 1)
-        frac = pos - left
-        expected = a[..., left] * (1.0 - frac) + a[..., right] * frac
-        out = _resample_axis(a, new_len)
-        assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
-        assert (out is a) == (new_len == old_len)
+    for dtype in (np.float64, np.float32):
+        for a in (data.astype(dtype), data.astype(dtype).swapaxes(0, 1)):
+            pos = (np.array([(old_len - 1) / 2.0]) if new_len == 1
+                   else np.arange(new_len) * ((old_len - 1) / (new_len - 1)))
+            left = np.minimum(pos.astype(np.int64), old_len - 1)
+            right = np.minimum(left + 1, old_len - 1)
+            frac = (pos - left).astype(dtype)
+            expected = a[..., left] * (1.0 - frac) + a[..., right] * frac
+            out = _resample_axis(a, new_len)
+            assert out.dtype == dtype
+            assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
+            assert (out is a) == (new_len == old_len)
 
 
 def test_crop_identity_and_short_sample_window():
@@ -111,6 +113,11 @@ def test_jitter_identity_bound_and_reproducibility():
     assert np.abs(noisy.data - img.data).max() <= 0.5
     again = jitter(img, 0.5, Prng(2))
     assert np.array_equal(noisy.data, again.data)
+    # a float32 image takes the noise rounded to float32, and stays float32
+    img32 = img.with_data(img.data.astype(np.float32))
+    noisy32 = jitter(img32, 0.5, Prng(2)).data
+    assert noisy32.dtype == np.float32
+    assert noisy32.tobytes() == (img32.data + (noisy.data - img.data).astype(np.float32)).tobytes()
     with pytest.raises(ValidationError):
         jitter(img, -0.1, Prng(3))
 
@@ -324,7 +331,7 @@ def _assert_batch_matches_oracle(images, cfg, width, seed):
         assert str(raised.value) == str(exc)
     else:
         out = random_augment(images, cfg, batch_rng, width)
-        assert out.dtype == np.float64 and out.shape == expected.shape
+        assert out.dtype == images.data.dtype and out.shape == expected.shape
         assert out.tobytes() == expected.tobytes()
     assert batch_rng._state == oracle_rng._state
 
@@ -374,7 +381,7 @@ def test_batched_augment_matches_per_image_oracle(case):
 
 
 # each cfg is an (AugmentConfig, output width) pair
-@pytest.mark.parametrize("camera, widths, cfg", [
+_ORACLE_CASES = [
     # vector images, every op active
     (False, [24] * 4, (AugmentConfig(0.5, (0.6, 1.8), (4, 20), 0.3), 16)),
     # camera frames, kept at and resized to another output width
@@ -389,9 +396,23 @@ def test_batched_augment_matches_per_image_oracle(case):
     (False, [2] * 3, (AugmentConfig(0.5, (0.05, 0.5), (1, 4), 0.1), 5)),
     (False, [8] * 3, (AugmentConfig(0.5, (0.3, 1.0), (4, 8), 0.1), 8)),
     (True, [13, 13], (AugmentConfig(0.5, (0.25, 0.25), (6, 8), 0.1), None)),
-])
+]
+
+
+@pytest.mark.parametrize("camera, widths, cfg", _ORACLE_CASES)
 @pytest.mark.parametrize("negative_zero_rate", [0.0, 0.5])
 def test_batched_augment_oracle_cases(camera, widths, cfg, negative_zero_rate):
     images = _batch(camera, 9 if camera else 5, widths, 4, negative_zero_rate)
     for seed in range(5):
         _assert_batch_matches_oracle(images, *cfg, seed)
+
+
+def test_batched_augment_matches_the_oracle_on_float32_stacks():
+    # a dataset split's float32 stack is augmented in float32, as the per-image
+    # ops augment its planes
+    for camera, widths, cfg in _ORACLE_CASES:
+        images = _batch(camera, 9 if camera else 5, widths, 4, 0.5)
+        images = images.with_data(images.data.astype(np.float32))
+        assert images.data.dtype == np.float32
+        for seed in range(5):
+            _assert_batch_matches_oracle(images, *cfg, seed)

@@ -798,6 +798,43 @@ def test_synthetic_and_ingested_manifest_datasets_load_to_the_same_stacks(tmp_pa
     assert synthetic.test_cons[::3] == [frozenset({"Cotton", "Wool"}), None, frozenset({"Linen"})]
 
 
+@pytest.mark.parametrize("norm", [None, (1000.25, 1000.75)], ids=["folded", "given"])
+def test_manifest_stacks_round_once_from_the_float64_normalization(tmp_path, norm):
+    # CSV readings need not be float32-exact: at a DC offset of 1000 over a
+    # range of 1, float32 keeps readings to about 6e-5, so rounding them before
+    # normalizing would move normalized values by about 1e-4, a thousand times
+    # the float32 rounding of the normalized values themselves
+    import numpy as np
+
+    from taclearn.cli import _load_bundle
+    from taclearn.prng import Prng
+    from taclearn.sensor_io import (Manifest, ManifestEntry, SensorSpec, SensorStream,
+                                    write_manifest, write_stream)
+    from taclearn.tactile_image import image_plane, normalize
+
+    spec = SensorSpec("s", channels=4, sample_rate_hz=50.0)
+    data = tmp_path / "data"
+    data.mkdir()
+    entries, readings = [], []
+    for i in range(6):
+        readings.append(1000.0001 + Prng(40).spawn(i).uniform(0.0, 1.0, size=(16, 4)))
+        write_stream(data / f"s{i}.csv", SensorStream(spec=spec, readings=readings[-1]))
+        entries.append(ManifestEntry(f"s{i}.csv", str(i % 2), "train" if i < 4 else "test"))
+    write_manifest(data / "manifest.txt", Manifest(spec=spec, entries=entries, norm_bounds=norm))
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(f"[dataset]\nmode = manifest\nmanifest = {data / 'manifest.txt'}\n")
+    bundle = _load_bundle(load_config(cfg))
+    bounds = norm or (min(r.min() for r in readings[:4]), max(r.max() for r in readings[:4]))
+    assert bundle.bounds == bounds
+    for images, split in ((bundle.train_images, readings[:4]), (bundle.test_images, readings[4:])):
+        planes = np.stack([image_plane(r, spec) for r in split])
+        once = normalize(planes.copy(), *bounds).data.astype(np.float32)
+        twice = normalize(planes.astype(np.float32), *bounds).data
+        assert images.data.dtype == np.float32 and images.normalized
+        assert images.data.tobytes() == once.tobytes()
+        assert np.abs(twice - once).max() > 1e-5
+
+
 @pytest.fixture()
 def ingested(tmp_path):
     """An ingested manifest with bounds, a config reading it and a trained checkpoint."""
@@ -1203,7 +1240,8 @@ def test_synthetic_split_is_built_class_by_class(split):
     bounds = compute_bounds(generate_synthetic(synth, c, range(150)) for c in range(10))
     expected = normalize(np.ascontiguousarray(image_plane(readings, spec, 3, 250)), *bounds)
     assert bundle.bounds == bounds
-    assert images.data.tobytes() == expected.data.tobytes()
+    # the float32 stack holds each value rounded once from its float64 normalization
+    assert images.data.tobytes() == expected.data.astype(np.float32).tobytes()
     assert images.source == spec
     labels = bundle.train_labels if split == "train" else bundle.test_labels
     assert labels == [str(c) for c in range(10) for _ in indices]

@@ -295,12 +295,12 @@ def test_select_exemplars_rebalances_and_truncates(random_backend):
     buffer = MemoryBuffer(capacity=8)
     images_a, labels_a = _image_batch(10, "a", seed=7)
     buffer = select_exemplars(buffer, images_a, labels_a, random_backend)
-    assert buffer.sizes() == {"a": 8}
+    assert {k: len(v) for k, v in buffer.per_class.items()} == {"a": 8}
     kept_a = buffer.per_class["a"].copy()
 
     images_b, labels_b = _image_batch(10, "b", seed=8)
     buffer = select_exemplars(buffer, images_b, labels_b, random_backend)
-    assert buffer.sizes() == {"a": 4, "b": 4}
+    assert {k: len(v) for k, v in buffer.per_class.items()} == {"a": 4, "b": 4}
     assert buffer.total <= buffer.capacity
     # truncation keeps the earliest-selected prefix
     assert np.array_equal(buffer.per_class["a"], kept_a[:4])
@@ -388,6 +388,28 @@ def test_fine_tune_validations(random_backend):
     buffer = select_exemplars(MemoryBuffer(capacity=4), images, labels, random_backend)
     with pytest.raises(ValidationError, match="cosine"):
         fine_tune(clf, images, buffer, TrainConfig(epochs=1, lr_schedule="constant"))
+
+
+def test_shared_pass_embeds_a_contiguous_class_from_a_view_of_the_stack(random_backend,
+                                                                        monkeypatch):
+    # a class that is one ascending run of the train stack reaches embed_images
+    # as a view of the stack, not as a copy; any other class as its planes
+    import taclearn.continual as continual
+
+    images, batches, _, _ = _small_cl_problem(random_backend)
+    images = images.with_data(images.data.astype(np.float32))
+    batches[2] = (batches[2][0], batches[2][1][::-1])
+    seen = []
+
+    def spy(backend, stack):
+        seen.append(stack)
+        return embed_images(backend, stack)
+
+    monkeypatch.setattr(continual, "embed_images", spy)
+    cl_sweep(images, batches, random_backend, [6])
+    assert [np.shares_memory(s.data, images.data) for s in seen] == [True, True, False]
+    for stack, (_, idx) in zip(seen, batches):
+        assert np.array_equal(stack.data, images.data[idx])
 
 
 def test_cl_run_single_step_equals_batch_baseline(random_backend):
@@ -558,6 +580,7 @@ def test_rebalanced_buffer_equals_stepwise_selection(random_backend):
         embeddings = embed_images(random_backend, images)
         herded[label] = np.array(herding_order(embeddings, len(embeddings)))
         rebalanced = MemoryBuffer.rebalanced(7, herded)
-        assert rebalanced.sizes() == buffer.sizes()
+        assert ({k: len(v) for k, v in rebalanced.per_class.items()}
+                == {k: len(v) for k, v in buffer.per_class.items()})
         for k in herded:
             assert np.array_equal(rebalanced.per_class[k], buffer.per_class[k])
