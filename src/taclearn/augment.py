@@ -57,6 +57,7 @@ from .tactile_image import TactileImage
 # times the widest sensor template (27x599). One 12-row plane at this width
 # takes 3 MB in float32, and its block-1 columns about 28 MB.
 MAX_TEMPORAL_WIDTH = 2**16
+JITTER_CHUNK = 2**16  # `jitter` holds float64 noise for this many entries at a time
 
 
 @dataclass(frozen=True)
@@ -156,13 +157,19 @@ def crop_temporal(image: TactileImage, start: int, length: int) -> TactileImage:
 
 
 def jitter(image: TactileImage, level: float, rng: Prng) -> TactileImage:
-    """Add i.i.d. uniform noise on [-level, +level] to every entry."""
+    """Add i.i.d. uniform noise on [-level, +level] to every entry. The noise
+    is drawn JITTER_CHUNK entries at a time; consecutive draws of the counter
+    generator give the values and end state of one ``rng.uniform`` call."""
     if not 0 <= level < math.inf:
         raise ValidationError(f"jitter level must be finite and >= 0, got {level}")
     if level == 0:
         return image
-    noise = rng.uniform(-level, level, size=image.data.shape)
-    return image.with_data(image.data + noise.astype(image.data.dtype))
+    data = image.data.reshape(-1)
+    out = np.empty_like(data)
+    for part in (slice(s, s + JITTER_CHUNK) for s in range(0, data.size, JITTER_CHUNK)):
+        noise = rng.uniform(-level, level, size=len(data[part]))
+        np.add(data[part], noise.astype(data.dtype), out=out[part])
+    return image.with_data(out.reshape(image.data.shape))
 
 
 def _resample_maps(old_len, new_len, positions):

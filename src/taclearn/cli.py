@@ -18,13 +18,14 @@ width), even over a loaded checkpoint's; the other eval modes keep the width
 the checkpoint recorded, and without one the images keep their own.
 
 Exit codes: 0 success, 1 validation error (bad config, files, parameters),
-2 runtime failure. Validation runs before anything is written. Every output
-is a deterministic function of (config, seed), so reruns produce identical
-bytes: importing taclearn pins BLAS to one thread, because the thread count
-can change the last bits of GEMM results and with them a training history.
-A thread variable set in the environment (``OPENBLAS_NUM_THREADS``,
-``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``) overrides the pin, and outputs are
-then reproducible at that count only.
+2 runtime failure (running out of memory is one). Validation runs before
+anything is written. Every output is a deterministic function of (config,
+seed), so reruns produce identical bytes: importing taclearn pins BLAS to
+one thread, because the thread count can change the last bits of GEMM
+results and with them a training history. A thread variable set in the
+environment (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``,
+``MKL_NUM_THREADS``) overrides the pin, and outputs are then reproducible
+at that count only.
 """
 
 from __future__ import annotations
@@ -100,6 +101,10 @@ def main(argv=None) -> int:
         return 1
     except RuntimeFailure as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # sizes that can exist but not on this machine
+        detail = f": {exc}" if str(exc) else ""
+        print(f"runtime failure: out of memory{detail}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"unexpected failure: {exc!r}", file=sys.stderr)
@@ -264,13 +269,13 @@ def _load_bundle(config, splits=("train", "test")) -> _Bundle:
     # adaptive mmap threshold to 10 MB, so malloc keeps up to 20 MB of freed heap.
     # Every conv block call allocates its padded input and columns afresh:
     # training's caches, freed block by block during backward, and embedding's
-    # buffers, freed as each block returns. Block 0's float32 columns alone
-    # (0.33 MB at batch 16, 12x64) exceed the 128 KB default threshold, so
+    # buffers, freed as each block returns. Block 1's float32 columns alone
+    # (0.44 MB at batch 16, 12x64) exceed the 128 KB default threshold, so
     # without the block they would fault in afresh on every call. Minor faults
-    # with and without it, with float32 stacks and peak RSS within 1.1 MB:
-    # train on 100 19x400 streams 11k and 99k, eval speed on 100 such streams
-    # 10k and 58k, cl --sweep on 10 classes x 600 images 13k either way. Other
-    # allocators just make it.
+    # with and without it, with peak RSS within 1.3 MB: train on 100 19x400
+    # streams 11k and 71k, eval speed on 100 such streams 10k and 56k,
+    # cl --sweep on 10 classes x 600 images 13k either way. Other allocators
+    # just make it.
     np.empty(10 << 20, dtype=np.uint8)
     return _Bundle(*train, *test, input_width or (shape and shape[1]), bounds, manifest)
 

@@ -53,12 +53,7 @@ class RlsState:
         return tuple(sorted(self.c))
 
     def copy(self) -> "RlsState":
-        return RlsState(
-            dim=self.dim,
-            ridge_lambda=self.ridge_lambda,
-            A=self.A.copy(),
-            c={k: v.copy() for k, v in self.c.items()},
-        )
+        return replace(self, A=self.A.copy(), c={k: v.copy() for k, v in self.c.items()})
 
 
 def rls_update(state: RlsState, embeddings: np.ndarray, labels) -> RlsState:

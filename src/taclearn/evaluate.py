@@ -207,11 +207,10 @@ def composition_eval(backend: ConvNetBackend, head: LinearHead, images, truths,
         predicted = fabric.from_indicator(p, threshold)
         truth = fabric.validate_constituents(truth)
         scores.append(composition_score(predicted, truth))
-        for name in fabric.CONSTITUENTS:
-            if name in predicted and name not in truth:
-                counts[name][0] += 1
-            elif name in truth and name not in predicted:
-                counts[name][1] += 1
+        for name in predicted - truth:
+            counts[name][0] += 1
+        for name in truth - predicted:
+            counts[name][1] += 1
     return EvalReport(
         task_id=task_id,
         constituent_counts={k: (v[0], v[1]) for k, v in counts.items()},
@@ -220,7 +219,5 @@ def composition_eval(backend: ConvNetBackend, head: LinearHead, images, truths,
 
 
 def curve_to_csv(curve) -> str:
-    lines = ["x,y"]
-    for x, y in curve:
-        lines.append(f"{float(x)!r},{float(y)!r}")
+    lines = ["x,y", *(f"{float(x)!r},{float(y)!r}" for x, y in curve)]
     return "\n".join(lines) + "\n"

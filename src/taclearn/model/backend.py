@@ -28,6 +28,11 @@ _CKPT_VERSION = 1
 
 DEFAULT_WIDTHS = (16, 32, 64, 128)
 MIN_INPUT = 8  # below this the stride-2 stack sees mostly padding
+# The source paper copies each tactile plane into the three channels of an RGB
+# encoder. A one-channel block 0 keeps that model's SGD: its weights start as
+# the three-channel draw summed over channels, and its weight gradient is the
+# sum of the channels' three equal gradients (momentum and weight decay are linear).
+RGB_PLANES = 3
 
 
 @dataclass
@@ -76,7 +81,7 @@ class ConvNetBackend:
     `embed_images` and training resize every image to `input_width` (None
     keeps its width), which checkpoints store as ``meta input_width``."""
 
-    def __init__(self, in_channels: int = 3, widths=DEFAULT_WIDTHS, kernel: int = 3,
+    def __init__(self, in_channels: int = 1, widths=DEFAULT_WIDTHS, kernel: int = 3,
                  stride: int = 2, seed: int = 0, input_width: int | None = None):
         if not widths:
             raise ValidationError("backend needs at least one conv block")
@@ -88,12 +93,13 @@ class ConvNetBackend:
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
         rng = Prng(seed).spawn(0)
-        c_in = in_channels
-        for i, c_out in enumerate(self.widths):
-            fan_in = c_in * kernel * kernel
-            limit = np.sqrt(6.0 / fan_in)
+        c_in = RGB_PLANES if in_channels == 1 else in_channels
+        for c_out in self.widths:
+            limit = np.sqrt(6.0 / (c_in * kernel * kernel))
             w = rng.uniform(-limit, limit, size=(c_out, c_in, kernel, kernel))
-            self.weights.append(np.asarray(w))
+            if not self.weights and in_channels == 1:
+                w = w.sum(axis=1, keepdims=True)
+            self.weights.append(w)
             self.biases.append(np.zeros(c_out))
             c_in = c_out
 
@@ -114,11 +120,7 @@ class ConvNetBackend:
         return self.widths[-1]
 
     def params(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
 
     def num_params(self) -> int:
         return sum(p.size for p in self.params())
@@ -144,24 +146,24 @@ class ConvNetBackend:
         return other
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
-        """(N, H, W) planes, each fed to every input channel as one read-only
-        view (conv_forward copies its input), or (N, in_channels, H, W) input.
-        float32 input stays float32; any other input becomes float64."""
+        """(N, in_channels, H, W) input; a one-channel backend also takes
+        (N, H, W) planes, as an (N, 1, H, W) view. float32 input stays
+        float32; any other input becomes float64."""
         x = np.asarray(x)
         x = x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
-        if x.ndim not in (3, 4) or (x.ndim == 4 and x.shape[1] != self.in_channels):
+        c = self.in_channels
+        if x.ndim == 3 and c == 1:
+            x = x[:, None]
+        if x.ndim != 4 or x.shape[1] != c:
+            planes = "(N, H, W) planes or " if c == 1 else ""
             raise ValidationError(
-                f"expected (N, H, W) planes or (N, {self.in_channels}, H, W) input, "
-                f"got shape {x.shape}"
-            )
+                f"{c}-channel backend expects {planes}(N, {c}, H, W) input, got shape {x.shape}")
         if x.shape[-2] < MIN_INPUT or x.shape[-1] < MIN_INPUT:
             raise ValidationError(
                 f"input {x.shape[-2]}x{x.shape[-1]} below minimum {MIN_INPUT}x{MIN_INPUT}"
             )
         if not np.isfinite(x).all():
             raise ValidationError("backend input contains non-finite values")
-        if x.ndim == 3:
-            x = np.broadcast_to(x[:, None], (len(x), self.in_channels, *x.shape[1:]))
         return x
 
     def forward(self, x: np.ndarray, keep_cache: bool = True):
@@ -198,7 +200,10 @@ class ConvNetBackend:
             # nothing upstream of block 0 takes a gradient
             dh, dw, db = layers.conv_backward(dh, conv_cache, input_grad=i > 0)
             grads.append(db.astype(np.float64, copy=False))
-            grads.append(dw.astype(np.float64, copy=False))
+            dw = dw.astype(np.float64, copy=False)
+            if i == 0 and self.in_channels == 1:
+                dw *= RGB_PLANES  # the sum of the replicated channels' gradients
+            grads.append(dw)
         grads.reverse()
         return grads
 

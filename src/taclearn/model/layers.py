@@ -6,17 +6,13 @@ finite-difference gradient checks. Convolution is im2col with the batch
 folded into the GEMM columns: `cols` is channel-major, (Cin*kh*kw,
 N*OH*OW), gathered with one copy from a `sliding_window_view` of the input
 transposed to (Cin, N, H, W) and written into a padded buffer (border
-zeroed, interior assigned), so each direction is one GEMM. An input whose channels are one
-broadcast plane (stride 0 on the channel axis, as the encoder feeds a tactile
-image to its three input channels) is padded and gathered once, and its
-kh*kw rows are copied to the other channels: the columns, and so the GEMM,
-are those of the explicit copy. Forward returns (N, Cout, OH, OW) as a
-transposed view of (Cout, N, OH, OW) memory, which makes the next block's
-transpose free. Backward forms dW and db from the same columns; for dX it
-scatters the column gradients back through the same gather, so the pair is
-exactly adjoint and survives finite-difference checks. Block 0 calls it with
-`input_grad=False`, which skips the dX GEMM and the scatter, since nothing
-upstream takes a gradient.
+zeroed, interior assigned), so each direction is one GEMM. Forward returns
+(N, Cout, OH, OW) as a transposed view of (Cout, N, OH, OW) memory, which
+makes the next block's transpose free. Backward forms dW and db from the
+same columns; for dX it scatters the column gradients back through the same
+gather, so the pair is exactly adjoint and survives finite-difference
+checks. Block 0 calls it with `input_grad=False`, which skips the dX GEMM
+and the scatter, since nothing upstream takes a gradient.
 
 Every call allocates its padded input and its columns afresh. A forward-only
 caller passes `keep_cache=False`: no cache is returned, so both buffers are
@@ -47,19 +43,15 @@ def conv_forward(x, w, b, stride=2, pad=1, keep_cache=True):
     w, b = w.astype(x.dtype, copy=False), b.astype(x.dtype, copy=False)
     out_h = (h + 2 * pad - kh) // stride + 1
     out_w = (width + 2 * pad - kw) // stride + 1
-    src = x[:, :1] if x.strides[1] == 0 else x  # one plane behind every channel
-    c_src = src.shape[1]
-    xp = np.empty((c_src, n, h + 2 * pad, width + 2 * pad), x.dtype)
+    xp = np.empty((c, n, h + 2 * pad, width + 2 * pad), x.dtype)
     xp[:, :, :pad] = 0.0
     xp[:, :, pad + h :] = 0.0
     xp[:, :, pad : pad + h, :pad] = 0.0
     xp[:, :, pad : pad + h, pad + width :] = 0.0
-    xp[:, :, pad : pad + h, pad : pad + width] = src.transpose(1, 0, 2, 3)
+    xp[:, :, pad : pad + h, pad : pad + width] = x.transpose(1, 0, 2, 3)
     windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    cols = np.empty((c, kh, kw, n, out_h, out_w), x.dtype)
-    cols[:c_src] = windows.transpose(0, 4, 5, 1, 2, 3)
-    cols[c_src:] = cols[:1]
-    cols = cols.reshape(c * kh * kw, n * out_h * out_w)
+    # the reshape of the transposed windows is the one gathering copy
+    cols = windows.transpose(0, 4, 5, 1, 2, 3).reshape(c * kh * kw, n * out_h * out_w)
     out = w.reshape(c_out, -1) @ cols
     out += b[:, None]
     cache = (x.shape, cols, w, stride, pad, out_h, out_w) if keep_cache else None
@@ -106,10 +98,8 @@ def linear_forward(emb, w, b):
 
 
 def linear_backward(dout, emb, w):
-    dw = emb.T @ dout
-    db = dout.sum(axis=0)
-    demb = dout @ w.T
-    return demb, dw, db
+    """Returns (demb, dw, db)."""
+    return dout @ w.T, emb.T @ dout, dout.sum(axis=0)
 
 
 def softmax(logits):

@@ -24,7 +24,8 @@ def synth_images(num_classes=5, per_class=10, channels=12, length=64, noise=0.05
                  seed=0, start_index=0, bounds=None):
     """Labeled normalized tactile images from the synthetic generator.
 
-    Returns (images, labels, bounds): one (N, H, W) stack and its labels.
+    Returns (images, labels, bounds): one float32 (N, H, W) stack, stored as
+    the CLI stores a split, and its labels.
     Pass `bounds` to reuse calibration computed on a training split.
     """
     cfg = SyntheticTextureConfig(
@@ -39,7 +40,8 @@ def synth_images(num_classes=5, per_class=10, channels=12, length=64, noise=0.05
     if bounds is None:
         bounds = compute_bounds([readings])
     spec = synthetic_sensor_spec(cfg)
-    images = normalize(np.ascontiguousarray(image_plane(readings, spec)), *bounds, source=spec)
+    images = normalize(np.ascontiguousarray(image_plane(readings, spec), np.float32), *bounds,
+                       source=spec)
     labels = [c for c in range(num_classes) for _ in range(per_class)]
     return images, labels, bounds
 

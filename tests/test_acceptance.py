@@ -297,7 +297,7 @@ def test_criterion_07_robustness_orderings(task, plain_model, augmented_model):
         # spread across factors; pinned oracle values: aug 0.46, plain 0.62
         assert max(aug_speed) - min(aug_speed) < max(plain_speed) - min(plain_speed)
 
-        # (c) noise level 0.5; pinned oracle values: aug 0.84, plain 0.76
+        # (c) noise level 0.5; pinned oracle values: aug 0.88, plain 0.78
         (_, plain_noise), = noise_sweep(plain, test_images, test_labels, [0.5], seed=9)
         (_, aug_noise), = noise_sweep(augmented, test_images, test_labels, [0.5], seed=9)
         assert aug_noise - plain_noise >= 0.05

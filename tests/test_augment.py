@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from taclearn.augment import (
+    JITTER_CHUNK,
     MAX_TEMPORAL_WIDTH,
     AugmentConfig,
     _resample_axis,
@@ -120,6 +121,27 @@ def test_jitter_identity_bound_and_reproducibility():
     assert noisy32.tobytes() == (img32.data + (noisy.data - img.data).astype(np.float32)).tobytes()
     with pytest.raises(ValidationError):
         jitter(img, -0.1, Prng(3))
+
+
+def test_jitter_draws_its_noise_in_bounded_chunks():
+    # the bytes and next draw of the one-shot formula, with the float64 draws
+    # made JITTER_CHUNK entries at a time: the one-shot draw peaked at 6 times
+    # the float32 stack (5.5 MB here)
+    import tracemalloc
+
+    data = Prng(40).uniform(-1, 1, size=(300, 12, 64)).astype(np.float32)
+    stack = TactileImage(data=data, normalized=True)
+    rng, want_rng = Prng(41), Prng(41)
+    want = data + want_rng.uniform(-0.3, 0.3, size=data.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        got = jitter(stack, 0.3, rng).data
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+    assert rng.next_u64() == want_rng.next_u64()
+    assert peak <= data.nbytes + 36 * JITTER_CHUNK  # 3.0 MB measured
 
 
 def test_random_augment_neutral_config_is_identity():

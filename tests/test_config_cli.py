@@ -1342,3 +1342,111 @@ def test_cl_warm_start_changes_only_the_fine_tuned_model(tmp_path):
     assert runs["warm"]["final_ridge.tacm"] == runs["cold"]["final_ridge.tacm"]
     assert runs["warm"]["final_fine_tuned.tacm"] != runs["cold"]["final_fine_tuned.tacm"]
     assert runs["warm2"] == runs["warm"]
+
+
+def test_checkpoints_carry_one_input_channel_and_refuse_three(tmp_path, trained, capsys):
+    # train writes in=1; a three-channel checkpoint still loads as a
+    # three-channel backend, and eval refuses to feed it tactile planes
+    from taclearn.model import (Checkpoint, ConvNetBackend, LinearHead, load_checkpoint,
+                                save_checkpoint)
+
+    cfg, model = trained
+    assert b"backend in=1 " in model.read_bytes()
+    ckpt = tmp_path / "rgb.tacm"
+    save_checkpoint(ckpt, Checkpoint(backend=ConvNetBackend(in_channels=3, seed=1),
+                                     heads={"classify": LinearHead.zeros(128, 3)},
+                                     meta={"task": "classify", "classes": "0;1;2"}))
+    assert load_checkpoint(ckpt).backend.in_channels == 3
+    out = tmp_path / "never"
+    assert main(["eval", "noise", "--config", str(cfg), "--checkpoint", str(ckpt),
+                 "--out", str(out)]) == 1
+    assert "3-channel backend expects (N, 3, H, W) input" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("detail, message", [
+    ("Unable to allocate 64.0 EiB for an array",
+     "runtime failure: out of memory: Unable to allocate 64.0 EiB for an array\n"),
+    ("", "runtime failure: out of memory\n"),
+], ids=["numpy", "bare"])
+def test_out_of_memory_exits_two_as_a_runtime_failure(tmp_path, capsys, monkeypatch, detail,
+                                                      message):
+    from taclearn import cli
+
+    def exhausted(*args):
+        raise MemoryError(detail)
+
+    monkeypatch.setattr(cli, "_read_splits", exhausted)
+    out = tmp_path / "never"
+    assert main(["train", "--config", str(_write_cfg(tmp_path)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+# Every key the six sections hold for train / cl / cl --sweep / eval, on a tiny
+# 3-class 12x32 dataset trained for one epoch, with the commands that read it.
+# [eval] threshold is left out: only composition eval reads it.
+FUZZ_CFG = {
+    "dataset": {"mode": "synthetic", "num_classes": "3", "channels": "12",
+                "stream_length": "32", "base_freq_lo": "0.05", "base_freq_hi": "0.45",
+                "noise_floor": "0.05", "seed": "5", "train_per_class": "6",
+                "test_per_class": "3"},
+    "transform": {"input_width": "32", "window_start": "0", "window_end": "31",
+                  "frame_index": "0"},
+    "augment": {"enabled": "true", "flip_prob": "0.5", "resize_min": "0.75",
+                "resize_max": "1.25", "crop_min": "16", "crop_max": "32",
+                "jitter_level": "0.1", "seed": "3"},
+    "train": {"task": "classify", "epochs": "1", "lr": "0.02", "momentum": "0.9",
+              "weight_decay": "1e-4", "batch_size": "8", "schedule": "cosine", "seed": "1",
+              "val_fraction": "0.1", "plateau_patience": "10", "freeze_backend": "false"},
+    "cl": {"capacity": "12", "sweep_capacities": "6,12", "ridge_lambda": "1.0",
+           "ft_epochs": "1", "ft_lr": "0.01", "ft_momentum": "0.9", "ft_weight_decay": "1e-4",
+           "ft_batch_size": "8", "ft_seed": "2", "ft_augment": "true", "warm_start": "false"},
+    "eval": {"k": "2", "ridge_lambda": "1.0", "lengths": "8,16", "speeds": "0.5,2.0",
+             "noise_levels": "0,0.25"},
+}
+FUZZ_ABSENT = {("train", "pretrained"), ("cl", "backend_checkpoint")}  # paths, unset above
+FUZZ_COMMANDS = {"dataset": [["train"], ["cl"], ["eval", "noise"]], "augment": [["train"]],
+                 "train": [["train"]], "cl": [["cl"], ["cl", "--sweep"]]}
+FUZZ_COMMANDS["transform"] = FUZZ_COMMANDS["dataset"]
+FUZZ_EVAL_MODES = {"k": "kfold", "ridge_lambda": "kfold", "lengths": "length",
+                   "speeds": "speed", "noise_levels": "noise"}
+FUZZ_VALUES = ["0", "-1", "nan", "inf", "x", "1,2", str(2**62)]
+# in-range values whose only effect is a run of 2**62 epochs
+FUZZ_SKIP = {("train", "epochs", str(2**62)), ("cl", "ft_epochs", str(2**62))}
+
+
+def _fuzz_text(section=None, key=None, value=None):
+    lines = []
+    for name, items in FUZZ_CFG.items():
+        items = dict(items)
+        if name == section:
+            items[key] = value
+        lines += [f"[{name}]", *(f"{k} = {v}" for k, v in items.items()), ""]
+    return "\n".join(lines)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow behind a non-finite loss
+def test_config_fuzz_ends_in_a_designed_exit(tmp_path, capsys):
+    # each odd value of each key exits 0 or 1, or 2 only as a runtime failure
+    cfg, out = tmp_path / "fuzz.cfg", tmp_path / "out"
+    cfg.write_text(_fuzz_text())
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    ckpt = tmp_path / "model.tacm"
+    (out / "model.tacm").rename(ckpt)
+    keys = [(s, k) for s, items in FUZZ_CFG.items() for k in items] + sorted(FUZZ_ABSENT)
+    surprises = []
+    for section, key in keys:
+        commands = FUZZ_COMMANDS.get(section) or [["eval", FUZZ_EVAL_MODES[key]]]
+        for value in FUZZ_VALUES:
+            if (section, key, value) in FUZZ_SKIP:
+                continue
+            cfg.write_text(_fuzz_text(section, key, value))
+            for command in commands:
+                capsys.readouterr()
+                extra = ["--checkpoint", str(ckpt)] if command[0] == "eval" else []
+                code = main([*command, *extra, "--config", str(cfg), "--out", str(out)])
+                err = capsys.readouterr().err
+                if code not in (0, 1) and not (code == 2 and err.startswith("runtime failure:")):
+                    surprises.append((section, key, value, command[:2], code, err))
+    assert surprises == []

@@ -85,39 +85,19 @@ def test_conv_takes_the_channel_major_view_a_block_returns():
         assert np.array_equal(got, want)
 
 
-def test_conv_gathers_a_broadcast_plane_once_with_the_bytes_of_its_copy():
-    # one plane behind every input channel (stride 0) is padded and gathered
-    # once, then replicated: the bytes of an np.repeat copy, forward and back
-    rng = Prng(25)
-    planes = rng.uniform(-1, 1, size=(3, 9, 13))
-    w = rng.uniform(-0.5, 0.5, size=(4, 3, 3, 3))
-    b = rng.uniform(-0.5, 0.5, size=(4,))
-    broadcast = np.broadcast_to(planes[:, None], (3, 3, 9, 13))
-    assert broadcast.strides[1] == 0
-    out, cache = layers.conv_forward(broadcast, w, b, stride=2, pad=1)
-    copy_out, copy_cache = layers.conv_forward(np.repeat(planes[:, None], 3, axis=1), w, b,
-                                               stride=2, pad=1)
-    assert np.array_equal(out, copy_out)
-    assert np.array_equal(cache[1], copy_cache[1])
-    proj = rng.uniform(-1, 1, size=out.shape)
-    for got, want in zip(layers.conv_backward(proj, cache),
-                         layers.conv_backward(proj, copy_cache)):
-        assert np.array_equal(got, want)
-
-
 def test_forward_without_a_cache_gives_the_cached_pass_bytes():
     # the forward-only pass keeps no cache and computes what the cached pass
     # computes, block by block and end to end, in either dtype
     backend = ConvNetBackend(seed=5)
     rng = Prng(26)
     for dtype in (np.float32, np.float64):
-        x = rng.uniform(-1, 1, size=(3, 3, 12, 40)).astype(dtype)
+        x = rng.uniform(-1, 1, size=(3, 1, 12, 40)).astype(dtype)
         w, b = backend.weights[0], backend.biases[0]
         out, cache = layers.conv_forward(x, w, b, keep_cache=False)
         cached_out, cached = layers.conv_forward(x, w, b)
         assert cache is None and cached is not None
         assert out.dtype == dtype and out.tobytes() == cached_out.tobytes()
-        for planes in x:
+        for planes in (x, x[:, 0]):
             emb, cache = backend.forward(planes, keep_cache=False)
             cached_emb, cached = backend.forward(planes)
             assert cache is None and cached is not None
@@ -138,7 +118,7 @@ def test_conv_backward_without_input_grad_keeps_weight_grads():
 
 def test_batched_embedding_equals_single_image_embeddings():
     backend = ConvNetBackend(seed=3)
-    x = Prng(24).uniform(-1, 1, size=(4, 3, 12, 40))
+    x = Prng(24).uniform(-1, 1, size=(4, 1, 12, 40))
     batched = backend.embed_batch(x)
     for i in range(len(x)):
         assert np.abs(batched[i] - backend.embed_batch(x[i : i + 1])[0]).max() <= 1e-12

@@ -89,8 +89,8 @@ def test_embed_constant_zero_image_finite():
 
 
 def test_planes_feed_every_input_channel():
-    # (N, H, W) planes give the bytes of their explicit copy to the encoder's
-    # three input channels: embeddings and every parameter gradient
+    # (N, H, W) planes give the bytes of their (N, 1, H, W) input to the
+    # encoder's one input channel: embeddings and every parameter gradient
     backend = ConvNetBackend(seed=4)
     planes = Prng(15).uniform(-1, 1, size=(3, 12, 20))
     emb, cache = backend.forward(planes)
@@ -101,6 +101,37 @@ def test_planes_feed_every_input_channel():
         assert np.array_equal(g, g3)
     with pytest.raises(ValidationError, match="planes"):
         backend.forward(np.zeros((3, 2, 12, 20)))
+
+
+def test_one_channel_backend_trains_as_the_replicated_three_channel_model():
+    # block 0 starts as the three-channel draw summed over channels and takes
+    # three times its weight gradient, so SGD with momentum and weight decay
+    # moves a one-channel backend fed planes as it moves the three-channel
+    # backend fed each plane in all three channels (float64, so the two
+    # differ only by the GEMMs' rounding)
+    one, three = ConvNetBackend(seed=9), ConvNetBackend(in_channels=3, seed=9)
+    assert one.in_channels == 1 and one.weights[0].shape == (16, 1, 3, 3)
+    assert np.array_equal(one.weights[0], three.weights[0].sum(axis=1, keepdims=True))
+    assert all(np.array_equal(p, q) for p, q in zip(one.params()[1:], three.params()[1:]))
+    rng = Prng(31)
+    planes = rng.uniform(-1, 1, size=(6, 12, 20))
+    target = rng.uniform(0, 1, size=(6, one.embed_dim))
+    velocities = {net: [np.zeros_like(p) for p in net.params()] for net in (one, three)}
+    losses = []
+    for _ in range(4):
+        for net, x in ((one, planes), (three, np.repeat(planes[:, None], 3, axis=1))):
+            emb, cache = net.forward(x)
+            losses.append(np.sum((emb - target) ** 2))
+            # the gradient of half the squared distance to `target`
+            sgd_step(net.params(), net.backward(emb - target, cache), velocities[net],
+                     lr=0.002, momentum=0.9, weight_decay=0.1)
+    assert losses[-1] < 0.7 * losses[0]
+    emb = one.embed_batch(planes)
+    emb3 = three.embed_batch(np.repeat(planes[:, None], 3, axis=1))
+    assert np.abs(emb3).max() > 0.1
+    assert np.abs(emb - emb3).max() <= 1e-12 * np.abs(emb3).max()
+    with pytest.raises(ValidationError, match=r"3-channel backend expects \(N, 3, H, W\)"):
+        three.forward(planes)
 
 
 def test_embed_images_equals_the_training_forward_chunk_by_chunk():
@@ -345,7 +376,7 @@ def test_train_step_memory_stays_within_its_live_set():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert caches + buffers == 23_858_176  # 16.8 MB of caches, 7.1 MB at block 1
+    assert caches + buffers == 21_554_176  # 14.5 MB of caches, 7.1 MB at block 1
     assert peak <= caches + buffers
 
 
@@ -523,7 +554,7 @@ def _set_payload(raw, index, value):
     (lambda raw: raw.replace(b"head classify 128", b"head classify x28"), "bad header line"),
     (lambda raw: raw.replace(b"meta classes a;b", b"meta classesXa;b"), "bad header line"),
     (lambda raw: _edit_header(raw, b"kernel=3", b"kernel=0"), "bad backend descriptor"),
-    (lambda raw: _edit_header(raw, b"in=3", b"in=0"), "bad backend descriptor"),
+    (lambda raw: _edit_header(raw, b"in=1", b"in=0"), "bad backend descriptor"),
     (lambda raw: _edit_header(raw, b"stride=2", b"stride=0"), "bad backend descriptor"),
     (lambda raw: _edit_header(raw, b"widths=16,", b"widths=-16,"), "bad backend descriptor"),
     (lambda raw: _edit_header(raw, b",128", b",128000000000"), "describes"),
