@@ -100,13 +100,9 @@ def _resample_axis(data: np.ndarray, new_len: int) -> np.ndarray:
     old_len = data.shape[-1]
     if new_len == old_len:
         return data
-    if new_len == 1:
-        pos = np.array([(old_len - 1) / 2.0])
-    else:
-        pos = np.arange(new_len) * ((old_len - 1) / (new_len - 1))
-    left = np.minimum(pos.astype(np.int64), old_len - 1)
-    right = np.minimum(left + 1, old_len - 1)
-    frac = (pos - left).astype(data.dtype)
+    (left,), (right,), (frac,) = _resample_maps(np.array([old_len]), np.array([new_len]),
+                                                np.arange(new_len)[None])
+    frac = frac.astype(data.dtype)
     # a[..., l] * (1 - f) + a[..., r] * f in place, with two temporaries
     out = data[..., left]
     out *= 1.0 - frac

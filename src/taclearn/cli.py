@@ -274,8 +274,11 @@ def _load_bundle(config, splits=("train", "test")) -> _Bundle:
     # without the block they would fault in afresh on every call. Minor faults
     # with and without it, with peak RSS within 1.3 MB: train on 100 19x400
     # streams 11k and 71k, eval speed on 100 such streams 10k and 56k,
-    # cl --sweep on 10 classes x 600 images 13k either way. Other allocators
-    # just make it.
+    # cl --sweep on 10 classes x 600 images 13k either way. End to end it is
+    # worth 20-40 % of embedding throughput at 19x400: perfbench's
+    # wide-manifest-train embedded 1859-1991 images/s with it and 1100-1600
+    # without (one 15 s run at each of three seeds, 2 CPUs); wall time and
+    # peak RSS did not separate. Other allocators just make it.
     np.empty(10 << 20, dtype=np.uint8)
     return _Bundle(*train, *test, input_width or (shape and shape[1]), bounds, manifest)
 

@@ -8,11 +8,11 @@ ridge head solved from (A + lambda*I) is therefore identical, up to float
 rounding, for any presentation order or batching of the same data: the
 statistics are plain sums. That head is the robust floor.
 
-On top of it, a bounded exemplar buffer is maintained by herding (greedily
-keeping the samples whose embedding mean best matches the class mean), and a
-copy of the model is fine-tuned on the buffer after every step. Fine-tuning
-never touches the statistics, the frozen backend used for them, or the
-stored ridge head, so the floor survives even if adaptation diverges.
+On top of it, the bounded exemplar buffer is each class's herding order
+(greedily keeping the samples whose embedding mean best matches the class
+mean) cut to an equal share of the capacity, and a copy of the model is
+fine-tuned on it after every step. Fine-tuning never touches the statistics,
+the frozen backend or the ridge head, so the floor survives any adaptation.
 """
 
 from __future__ import annotations
@@ -107,49 +107,25 @@ def ridge_solve(state: RlsState) -> LinearHead:
     return LinearHead(weights, np.zeros(len(classes)))
 
 
-@dataclass
-class MemoryBuffer:
-    """Bounded per-class exemplar store: each class's sample indices into
-    the training stack, in herding priority order."""
+def class_budget(capacity: int, n_classes: int) -> int:
+    """Equal per-class share of `capacity`; every class must get at least one."""
+    if capacity // n_classes < 1:
+        raise ValidationError(f"capacity {capacity} leaves no budget for {n_classes} classes")
+    return capacity // n_classes
 
-    capacity: int
-    per_class: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.capacity < 1:
-            raise ValidationError(f"buffer capacity must be >= 1, got {self.capacity}")
+def exemplar_buffer(capacity: int, herded: dict) -> tuple[np.ndarray, list]:
+    """Each class's herding-ordered indices cut to the budget, class by class
+    in sorted order: the buffer as (indices into the training stack, labels).
 
-    @property
-    def total(self) -> int:
-        return sum(len(v) for v in self.per_class.values())
-
-    @property
-    def classes(self) -> tuple:
-        return tuple(sorted(self.per_class))
-
-    def items(self) -> tuple[np.ndarray, list]:
-        """Every stored index, class by class in sorted order, and its label."""
-        return (np.concatenate([self.per_class[label] for label in self.classes]),
-                [label for label in self.classes for _ in self.per_class[label]])
-
-    @staticmethod
-    def budget(capacity: int, n_classes: int) -> int:
-        """Equal per-class share of `capacity`; every class must get at least one."""
-        if capacity // n_classes < 1:
-            raise ValidationError(f"capacity {capacity} leaves no budget for {n_classes} classes")
-        return capacity // n_classes
-
-    @classmethod
-    def rebalanced(cls, capacity: int, herded: dict) -> "MemoryBuffer":
-        """The buffer holding each class's herding-ordered list cut to the budget.
-
-        Cutting keeps the earliest-selected prefix, and budgets only shrink as
-        classes arrive, so cutting a herded list gives the same buffer as
-        cutting the previous step's buffer. A budget never exceeds
-        `capacity`, so lists herded only `capacity` deep cut the same.
-        """
-        budget = cls.budget(capacity, len(herded))
-        return cls(capacity=capacity, per_class={k: v[:budget] for k, v in herded.items()})
+    Cutting keeps the earliest-selected prefix, and budgets only shrink as
+    classes arrive, so cutting a herded list gives the same buffer as
+    cutting the previous step's buffer. A budget never exceeds `capacity`,
+    so lists herded only `capacity` deep cut the same.
+    """
+    budget = class_budget(capacity, len(herded))
+    kept = {label: herded[label][:budget] for label in sorted(herded)}
+    return np.concatenate(list(kept.values())), [k for k, idx in kept.items() for _ in idx]
 
 
 def herding_order(embeddings: np.ndarray, count: int) -> list[int]:
@@ -195,22 +171,21 @@ def herding_order(embeddings: np.ndarray, count: int) -> list[int]:
     return order
 
 
-def fine_tune(ridge_clf: Classifier, images, buffer: MemoryBuffer, cfg: TrainConfig,
+def fine_tune(ridge_clf: Classifier, images, labels, cfg: TrainConfig,
               aug_cfg: AugmentConfig | None = None) -> Classifier:
-    """Adapt a copy of the ridge model on the buffer's samples of the stack
-    `images`; the input is untouched.
+    """Adapt a copy of the ridge model on the buffer's stack `images` and
+    their `labels`; the input is untouched.
 
     Requires the cosine schedule. Zero epochs returns an identical copy.
     """
-    if buffer.total == 0:
+    if len(labels) == 0:
         raise ValidationError("fine_tune needs a non-empty buffer")
     if cfg.lr_schedule != "cosine":
         raise ValidationError(f"fine_tune requires the cosine schedule, got {cfg.lr_schedule}")
     clone = ridge_clf.clone()
     if cfg.epochs == 0:
         return clone
-    idx, labels = buffer.items()
-    train_supervised(images[idx], labels, cfg, aug_cfg, backend=clone.backend, head=clone.head,
+    train_supervised(images, labels, cfg, aug_cfg, backend=clone.backend, head=clone.head,
                      classes=clone.classes)
     return clone
 
@@ -255,7 +230,7 @@ def cl_sweep(images, batches, backend: ConvNetBackend, capacities, ridge_lambda:
         raise ValidationError("cl_sweep needs at least one batch and one capacity")
     n_classes = len({label for label, _ in batches})
     for i, capacity in enumerate(capacities):
-        MemoryBuffer.budget(capacity, n_classes)
+        class_budget(capacity, n_classes)
         if capacity in capacities[:i]:
             raise ValidationError(f"capacity {capacity} is listed more than once")
     steps = _shared_pass(images, batches, backend, ridge_lambda, test_images, test_labels,
@@ -296,20 +271,20 @@ def _capacity_pass(steps, images, test_images, capacity, fine_tune_cfg, aug_cfg,
     rows: list[tuple] = []
     tuned: Classifier | None = None  # None while the ridge model stands unchanged
     for t, step in enumerate(steps, start=1):
-        buffer = MemoryBuffer.rebalanced(capacity, step.herded)
+        buffer_idx, buffer_labels = exemplar_buffer(capacity, step.herded)
         if fine_tune_cfg is not None and fine_tune_cfg.epochs > 0 and t >= 2:
             # with a single class there is nothing to discriminate yet
             start = step.ridge
             if warm_start and tuned is not None:
                 start = replace(step.ridge, backend=tuned.backend)
             tuned = None  # only `start` may still need the previous model
-            tuned = fine_tune(start, images, buffer, fine_tune_cfg, aug_cfg)
+            tuned = fine_tune(start, images[buffer_idx], buffer_labels, fine_tune_cfg, aug_cfg)
             acc_tuned = None if step.test is None else tuned.accuracy(
                 test_images[step.test[0]], step.test[1])
         else:
             # the unchanged ridge model scores exactly as it does
             tuned, acc_tuned = None, step.acc_ridge
-        rows.append((t, step.acc_ridge, acc_tuned, buffer.total))
+        rows.append((t, step.acc_ridge, acc_tuned, len(buffer_idx)))
     return step.ridge, step.ridge.clone() if tuned is None else tuned, rows
 
 

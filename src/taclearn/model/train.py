@@ -203,11 +203,13 @@ def _train_loop(images, targets, cfg, aug_cfg, backend, head, loss, val_eval=Non
                 x = random_augment(images[idx], aug_cfg, aug_rng, backend.input_width)
             # the encoder computes in float32, as in `embed_images`; parameters,
             # velocities and the SGD step stay float64. A frozen backend takes
-            # no gradient, so it runs the forward-only pass
-            emb, cache = backend.forward(x.astype(np.float32, copy=False),
-                                         keep_cache=not cfg.freeze_backend)
-            value, dlogits = loss(layers.linear_forward(emb, head.weights, head.bias),
-                                  targets[idx])
+            # no gradient, so it runs the forward-only pass. A diverged step
+            # overflows here; the finite-loss check reports it, not numpy
+            with np.errstate(over="ignore", invalid="ignore"):
+                emb, cache = backend.forward(x.astype(np.float32, copy=False),
+                                             keep_cache=not cfg.freeze_backend)
+                value, dlogits = loss(layers.linear_forward(emb, head.weights, head.bias),
+                                      targets[idx])
             if not np.isfinite(value):
                 raise RuntimeFailure(f"non-finite loss at epoch {epoch} batch {bi}")
             demb, dw, db = layers.linear_backward(dlogits, emb, head.weights)

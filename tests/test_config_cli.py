@@ -995,8 +995,9 @@ def test_composition_eval_rejects_six_head_checkpoints(tmp_path, capsys):
     assert not never.exists()
 
 
-def _camera_manifest(directory, frame_h, frame_w):
-    """3 classes x 12 camera-frame streams (9 train, 3 test) of 4 frames each."""
+def _camera_manifest(directory, frame_h, frame_w, classes=3, frames=4, mixed=False):
+    """`classes` classes x 12 camera-frame streams (9 train, 3 test) of
+    `frames` frames each; with `mixed`, every other stream is binary."""
     import numpy as np
 
     from taclearn.prng import Prng
@@ -1009,13 +1010,14 @@ def _camera_manifest(directory, frame_h, frame_w):
     rows, cols = np.mgrid[0:frame_h, 0:frame_w]
     directory.mkdir()
     entries = []
-    for c in range(3):
+    for c in range(classes):
         # a class is a spatial frequency of the pressed texture
         pattern = 0.5 + 0.4 * np.sin((c + 1) * 0.6 * cols + 0.3 * rows).ravel()
         for i in range(12):
-            noise = np.asarray(Prng(100 * c + i).uniform(-0.05, 0.05, size=(4, size)))
-            rel = f"c{c}_s{i:02d}.csv"
-            write_stream(directory / rel, SensorStream(spec=spec, readings=pattern + noise))
+            noise = np.asarray(Prng(100 * c + i).uniform(-0.05, 0.05, size=(frames, size)))
+            fmt = "binary" if mixed and i % 2 else "csv"
+            rel = f"c{c}_s{i:02d}.{'bin' if fmt == 'binary' else 'csv'}"
+            write_stream(directory / rel, SensorStream(spec=spec, readings=pattern + noise), fmt)
             entries.append(ManifestEntry(rel, str(c), "train" if i < 9 else "test"))
     write_manifest(directory / "manifest.txt", Manifest(spec=spec, entries=entries))
     return directory / "manifest.txt"
@@ -1121,6 +1123,52 @@ noise_levels = 0,0.2
     assert {"ingest/manifest.txt", "train/model.tacm", "train/history.csv",
             "eval/noise_curve.csv"} <= set(first[0])
     assert first == run()
+
+
+def test_mixed_format_camera_manifest_runs_through_the_cli(tmp_path, capsys):
+    # 12x10 frames, half the streams CSV and half binary, no [transform]
+    # input_width: the encoder width comes from the frames
+    source = _camera_manifest(tmp_path / "frames", 12, 10, classes=2, frames=3, mixed=True)
+    assert {p.suffix for p in source.parent.iterdir()} == {".csv", ".bin", ".txt"}
+    runs = tmp_path / "runs"
+    cfg = tmp_path / "cam.cfg"
+    cfg.write_text(f"""
+[dataset]
+mode = manifest
+manifest = {source}
+
+[transform]
+frame_index = 1
+
+[augment]
+flip_prob = 0.5
+resize_min = 0.8
+resize_max = 1.25
+crop_min = 5
+crop_max = 10
+jitter_level = 0.05
+
+[train]
+epochs = 2
+lr = 0.02
+batch_size = 9
+schedule = cosine
+
+[eval]
+k = 2
+noise_levels = 0,0.2
+""")
+    args = ["--config", str(cfg), "--out"]
+    assert main(["ingest", *args, str(runs / "ingest")]) == 0
+    assert main(["train", *args, str(runs / "train")]) == 0
+    model = (runs / "train" / "model.tacm").read_bytes()
+    assert b"\nmeta input_width 10\n" in model
+    for mode in ("kfold", "noise"):
+        assert main(["eval", mode, *args, str(runs / mode),
+                     "--checkpoint", str(runs / "train" / "model.tacm")]) == 0
+    assert main(["train", *args, str(runs / "again")]) == 0
+    for name in ("model.tacm", "history.csv"):
+        assert (runs / "again" / name).read_bytes() == (runs / "train" / name).read_bytes()
 
 
 @pytest.mark.parametrize("command, edit", [
@@ -1381,6 +1429,34 @@ def test_out_of_memory_exits_two_as_a_runtime_failure(tmp_path, capsys, monkeypa
     assert main(["train", "--config", str(_write_cfg(tmp_path)), "--out", str(out)]) == 2
     assert capsys.readouterr().err == message
     assert not out.exists()
+
+
+def test_a_diverged_step_reports_only_the_runtime_failure(tmp_path, capsys):
+    # the overflow inside the diverged step reaches the user as the
+    # finite-loss failure alone, not as numpy warnings before it
+    import warnings
+
+    cfg = _write_cfg(tmp_path)
+    cfg.write_text(cfg.read_text().replace("\nlr = 0.02", "\nlr = 1e200"))
+    out = tmp_path / "never"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "runtime failure: non-finite loss at epoch 0 batch 1\n"
+    assert not out.exists()
+
+
+def test_every_perfbench_traced_name_is_bound(monkeypatch):
+    # the benchmark's traced run wraps these names by lookup; a renamed or
+    # deleted one raises LookupError here rather than only in the benchmark
+    import taclearn.cli  # noqa: F401  (binds every module the CLI reaches)
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import instrument
+    from spans import Patcher, Tracer
+
+    with Patcher("taclearn") as patcher:
+        instrument.install(Tracer(), patcher)
 
 
 # Every key the six sections hold for train / cl / cl --sweep / eval, on a tiny

@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from taclearn.continual import (
-    MemoryBuffer,
     RlsState,
+    class_budget,
     cl_rows_to_csv,
     cl_sweep,
+    exemplar_buffer,
     fine_tune,
     herding_order,
     ridge_solve,
@@ -253,10 +254,10 @@ def test_herding_matches_reference_when_scores_overflow(embs):
         assert herding_order(embs, len(embs)) == _herding_order_reference(embs)
 
 
-# The step-by-step buffer update that MemoryBuffer.rebalanced replaced, kept
-# as the oracle for it; it stores indices into `images`, as the buffer does.
-def select_exemplars(buffer: MemoryBuffer, images, labels, backend: ConvNetBackend,
-                     embeddings: np.ndarray | None = None) -> MemoryBuffer:
+# The step-by-step buffer update that exemplar_buffer replaced, kept as the
+# oracle for it: a dict of each class's kept indices, cut again at every step.
+def select_exemplars(capacity: int, per_class: dict, images, labels,
+                     backend: ConvNetBackend) -> dict:
     """Herd a new class's samples into the buffer and rebalance budgets.
 
     Existing classes are truncated to the new equal per-class budget, keeping
@@ -265,17 +266,17 @@ def select_exemplars(buffer: MemoryBuffer, images, labels, backend: ConvNetBacke
     labels = list(labels)
     if len(images) != len(labels):
         raise ValidationError("images and labels length mismatch")
-    if embeddings is None:
-        embeddings = embed_images(backend, images)
-
-    per_class = dict(buffer.per_class)
+    embeddings = embed_images(backend, images)
+    per_class = dict(per_class)
     for label in sorted(set(labels)):
         if label in per_class:
             raise ValidationError(f"class {label!r} already has stored exemplars")
         idx = np.array([i for i, l in enumerate(labels) if l == label])
-        order = herding_order(embeddings[idx], len(idx))
-        per_class[label] = idx[order]
-    return MemoryBuffer.rebalanced(buffer.capacity, per_class)
+        per_class[label] = idx[herding_order(embeddings[idx], len(idx))]
+    budget = capacity // len(per_class)
+    if budget < 1:
+        raise ValidationError(f"capacity {capacity} leaves no budget for {len(per_class)} classes")
+    return {k: v[:budget] for k, v in per_class.items()}
 
 
 def _image_batch(n, label, seed):
@@ -283,44 +284,56 @@ def _image_batch(n, label, seed):
     return TactileImage(data=data, normalized=True), [label] * n
 
 
+def _herded(images, backend):
+    embeddings = embed_images(backend, images)
+    return np.array(herding_order(embeddings, len(embeddings)))
+
+
 def test_select_exemplars_keeps_all_when_budget_allows(random_backend):
     images, labels = _image_batch(6, "mat_a", seed=6)
-    buffer = MemoryBuffer(capacity=20)
-    buffer = select_exemplars(buffer, images, labels, random_backend)
-    assert buffer.total == 6
-    assert set(buffer.per_class) == {"mat_a"}
+    idx, buffer_labels = exemplar_buffer(20, {"mat_a": _herded(images, random_backend)})
+    assert sorted(idx) == list(range(6))
+    assert buffer_labels == ["mat_a"] * 6
+    per_class = select_exemplars(20, {}, images, labels, random_backend)
+    assert np.array_equal(per_class["mat_a"], idx)
 
 
 def test_select_exemplars_rebalances_and_truncates(random_backend):
-    buffer = MemoryBuffer(capacity=8)
-    images_a, labels_a = _image_batch(10, "a", seed=7)
-    buffer = select_exemplars(buffer, images_a, labels_a, random_backend)
-    assert {k: len(v) for k, v in buffer.per_class.items()} == {"a": 8}
-    kept_a = buffer.per_class["a"].copy()
+    herded = {}
+    images_a, _ = _image_batch(10, "a", seed=7)
+    herded["a"] = _herded(images_a, random_backend)
+    idx, labels = exemplar_buffer(8, herded)
+    assert labels == ["a"] * 8
+    kept_a = idx.copy()
 
-    images_b, labels_b = _image_batch(10, "b", seed=8)
-    buffer = select_exemplars(buffer, images_b, labels_b, random_backend)
-    assert {k: len(v) for k, v in buffer.per_class.items()} == {"a": 4, "b": 4}
-    assert buffer.total <= buffer.capacity
+    images_b, _ = _image_batch(10, "b", seed=8)
+    herded["b"] = _herded(images_b, random_backend)
+    idx, labels = exemplar_buffer(8, herded)
+    # equal budgets, classes in sorted order
+    assert labels == ["a"] * 4 + ["b"] * 4
     # truncation keeps the earliest-selected prefix
-    assert np.array_equal(buffer.per_class["a"], kept_a[:4])
+    assert np.array_equal(idx[:4], kept_a[:4])
+    assert np.array_equal(idx[4:], herded["b"][:4])
 
 
 def test_select_exemplars_budget_error(random_backend):
-    buffer = MemoryBuffer(capacity=2)
-    for label, seed in [("a", 9), ("b", 10)]:
-        images, labels = _image_batch(3, label, seed)
-        buffer = select_exemplars(buffer, images, labels, random_backend)
-    images, labels = _image_batch(3, "c", seed=11)
-    with pytest.raises(ValidationError, match="budget"):
-        select_exemplars(buffer, images, labels, random_backend)
+    herded = {}
+    for label, seed in [("a", 9), ("b", 10), ("c", 11)]:
+        images, _ = _image_batch(3, label, seed)
+        herded[label] = _herded(images, random_backend)
+    assert len(exemplar_buffer(2, {k: herded[k] for k in "ab"})[0]) == 2
+    with pytest.raises(ValidationError, match="capacity 2 leaves no budget for 3 classes"):
+        exemplar_buffer(2, herded)
+    with pytest.raises(ValidationError, match="capacity 0 leaves no budget for 1 classes"):
+        class_budget(0, 1)
+    assert class_budget(7, 3) == 2
 
 
 def test_select_exemplars_rejects_repeat_class(random_backend):
     images, labels = _image_batch(4, "a", seed=12)
-    buffer = select_exemplars(MemoryBuffer(capacity=10), images, labels, random_backend)
+    per_class = select_exemplars(10, {}, images, labels, random_backend)
     with pytest.raises(ValidationError, match="already"):
-        select_exemplars(buffer, images, labels, random_backend)
+        select_exemplars(10, per_class, images, labels, random_backend)
 
 
 def _small_cl_problem(backend, num_classes=3, per_class=6, seed=31):
@@ -351,10 +364,9 @@ def test_fine_tune_zero_epochs_is_identity(random_backend):
     images, batches, _, _ = _small_cl_problem(random_backend)
     clf, _, _, _ = _two_class_ridge(random_backend, images, batches)
     label, idx = batches[0]
-    buffer = select_exemplars(MemoryBuffer(capacity=10), images[idx], [label] * len(idx),
-                              random_backend)
+    buffer_idx, buffer_labels = exemplar_buffer(10, {label: idx})
     cfg = TrainConfig(epochs=0, lr_schedule="cosine")
-    tuned = fine_tune(clf, images[idx], buffer, cfg)
+    tuned = fine_tune(clf, images[buffer_idx], buffer_labels, cfg)
     assert tuned is not clf
     assert np.array_equal(tuned.head.weights, clf.head.weights)
     assert np.array_equal(tuned.backend.get_flat(), clf.backend.get_flat())
@@ -365,10 +377,11 @@ def test_fine_tune_leaves_ridge_state_untouched(random_backend):
     clf, state, idx, labels = _two_class_ridge(random_backend, images, batches)
     a_before = state.A.copy()
     c_before = {k: v.copy() for k, v in state.c.items()}
-    buffer = select_exemplars(MemoryBuffer(capacity=8), images[idx], labels, random_backend)
+    per_class = select_exemplars(8, {}, images[idx], labels, random_backend)
+    buffer_idx, buffer_labels = exemplar_buffer(8, per_class)
     backend_flat_before = random_backend.get_flat().copy()
     cfg = TrainConfig(epochs=3, lr=0.01, batch_size=4, lr_schedule="cosine", seed=1)
-    fine_tune(clf, images[idx], buffer, cfg)
+    fine_tune(clf, images[idx][buffer_idx], buffer_labels, cfg)
     assert np.array_equal(state.A, a_before)
     for k in c_before:
         assert np.array_equal(state.c[k], c_before[k])
@@ -382,12 +395,12 @@ def test_fine_tune_validations(random_backend):
                    np.ones((2, random_backend.embed_dim)), [0, 1])
     ), (0, 1))
     images, labels = _image_batch(3, 0, seed=13)
-    with pytest.raises(ValidationError, match="non-empty"):
-        fine_tune(clf, images, MemoryBuffer(capacity=4),
-                  TrainConfig(epochs=1, lr_schedule="cosine"))
-    buffer = select_exemplars(MemoryBuffer(capacity=4), images, labels, random_backend)
+    for epochs in (0, 1):
+        with pytest.raises(ValidationError, match="non-empty"):
+            fine_tune(clf, np.empty((0, 10, 24)), [],
+                      TrainConfig(epochs=epochs, lr_schedule="cosine"))
     with pytest.raises(ValidationError, match="cosine"):
-        fine_tune(clf, images, buffer, TrainConfig(epochs=1, lr_schedule="constant"))
+        fine_tune(clf, images, labels, TrainConfig(epochs=1, lr_schedule="constant"))
 
 
 def test_shared_pass_embeds_a_contiguous_class_from_a_view_of_the_stack(random_backend,
@@ -572,15 +585,12 @@ def test_cl_sweep_keeps_only_the_models_it_needs(random_backend, monkeypatch, wa
 
 
 def test_rebalanced_buffer_equals_stepwise_selection(random_backend):
-    herded = {}
-    buffer = MemoryBuffer(capacity=7)
-    for label, seed in [("a", 14), ("b", 15), ("c", 16)]:
+    herded, per_class = {}, {}
+    for label, seed in [("c", 14), ("a", 15), ("b", 16)]:  # arrival order is not sorted
         images, labels = _image_batch(5, label, seed)
-        buffer = select_exemplars(buffer, images, labels, random_backend)
-        embeddings = embed_images(random_backend, images)
-        herded[label] = np.array(herding_order(embeddings, len(embeddings)))
-        rebalanced = MemoryBuffer.rebalanced(7, herded)
-        assert ({k: len(v) for k, v in rebalanced.per_class.items()}
-                == {k: len(v) for k, v in buffer.per_class.items()})
-        for k in herded:
-            assert np.array_equal(rebalanced.per_class[k], buffer.per_class[k])
+        per_class = select_exemplars(7, per_class, images, labels, random_backend)
+        herded[label] = _herded(images, random_backend)
+        idx, buffer_labels = exemplar_buffer(7, herded)
+        assert np.array_equal(idx, np.concatenate([per_class[k] for k in sorted(per_class)]))
+        assert buffer_labels == [k for k in sorted(per_class) for _ in per_class[k]]
+        assert len({len(v) for v in per_class.values()}) == 1
