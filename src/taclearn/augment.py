@@ -58,6 +58,7 @@ from .tactile_image import TactileImage
 # takes 3 MB in float32, and its block-1 columns about 28 MB.
 MAX_TEMPORAL_WIDTH = 2**16
 JITTER_CHUNK = 2**16  # `jitter` holds float64 noise for this many entries at a time
+MAX_JITTER_LEVEL = 2.0**127  # image + noise, and its resampling, stay finite in float32
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,9 @@ class AugmentConfig:
             raise ValidationError(
                 f"crop lengths must satisfy 1 <= min <= max, got {self.crop_len_range}"
             )
-        if not 0 <= self.jitter_level < math.inf:
-            raise ValidationError(f"jitter_level must be finite and >= 0, got {self.jitter_level}")
+        if not 0 <= self.jitter_level <= MAX_JITTER_LEVEL:
+            raise ValidationError(
+                f"jitter_level must be finite and in [0, 2**127], got {self.jitter_level}")
 
 
 def flip_temporal(image: TactileImage) -> TactileImage:
@@ -156,8 +158,8 @@ def jitter(image: TactileImage, level: float, rng: Prng) -> TactileImage:
     """Add i.i.d. uniform noise on [-level, +level] to every entry. The noise
     is drawn JITTER_CHUNK entries at a time; consecutive draws of the counter
     generator give the values and end state of one ``rng.uniform`` call."""
-    if not 0 <= level < math.inf:
-        raise ValidationError(f"jitter level must be finite and >= 0, got {level}")
+    if not 0 <= level <= MAX_JITTER_LEVEL:
+        raise ValidationError(f"jitter level must be finite and in [0, 2**127], got {level}")
     if level == 0:
         return image
     data = image.data.reshape(-1)

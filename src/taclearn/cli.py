@@ -43,9 +43,10 @@ from .config import load_config
 from .continual import cl_rows_to_csv, cl_sweep
 from .errors import RuntimeFailure, ValidationError
 from .evaluate import (EvalReport, composition_eval, curve_to_csv, kfold_eval, length_sweep,
-                       noise_sweep, ridge_classifier, speed_sweep)
-from .model import (Checkpoint, Classifier, ConvNetBackend, TrainConfig, history_to_csv,
-                    load_checkpoint, save_checkpoint, train_composition, train_supervised)
+                       noise_sweep, speed_sweep)
+from .model import (Checkpoint, Classifier, ConvNetBackend, TrainConfig, embed_images,
+                    history_to_csv, load_checkpoint, save_checkpoint, train_composition,
+                    train_supervised)
 from .prng import Prng
 from .sensor_io import (MAX_SAMPLES_PER_CLASS, MAX_SYNTHETIC_CHANNELS, MAX_SYNTHETIC_CLASSES,
                         Manifest, ManifestEntry, SensorStream, SyntheticTextureConfig,
@@ -505,18 +506,13 @@ def cmd_eval(args) -> int:
     curve = None
     if mode == "kfold":
         k = config.get_int("eval", "k", 5)
-        images = bundle.train_images
-        if bundle.test_images is not None:
-            images = images.with_data(np.concatenate([images.data, bundle.test_images.data]))
-        labels = bundle.train_labels + bundle.test_labels
         lam = config.get_float("eval", "ridge_lambda", 1.0)
         ckpt.backend.input_width = bundle.input_width
-
-        def trainer(train_images, train_labels):
-            return ridge_classifier(ckpt.backend, train_images, train_labels, lam).predict
-
-        report = kfold_eval(images, labels, k, trainer, seed=run_seed,
-                            task_id=f"kfold-k{k}")
+        embeddings = np.concatenate([embed_images(ckpt.backend, images)
+                                     for images in (bundle.train_images, bundle.test_images)
+                                     if images is not None])
+        report = kfold_eval(embeddings, bundle.train_labels + bundle.test_labels, k, lam,
+                            run_seed, f"kfold-k{k}")
     elif mode == "composition":
         head = ckpt.heads.get("composition")
         if head is None:

@@ -279,8 +279,11 @@ def _capacity_pass(steps, images, test_images, capacity, fine_tune_cfg, aug_cfg,
                 start = replace(step.ridge, backend=tuned.backend)
             tuned = None  # only `start` may still need the previous model
             tuned = fine_tune(start, images[buffer_idx], buffer_labels, fine_tune_cfg, aug_cfg)
-            acc_tuned = None if step.test is None else tuned.accuracy(
-                test_images[step.test[0]], step.test[1])
+            try:  # the frozen backend embedded these images: only divergence remains
+                acc_tuned = None if step.test is None else tuned.accuracy(
+                    test_images[step.test[0]], step.test[1])
+            except ValidationError as exc:
+                raise RuntimeFailure(f"fine-tuning diverged at step {t}: {exc}") from None
         else:
             # the unchanged ridge model scores exactly as it does
             tuned, acc_tuned = None, step.acc_ridge

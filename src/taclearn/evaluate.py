@@ -1,11 +1,11 @@
 """Evaluation harness: cross-validation, robustness sweeps and scoring.
 
-Sweeps perturb only the test stack, once per level (center crops and
-seeded jitter as a whole, temporal resampling one embedding chunk at a
-time), and re-measure accuracy; at the neutral point of every sweep
-(full length, factor 1, level 0) the perturbation is the identity, so the
-measured value equals the plain test accuracy exactly. No smoothing is
-applied to curves.
+K-fold cross-validation fits a ridge head per fold on one embedding per image.
+Sweeps perturb only the test stack, once per level (center crops and seeded
+jitter as a whole, resampling chunk by chunk inside `embed_images`), and
+re-measure accuracy; at the neutral point of every sweep (full length, factor
+1, level 0) the perturbation is the identity, so the measured value equals the
+plain test accuracy exactly. No smoothing is applied to curves.
 
 Reports serialize to a fixed four-column CSV (section,a,b,c) with
 shortest-repr floats, so every value in a report reads back exactly.
@@ -19,11 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fabric
-from .augment import _resample_axis, crop_temporal, jitter, temporal_width
+from .augment import crop_temporal, jitter, temporal_width
 from .continual import RlsState, ridge_solve, rls_update
 from .errors import ValidationError
-from .model import (Classifier, ConvNetBackend, LinearHead, composition_probs, embed_chunk,
-                    embed_images)
+from .model import Classifier, ConvNetBackend, LinearHead, composition_probs, embed_images
 from .prng import Prng
 
 
@@ -106,23 +105,20 @@ def stratified_folds(labels, k: int, seed: int = 0) -> list[int]:
     return assignment
 
 
-def kfold_eval(images, labels, k: int, trainer, seed: int = 0,
-               task_id: str = "kfold") -> EvalReport:
-    """Stratified k-fold cross-validation of a trainer callable over a stack.
-
-    `trainer(train_images, train_labels)` must return a predictor callable
-    mapping a stack to predicted labels.
-    """
+def kfold_eval(embeddings: np.ndarray, labels, k: int, ridge_lambda: float = 1.0,
+               seed: int = 0, task_id: str = "kfold") -> EvalReport:
+    """Stratified k-fold cross-validation of a ridge head on `embeddings`, one
+    row per image: each fold's head is solved from the other folds' rows."""
     labels = list(labels)
     assignment = np.array(stratified_folds(labels, k, seed))
     fold_accs = []
     for fold in range(k):
         train_idx = np.flatnonzero(assignment != fold)
         test_idx = np.flatnonzero(assignment == fold)
-        predict = trainer(images[train_idx], [labels[i] for i in train_idx])
-        predicted = predict(images[test_idx])
-        truth = [labels[i] for i in test_idx]
-        fold_accs.append(float(np.mean([p == t for p, t in zip(predicted, truth)])))
+        state = RlsState(dim=embeddings.shape[1], ridge_lambda=ridge_lambda)
+        state = rls_update(state, embeddings[train_idx], [labels[i] for i in train_idx])
+        clf = Classifier(None, ridge_solve(state), state.classes)  # scores embeddings only
+        fold_accs.append(clf.accuracy(None, [labels[i] for i in test_idx], embeddings[test_idx]))
     return EvalReport(task_id=task_id, fold_accuracies=fold_accs)
 
 
@@ -138,26 +134,19 @@ def length_sweep(classifier: Classifier, images, labels, lengths) -> list[tuple[
 
 
 def speed_sweep(classifier: Classifier, images, labels, factors) -> list[tuple[float, float]]:
-    """Accuracy under simulated motion-speed changes.
-
-    Speed factor f sub-samples the temporal axis by 1/f (faster motion means
-    fewer readings over the same surface). The stack is resized one
-    `embed_chunk` at a time, each just before `embed_images` takes it, so no
-    whole resized stack exists and every embedding keeps the chunk, and so
-    the bytes, that embedding the whole resized stack would give it. Every
-    factor, and the width it gives (at most `augment.MAX_TEMPORAL_WIDTH`), is
-    checked before the first embedding.
-    """
+    """Accuracy under simulated motion-speed changes: speed factor f
+    sub-samples the temporal axis by 1/f (faster motion means fewer readings
+    over the same surface). `embed_images` resizes the stack chunk by chunk,
+    so no whole resized stack exists. Every factor, and the width it gives
+    (at most `augment.MAX_TEMPORAL_WIDTH`), is checked before the first
+    embedding."""
     backend, curve, widths = classifier.backend, [], []
     for factor in factors:
         if not 0 < factor < math.inf:
             raise ValidationError(f"speed factor must be finite and positive, got {factor}")
         widths.append(temporal_width(images.width, 1.0 / factor))
     for factor, width in zip(factors, widths):
-        step = embed_chunk(backend, images.data.shape[-2], width)
-        embeddings = np.concatenate([
-            embed_images(backend, images.with_data(_resample_axis(images.data[s : s + step], width)))
-            for s in range(0, len(images), step)])
+        embeddings = embed_images(backend, images, width)
         curve.append((float(factor), classifier.accuracy(images, labels, embeddings)))
     return curve
 

@@ -11,7 +11,6 @@ from .train import (
     EpochStats,
     TrainConfig,
     composition_probs,
-    embed_chunk,
     embed_images,
     history_to_csv,
     prepare_batch,

@@ -248,6 +248,14 @@ class Checkpoint:
     meta: dict[str, str] = field(default_factory=dict)
 
 
+def to_float32(values: np.ndarray) -> np.ndarray | None:
+    """`values` as the little-endian float32 a checkpoint stores, or None
+    when any is not finite there (float64 values beyond its range)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.asarray(values).astype("<f4")
+    return out if np.isfinite(out).all() else None
+
+
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     header_lines = [ckpt.backend.arch_header()]
     flat_parts = [ckpt.backend.get_flat()]
@@ -267,8 +275,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
             raise ValidationError(f"bad meta entry {key!r}")
         header_lines.append(f"meta {key} {value}")
     header = ("\n".join(header_lines) + "\n").encode("utf-8")
-    flat = np.concatenate(flat_parts).astype("<f4")
-    if not np.isfinite(flat).all():  # also float64 values that overflow float32
+    flat = to_float32(np.concatenate(flat_parts))
+    if flat is None:
         raise ValidationError("checkpoint parameters must be finite in float32")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sII", _CKPT_MAGIC, _CKPT_VERSION, len(header)))
@@ -300,7 +308,8 @@ def load_checkpoint(path) -> Checkpoint:
         raise ValidationError(
             f"{path}: header declares {n_params} parameters but {payload_bytes} payload bytes follow"
         )
-    flat = np.frombuffer(raw, dtype="<f4", offset=offset + 4).astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signalling NaN is refused below
+        flat = np.frombuffer(raw, dtype="<f4", offset=offset + 4).astype(np.float64)
 
     backend_line = None
     head_specs: list[tuple[str, int, int]] = []

@@ -28,7 +28,7 @@ from ..errors import RuntimeFailure, ValidationError
 from ..prng import Prng
 from ..tactile_image import prepare_for_model
 from . import layers
-from .backend import ConvNetBackend, LinearHead
+from .backend import ConvNetBackend, LinearHead, to_float32
 
 SCHEDULES = ("plateau", "cosine", "constant")
 PLATEAU_FACTOR = 0.5  # the plateau schedule's lr cut
@@ -102,30 +102,25 @@ def prepare_batch(images, input_width: int | None = None) -> np.ndarray:
     return planes if input_width is None else _resample_axis(planes, input_width)
 
 
-def embed_chunk(backend: ConvNetBackend, height: int, width: int) -> int:
-    """How many (height, width) planes `embed_images` passes through the
-    backend at once: at most 64, the size measured best at 12x64, and 2**17
-    pixels at the backend's input width (else `width`). The float32 pass
-    holds about 84 bytes per input pixel at its peak (10.8 MB traced at 17
-    planes of 19x400), 36 of them block 1's columns. Bounds of 2**15, 2**16
-    and 2**18 pixels embedded 19x400, 60x75 and 27x599 stacks more slowly."""
-    width = width if backend.input_width is None else backend.input_width
-    return max(1, min(64, 2**17 // (height * width)))
-
-
-def embed_images(backend: ConvNetBackend, images) -> np.ndarray:
-    """Embeddings of a normalized stack, resized to the backend's input width
-    chunk by chunk (`embed_chunk` planes), just before each chunk's
-    forward-only pass. The pass computes in float32, as training does (a
-    float64 stack's chunks are cast); each block's buffers live only while
-    that block runs."""
+def embed_images(backend: ConvNetBackend, images, width: int | None = None) -> np.ndarray:
+    """Embeddings of a normalized stack, resized to `width` (None keeps its
+    width) and then to the backend's input width chunk by chunk, just before
+    each chunk's forward-only float32 pass. A chunk holds at most 64 planes
+    and 2**17 pixels at the backend's width (the README gives the
+    measurements); each block's buffers live only while that block runs. A
+    non-finite embedding, from weights or inputs beyond float32, is refused."""
     planes = prepare_for_model(images)
-    width = planes.shape[-1] if backend.input_width is None else backend.input_width
-    chunk = embed_chunk(backend, *planes.shape[1:])
+    width = planes.shape[-1] if width is None else width
+    final = width if backend.input_width is None else backend.input_width
+    chunk = max(1, min(64, 2**17 // (planes.shape[-2] * final)))
     out = np.empty((len(planes), backend.embed_dim))
-    for start in range(0, len(planes), chunk):
-        x = _resample_axis(planes[start : start + chunk], width).astype(np.float32, copy=False)
-        out[start : start + chunk] = backend.embed_batch(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(planes), chunk):
+            x = _resample_axis(_resample_axis(planes[start : start + chunk], width), final)
+            out[start : start + chunk] = backend.embed_batch(x.astype(np.float32, copy=False))
+    if not np.isfinite(out).all():
+        raise ValidationError("embeddings are not finite: the weights or the inputs "
+                              "overflow float32")
     return out
 
 
@@ -203,22 +198,27 @@ def _train_loop(images, targets, cfg, aug_cfg, backend, head, loss, val_eval=Non
                 x = random_augment(images[idx], aug_cfg, aug_rng, backend.input_width)
             # the encoder computes in float32, as in `embed_images`; parameters,
             # velocities and the SGD step stay float64. A frozen backend takes
-            # no gradient, so it runs the forward-only pass. A diverged step
-            # overflows here; the finite-loss check reports it, not numpy
+            # no gradient, so it runs the forward-only pass. A diverging step
+            # overflows here; the loss and parameter checks report it, not numpy
             with np.errstate(over="ignore", invalid="ignore"):
                 emb, cache = backend.forward(x.astype(np.float32, copy=False),
                                              keep_cache=not cfg.freeze_backend)
                 value, dlogits = loss(layers.linear_forward(emb, head.weights, head.bias),
                                       targets[idx])
-            if not np.isfinite(value):
-                raise RuntimeFailure(f"non-finite loss at epoch {epoch} batch {bi}")
-            demb, dw, db = layers.linear_backward(dlogits, emb, head.weights)
-            grads = [dw, db]
-            if not cfg.freeze_backend:
-                grads = backend.backward(demb, cache) + grads
-            sgd_step(params, grads, velocities, lr, cfg.momentum, cfg.weight_decay)
+                if not np.isfinite(value):
+                    raise RuntimeFailure(f"non-finite loss at epoch {epoch} batch {bi}")
+                demb, dw, db = layers.linear_backward(dlogits, emb, head.weights)
+                grads = [dw, db]
+                if not cfg.freeze_backend:
+                    grads = backend.backward(demb, cache) + grads
+                sgd_step(params, grads, velocities, lr, cfg.momentum, cfg.weight_decay)
             total_loss += value * len(idx)
-        val_acc = val_eval() if val_eval is not None else None
+        if any(to_float32(p) is None for p in params):
+            raise RuntimeFailure(f"parameters not finite in float32 after epoch {epoch}")
+        try:  # the validation images passed every check, so only divergence remains
+            val_acc = val_eval() if val_eval is not None else None
+        except ValidationError as exc:
+            raise RuntimeFailure(f"diverged at epoch {epoch}: {exc}") from None
         history.append(EpochStats(epoch, total_loss / n, val_acc, lr))
         if cfg.lr_schedule == "plateau" and val_acc is not None:
             if val_acc > best_val:

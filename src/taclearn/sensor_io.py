@@ -323,7 +323,8 @@ def _load_binary(path: Path, spec: SensorSpec) -> SensorStream:
         )
     if t < 1:
         raise MalformedStreamError(f"{path}: no readings")
-    values = np.frombuffer(raw, dtype="<f4", offset=16).astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signalling NaN is refused below
+        values = np.frombuffer(raw, dtype="<f4", offset=16).astype(np.float64)
     try:
         return SensorStream(spec=spec, readings=values.reshape(t, n))
     except NonFiniteValueError as exc:

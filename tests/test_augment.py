@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from taclearn.augment import (
     JITTER_CHUNK,
+    MAX_JITTER_LEVEL,
     MAX_TEMPORAL_WIDTH,
     AugmentConfig,
     _resample_axis,
@@ -296,6 +299,22 @@ def test_config_validation():
         AugmentConfig(crop_len_range=(0, 4))
     with pytest.raises(ValidationError):
         AugmentConfig(jitter_level=-0.2)
+
+
+def test_jitter_level_bound_keeps_float32_stacks_finite():
+    # at the bound, image + noise and its resampling stay finite in float32;
+    # above it, both the config and the op refuse the level, naming it
+    stack = TactileImage(data=np.ones((2, 3, 8), np.float32), normalized=True)
+    noisy = jitter(stack, MAX_JITTER_LEVEL, Prng(1))
+    assert noisy.data.dtype == np.float32
+    assert np.isfinite(_resample_axis(noisy.data, 13)).all()
+    AugmentConfig(jitter_level=MAX_JITTER_LEVEL)
+    for level in (3e38, 1e39):
+        message = re.escape(f"in [0, 2**127], got {level!r}")
+        with pytest.raises(ValidationError, match=message):
+            jitter(stack, level, Prng(1))
+        with pytest.raises(ValidationError, match=message):
+            AugmentConfig(jitter_level=level)
 
 
 def _random_augment_one(image, cfg, rng, width=None):

@@ -522,13 +522,13 @@ def test_speed_factor_stretching_past_the_width_bound_exits_one(tmp_path, traine
                                                                 monkeypatch, speeds):
     # 32 / 1e-300 and 32 / 1e-6 readings are refused before the first
     # embedding or resize, so the wide array is never allocated
-    from taclearn import evaluate
+    from taclearn.model import ConvNetBackend, train
 
     cfg, ckpt = trained
     cfg.write_text(cfg.read_text().replace("speeds = 0.5,1.0,2.0", f"speeds = {speeds}", 1))
     calls = []
-    for name in ("embed_images", "_resample_axis"):
-        monkeypatch.setattr(evaluate, name, lambda *args, **kwargs: calls.append(args))
+    for owner, name in ((ConvNetBackend, "embed_batch"), (train, "_resample_axis")):
+        monkeypatch.setattr(owner, name, lambda *args, **kwargs: calls.append(args))
     out = tmp_path / "never"
     assert main(["eval", "speed", "--config", str(cfg), "--checkpoint", str(ckpt),
                  "--out", str(out)]) == 1
@@ -1502,7 +1502,6 @@ def _fuzz_text(section=None, key=None, value=None):
     return "\n".join(lines)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow behind a non-finite loss
 def test_config_fuzz_ends_in_a_designed_exit(tmp_path, capsys):
     # each odd value of each key exits 0 or 1, or 2 only as a runtime failure
     cfg, out = tmp_path / "fuzz.cfg", tmp_path / "out"
@@ -1526,3 +1525,111 @@ def test_config_fuzz_ends_in_a_designed_exit(tmp_path, capsys):
                 if code not in (0, 1) and not (code == 2 and err.startswith("runtime failure:")):
                     surprises.append((section, key, value, command[:2], code, err))
     assert surprises == []
+
+
+@pytest.mark.parametrize("command, section, key, value, edits", [
+    # capacity 6 fine-tunes on one batch, whose one step diverges
+    (["cl", "--sweep"], "cl", "ft_lr", str(2**62), []),
+    # 24 images at batch 16: the second, last step overflows float32
+    (["train"], "augment", "jitter_level", "1e30",
+     [("train_per_class = 6", "train_per_class = 8"), ("batch_size = 8", "batch_size = 16")]),
+    # one batch per epoch: the step leaves float32 weights whose validation pass overflows
+    (["train"], "train", "lr", "1e15", [("train_per_class = 6", "train_per_class = 10"),
+                                        ("batch_size = 8", "batch_size = 64"),
+                                        ("schedule = cosine", "schedule = plateau")]),
+], ids=["cl-sweep-ft_lr", "train-jitter_level", "train-plateau-lr"])
+def test_a_diverged_last_step_is_a_runtime_failure(tmp_path, capsys, command, section, key,
+                                                    value, edits):
+    # no loss check follows an epoch's last step; its parameters, and the
+    # scores of the model it leaves, report the divergence, not numpy
+    import warnings
+
+    text = _fuzz_text(section, key, value)
+    for old, new in edits:
+        text = text.replace(old, new, 1)
+    cfg = tmp_path / "diverged.cfg"
+    cfg.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([*command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("runtime failure:")
+    assert "acc_ft" not in captured.out
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    (["eval", "noise"], "eval", "noise_levels", "0,3e38"),
+    (["eval", "noise"], "eval", "noise_levels", "0,1e39"),
+    (["train"], "augment", "jitter_level", "1e39"),
+], ids=["noise-3e38", "noise-1e39", "jitter-1e39"])
+def test_a_level_overflowing_float32_exits_one_before_outputs(tmp_path, capsys, command,
+                                                               section, key, value):
+    import warnings
+
+    cfg, ckpt = tmp_path / "level.cfg", tmp_path / "trained" / "model.tacm"
+    cfg.write_text(_fuzz_text())
+    assert main(["train", "--config", str(cfg), "--out", str(ckpt.parent)]) == 0
+    cfg.write_text(_fuzz_text(section, key, value))
+    extra = ["--checkpoint", str(ckpt)] if command[0] == "eval" else []
+    out = tmp_path / "never"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([*command, *extra, "--config", str(cfg), "--out", str(out)])
+    level = float(value.split(",")[-1])
+    assert code == 1
+    assert f"in [0, 2**127], got {level!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case, message", [
+    ("composition-only", "checkpoint has no classification head"),
+    ("short-class-list", "checkpoint lists 2 classes for a 3-way head"),
+    ("no-constituents", "test sample without constituent truth"),
+    ("constant-streams", "degenerate data: min == max == 0.5"),
+], ids=["composition-only", "short-class-list", "no-constituents", "constant-streams"])
+def test_designed_refusals_exit_one_before_outputs(tmp_path, capsys, case, message):
+    import numpy as np
+
+    from taclearn.fabric import CONSTITUENTS
+    from taclearn.model import Checkpoint, ConvNetBackend, LinearHead, save_checkpoint
+    from taclearn.sensor_io import (Manifest, ManifestEntry, SensorSpec, SensorStream,
+                                    write_manifest, write_stream)
+
+    cfg, ckpt = _write_cfg(tmp_path), tmp_path / "model.tacm"
+    backend = ConvNetBackend(seed=1)
+    command = ["eval", "noise", "--checkpoint", str(ckpt)]
+    if case in ("composition-only", "no-constituents"):
+        heads, meta = {"composition": LinearHead.zeros(backend.embed_dim, len(CONSTITUENTS))}, {}
+    else:
+        heads, meta = {"classify": LinearHead.zeros(backend.embed_dim, 3)}, {"classes": "0;1"}
+    save_checkpoint(ckpt, Checkpoint(backend=backend, heads=heads, meta=meta))
+    if case == "no-constituents":
+        cfg.write_text(COMPOSITION_CFG.replace("0 = Cotton;Wool", "0 ="))
+        command = ["eval", "composition", "--checkpoint", str(ckpt)]
+    elif case == "constant-streams":
+        spec = SensorSpec("s", channels=4, sample_rate_hz=50.0)
+        for c in range(2):
+            write_stream(tmp_path / f"c{c}.csv",
+                         SensorStream(spec=spec, readings=np.full((16, 4), 0.5)))
+        write_manifest(tmp_path / "manifest.txt", Manifest(
+            spec=spec, entries=[ManifestEntry(f"c{c}.csv", str(c)) for c in range(2)]))
+        cfg.write_text(f"[dataset]\nmode = manifest\nmanifest = {tmp_path / 'manifest.txt'}\n")
+        command = ["train"]
+    out = tmp_path / "never"
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_plateau_train_without_a_validation_sample_logs_nan(tmp_path, capsys):
+    # 4 images per class give up round(0.4) = 0 for validation
+    cfg = _write_cfg(tmp_path, train_per_class=4)
+    cfg.write_text(cfg.read_text().replace("schedule = cosine", "schedule = plateau"))
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    epochs = [line for line in capsys.readouterr().out.splitlines() if line.startswith("epoch=")]
+    assert len(epochs) == 3 and all(" val_acc=nan " in line for line in epochs)
+    assert [row.split(",")[2] for row in (out / "history.csv").read_text().splitlines()[1:]] \
+        == ["nan"] * 3

@@ -5,7 +5,6 @@ import pytest
 
 from taclearn.augment import crop_temporal, jitter, resize_temporal
 from taclearn.errors import ValidationError
-from taclearn import evaluate
 from taclearn.evaluate import (
     EvalReport,
     composition_eval,
@@ -70,33 +69,29 @@ def test_stratified_folds_small_class_errors():
         stratified_folds([0, 0, 1], k=2, seed=0)
 
 
-def test_kfold_perfect_trainer_scores_one():
-    images, labels, _ = synth_images(num_classes=2, per_class=10, channels=10,
-                                     length=32, seed=40)
-    truth = {plane.tobytes(): label for plane, label in zip(images.data, labels)}
-
-    def trainer(train_images, train_labels):
-        return lambda stack: [truth[plane.tobytes()] for plane in stack.data]
-
-    report = kfold_eval(images, labels, k=5, trainer=trainer, seed=1)
+def test_kfold_perfect_embeddings_score_one():
+    # one-hot embeddings: every fold's ridge head ranks the true class first
+    labels = [c for c in range(3) for _ in range(10)]
+    report = kfold_eval(np.eye(4)[labels], labels, k=5, seed=1)
     assert report.fold_accuracies == [1.0] * 5
     assert report.mean == 1.0
     assert report.std == 0.0
 
 
-def test_kfold_with_ridge_trainer(random_backend):
+def test_kfold_ridge_folds_match_ridge_classifier(random_backend):
     images, labels, _ = synth_images(num_classes=3, per_class=10, channels=10,
                                      length=32, seed=41)
-
-    def trainer(train_images, train_labels):
-        clf = ridge_classifier(random_backend, train_images, train_labels)
-        return clf.predict
-
-    report = kfold_eval(images, labels, k=5, trainer=trainer, seed=2)
-    assert len(report.fold_accuracies) == 5
-    assert all(0.0 <= a <= 1.0 for a in report.fold_accuracies)
-    again = kfold_eval(images, labels, k=5, trainer=trainer, seed=2)
+    embeddings = embed_images(random_backend, images)
+    report = kfold_eval(embeddings, labels, k=5, ridge_lambda=0.5, seed=2)
+    assert report.task_id == "kfold"
+    again = kfold_eval(embeddings, labels, k=5, ridge_lambda=0.5, seed=2)
     assert report.fold_accuracies == again.fold_accuracies
+    # each fold scores as the ridge classifier fitted on the other folds' images
+    assignment = np.array(stratified_folds(labels, 5, 2))
+    for fold, acc in enumerate(report.fold_accuracies):
+        train, test = (np.flatnonzero(side) for side in (assignment != fold, assignment == fold))
+        clf = ridge_classifier(random_backend, images[train], [labels[i] for i in train], 0.5)
+        assert acc == clf.accuracy(images[test], [labels[i] for i in test])
 
 
 @pytest.fixture(scope="module")
@@ -186,46 +181,45 @@ def _noise_sweep_one(classifier, images, labels, levels, seed=0):
 
 
 class _Recorder:
-    """Scores with `classifier`, keeping the planes of every perturbed set: the
-    set it scores or, when handed embeddings (the speed sweep embeds the
-    resized stack chunk by chunk, through `record_chunk`), the chunks joined."""
+    """Scores with a copy of `classifier`, keeping for every scored set the
+    planes its backend embedded, joined over the embedding chunks."""
 
     def __init__(self, classifier):
-        self.classifier, self.backend = classifier, classifier.backend
+        self.classifier = classifier.clone()
+        self.backend = self.classifier.backend
         self.planes, self.chunks = [], []
+        embed_batch = self.backend.embed_batch
 
-    def record_chunk(self, backend, images):
-        self.chunks.append(images.data)
-        return embed_images(backend, images)
+        def record_chunk(x):
+            self.chunks.append(x)
+            return embed_batch(x)
+
+        self.backend.embed_batch = record_chunk
 
     def accuracy(self, images, labels, embeddings=None):
         if not isinstance(images, TactileImage):  # the oracle's list of images
             images = TactileImage(data=np.stack([img.data for img in images]), normalized=True)
-        if embeddings is None:
-            self.planes.append(images.data)
-        else:
-            self.planes.append(np.concatenate(self.chunks))
-            self.chunks = []
-        return self.classifier.accuracy(images, labels, embeddings)
+        acc = self.classifier.accuracy(images, labels, embeddings)
+        self.planes.append(np.concatenate(self.chunks))
+        self.chunks = []
+        return acc
 
 
 @pytest.mark.parametrize("sweep, oracle, levels, kwargs, input_width", [
-    (length_sweep, _length_sweep_one, [8, 17, 48], {}, 48),
+    # no input width: the backend embeds the perturbed planes themselves
+    (length_sweep, _length_sweep_one, [8, 17, 48], {}, None),
     # at width 1000 a chunk holds 13 of the 15 planes: every level embeds two
     (speed_sweep, _speed_sweep_one, [0.5, 1.0, 1.7, 3.0], {}, 1000),
-    (noise_sweep, _noise_sweep_one, [0.0, 0.1, 0.5], {"seed": 5}, 48),
+    (noise_sweep, _noise_sweep_one, [0.0, 0.1, 0.5], {"seed": 5}, None),
 ], ids=["length", "speed", "noise"])
-def test_stacked_sweeps_match_per_image_oracle(monkeypatch, fitted, sweep, oracle, levels,
-                                               kwargs, input_width):
+def test_stacked_sweeps_match_per_image_oracle(fitted, sweep, oracle, levels, kwargs,
+                                               input_width):
     clf, _, _, test_images, test_labels = fitted
-    backend = clf.backend.clone()
-    backend.input_width = input_width
-    clf = Classifier(backend, clf.head, clf.classes)
+    clf = clf.clone()
+    clf.backend.input_width = input_width
     stacked, per_image = _Recorder(clf), _Recorder(clf)
-    monkeypatch.setattr(evaluate, "embed_images", stacked.record_chunk)
     planes = [test_images[i] for i in range(len(test_images))]
     curve = sweep(stacked, test_images, test_labels, levels, **kwargs)
-    monkeypatch.undo()
     assert curve == oracle(per_image, planes, test_labels, levels, **kwargs)
     assert len(stacked.planes) == len(per_image.planes) == len(levels)
     for a, b in zip(stacked.planes, per_image.planes):
@@ -233,24 +227,24 @@ def test_stacked_sweeps_match_per_image_oracle(monkeypatch, fitted, sweep, oracl
 
 
 def test_speed_sweep_embeds_the_chunks_of_the_whole_resized_stack(monkeypatch, fitted):
-    # each chunk is one embed_images call, cut where embed_images would cut the
+    # the stack is resized chunk by chunk, cut where embed_images cuts the
     # whole resized stack, so every embedding keeps its bytes
     clf, _, _, test_images, test_labels = fitted
     backend = clf.backend.clone()
     backend.input_width = 1000
     clf = Classifier(backend, clf.head, clf.classes)
     calls, embeddings = [], []
-    real_accuracy = Classifier.accuracy
+    real_accuracy, real_embed_batch = Classifier.accuracy, backend.embed_batch
 
-    def record_chunk(backend_, images):
-        calls.append(len(images))
-        return embed_images(backend_, images)
+    def record_chunk(x):
+        calls.append(len(x))
+        return real_embed_batch(x)
 
     def record_embeddings(self, images, labels, emb=None):
         embeddings.append(emb)
         return real_accuracy(self, images, labels, emb)
 
-    monkeypatch.setattr(evaluate, "embed_images", record_chunk)
+    monkeypatch.setattr(backend, "embed_batch", record_chunk)
     monkeypatch.setattr(Classifier, "accuracy", record_embeddings)
     speed_sweep(clf, test_images, test_labels, [0.5, 2.0])
     monkeypatch.undo()

@@ -585,6 +585,36 @@ def test_save_rejects_parameters_not_finite_in_float32(tmp_path, value):
     assert not path.exists()
 
 
+def test_load_refuses_a_signalling_nan_without_a_warning(tmp_path):
+    import struct
+    import warnings
+
+    path = tmp_path / "model.tacm"
+    save_checkpoint(path, Checkpoint(backend=ConvNetBackend(seed=1)))
+    raw = path.read_bytes()
+    first_param = 16 + int.from_bytes(raw[8:12], "little")
+    path.write_bytes(raw[:first_param] + struct.pack("<I", 0x7F800001) + raw[first_param + 4:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValidationError, match="checkpoint parameters must be finite"):
+            load_checkpoint(path)
+
+
+def test_embed_images_refuses_a_non_finite_embedding_without_a_warning(random_backend):
+    # weights finite in float32 whose pass overflows it: a checkpoint's
+    # weights are outside input, so this is a validation error
+    import warnings
+
+    backend = random_backend.clone()
+    for w in backend.weights:
+        w *= 1e30
+    images, _, _ = synth_images(num_classes=2, per_class=2, channels=10, length=16, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValidationError, match="embeddings are not finite"):
+            embed_images(backend, images)
+
+
 def test_augmented_epoch_augments_each_minibatch_as_one_array(tiny_dataset, monkeypatch):
     # N = 24 images at batch size 5: ceil(24/5) = 5 augment calls, each on
     # one indexed sub-stack; no TactileImage is built per image

@@ -288,6 +288,18 @@ def test_binary_non_finite_names_file_and_index(tmp_path):
         load_stream(p, spec)
 
 
+def test_binary_signalling_nan_is_refused_without_a_warning(tmp_path):
+    import warnings
+
+    p = tmp_path / "snan.bin"
+    p.write_bytes(struct.pack("<4sIII", b"TACL", 1, 2, 1) + struct.pack("<fI", 0.5, 0x7F800001))
+    spec = SensorSpec("s", channels=2, sample_rate_hz=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteValueError, match=f"^{p}: non-finite value in reading 0$"):
+            load_stream(p, spec)
+
+
 def _load_csv_reference(path, spec):
     # The per-row loader the vectorised _load_csv replaced, kept verbatim as the
     # oracle: the new loader must return the same bits and raise the same
