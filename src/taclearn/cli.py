@@ -32,7 +32,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -40,16 +42,15 @@ import numpy as np
 
 from .augment import MAX_TEMPORAL_WIDTH, AugmentConfig
 from .config import load_config
-from .continual import cl_rows_to_csv, cl_sweep
+from .continual import cl_sweep
 from .errors import RuntimeFailure, ValidationError
-from .evaluate import (EvalReport, composition_eval, curve_to_csv, kfold_eval, length_sweep,
-                       noise_sweep, speed_sweep)
+from .evaluate import (EvalReport, composition_eval, kfold_eval, length_sweep, noise_sweep,
+                       speed_sweep)
 from .model import (Checkpoint, Classifier, ConvNetBackend, TrainConfig, embed_images,
-                    history_to_csv, load_checkpoint, save_checkpoint, train_composition,
-                    train_supervised)
+                    load_checkpoint, save_checkpoint, train_composition, train_supervised)
 from .prng import Prng
 from .sensor_io import (MAX_SAMPLES_PER_CLASS, MAX_SYNTHETIC_CHANNELS, MAX_SYNTHETIC_CLASSES,
-                        Manifest, ManifestEntry, SensorStream, SyntheticTextureConfig,
+                        Manifest, ManifestEntry, SensorStream, SyntheticTextureConfig, csv_text,
                         generate_synthetic, load_manifest, load_manifest_streams,
                         synthetic_sensor_spec, write_manifest, write_stream)
 from .tactile_image import TactileImage, calibrate, compute_bounds, image_plane, normalize
@@ -113,9 +114,9 @@ def main(argv=None) -> int:
 
 
 def _run_seed(config, args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return config.get_int("run", "seed", 0)
+    seed = config.get_int("run", "seed", 0) if args.seed is None else args.seed
+    Prng(seed)  # every command refuses a seed outside [0, 2**64), ingest included
+    return seed
 
 
 def _sub_seed(run_seed: int, key: int) -> int:
@@ -322,8 +323,8 @@ def _train_config(config, run_seed, task):
     )
 
 
-def _prepare_out(args, config, run_seed) -> Path:
-    out = Path(args.out)
+def _prepare_out(out, config, run_seed) -> Path:
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.used.txt").write_text(config.resolved_text(run_seed), encoding="utf-8")
     return out
@@ -357,7 +358,7 @@ def cmd_ingest(args) -> int:
         spec, classes = _synthetic_classes(config)
         groups = {split: list(gen) for split, (_, gen) in classes.items()}
         bounds = compute_bounds(readings for *_, readings in groups["train"])
-        out = _prepare_out(args, config, run_seed)
+        out = _prepare_out(args.out, config, run_seed)
         (out / "streams").mkdir(exist_ok=True)
         entries = []
         per_class_counter: dict[str, int] = {}
@@ -375,7 +376,7 @@ def cmd_ingest(args) -> int:
         # manifest lives
         bundle = _load_bundle(config)
         spec, bounds = bundle.manifest.spec, bundle.bounds
-        out = _prepare_out(args, config, run_seed)
+        out = _prepare_out(args.out, config, run_seed)
         source = Path(config.get_str("dataset", "manifest")).parent
         entries = [replace(e, path=os.path.relpath(source / e.path, out))
                    for e in bundle.manifest.entries]
@@ -413,12 +414,14 @@ def cmd_train(args) -> int:
 
     backend, head, history = trainer(bundle.train_images, targets, train_cfg, aug_cfg,
                                      backend=backend)
-    out = _prepare_out(args, config, run_seed)
+    out = _prepare_out(args.out, config, run_seed)
 
     for row in history:
         val = "" if row.val_acc is None else f" val_acc={row.val_acc!r}"
         print(f"epoch={row.epoch} loss={row.loss!r}{val} lr={row.lr!r}")
-    (out / "history.csv").write_text(history_to_csv(history), encoding="utf-8")
+    (out / "history.csv").write_text(
+        csv_text([(h.epoch, h.loss, h.val_acc, h.lr) for h in history], "epoch,loss,val_acc,lr"),
+        encoding="utf-8")
     save_checkpoint(out / "model.tacm", _model_checkpoint(backend, task, head, classes))
     final = f" final_loss={history[-1].loss!r}" if history else ""
     print(f"checkpoint={out / 'model.tacm'}{final}")
@@ -437,10 +440,8 @@ def cmd_cl(args) -> int:
     capacities = [capacity]
     if args.sweep:
         capacities = config.get_int_list("cl", "sweep_capacities")
-        if not capacities:
-            raise ValidationError("[cl] sweep_capacities is empty")
     ridge_lambda = config.get_float("cl", "ridge_lambda", 1.0)
-    ft_epochs = config.get_int("cl", "ft_epochs", 10)
+    ft_epochs = config.get_int("cl", "ft_epochs", 10, minimum=0)
     ft_cfg = None
     if ft_epochs > 0:
         ft_cfg = TrainConfig(
@@ -466,18 +467,30 @@ def cmd_cl(args) -> int:
         fine_tune_cfg=ft_cfg, aug_cfg=aug_cfg, test_images=bundle.test_images,
         test_labels=bundle.test_labels or None, warm_start=warm_start,
     )
-    out = _prepare_out(args, config, run_seed)
-    for cap, (ridge, fine_tuned, rows) in zip(capacities, runs):
-        suffix = f"_cap{cap}" if len(capacities) > 1 else ""
-        (out / f"cl_steps{suffix}.csv").write_text(cl_rows_to_csv(rows), encoding="utf-8")
-        for t, acc_r, acc_f, size in rows:
-            acc_r_s = "" if acc_r is None else f" acc_ridge={acc_r!r}"
-            acc_f_s = "" if acc_f is None else f" acc_ft={acc_f!r}"
-            print(f"capacity={cap} t={t}{acc_r_s}{acc_f_s} buffer={size}")
-        for name, clf in (("ridge", ridge), ("fine_tuned", fine_tuned)):
-            save_checkpoint(out / f"final_{name}{suffix}.tacm",
-                            _model_checkpoint(clf.backend, "classify", clf.head, clf.classes))
-        del ridge, fine_tuned, clf  # written: the next capacity's pass runs without them
+    # each pass's files go to a staging directory beside --out as the pass
+    # ends and reach --out after the last one: a failed pass leaves --out as it was
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+    try:
+        _prepare_out(stage, config, run_seed)
+        for cap, (ridge, fine_tuned, rows) in zip(capacities, runs):
+            suffix = f"_cap{cap}" if len(capacities) > 1 else ""
+            (stage / f"cl_steps{suffix}.csv").write_text(
+                csv_text(rows, "t,acc_ridge,acc_fine_tuned,buffer_size"), encoding="utf-8")
+            for t, acc_r, acc_f, size in rows:
+                acc_r_s = "" if acc_r is None else f" acc_ridge={acc_r!r}"
+                acc_f_s = "" if acc_f is None else f" acc_ft={acc_f!r}"
+                print(f"capacity={cap} t={t}{acc_r_s}{acc_f_s} buffer={size}")
+            for name, clf in (("ridge", ridge), ("fine_tuned", fine_tuned)):
+                save_checkpoint(stage / f"final_{name}{suffix}.tacm",
+                                _model_checkpoint(clf.backend, "classify", clf.head, clf.classes))
+            del ridge, fine_tuned, clf  # written: the next capacity's pass runs without them
+        out.mkdir(exist_ok=True)
+        for path in stage.iterdir():
+            os.replace(path, out / path.name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
     return 0
 
 
@@ -538,9 +551,9 @@ def cmd_eval(args) -> int:
             curve = noise_sweep(clf, images, labels, levels, seed=run_seed)
         report = EvalReport(task_id=mode, curves={mode: curve})
 
-    out = _prepare_out(args, config, run_seed)
+    out = _prepare_out(args.out, config, run_seed)
     if curve is not None:
-        (out / f"{mode}_curve.csv").write_text(curve_to_csv(curve), encoding="utf-8")
+        (out / f"{mode}_curve.csv").write_text(csv_text(curve, "x,y"), encoding="utf-8")
     (out / "report.csv").write_text(report.to_csv(), encoding="utf-8")
     (out / "summary.txt").write_text(report.summary_text(), encoding="utf-8")
     print(report.summary_text(), end="")

@@ -92,17 +92,21 @@ class ExperimentConfig:
 
         return self._typed(section, key, default, convert, "a boolean")
 
-    def get_int_list(self, section, key, default=_MISSING) -> list[int]:
-        def convert(text):
-            return [int(p) for p in text.replace(";", ",").split(",") if p.strip()]
+    def _list(self, section, key, default, item, describe):
+        values = self._typed(
+            section, key, default,
+            lambda text: [item(p) for p in text.replace(";", ",").split(",") if p.strip()],
+            f"a comma-separated {describe} list")
+        entry = self.sections.get(section, {}).get(key)
+        if entry is not None and not values:
+            raise ConfigError(f"{self.path}:{entry.line}: [{section}] {key} is empty")
+        return values
 
-        return self._typed(section, key, default, convert, "a comma-separated integer list")
+    def get_int_list(self, section, key, default=_MISSING) -> list[int]:
+        return self._list(section, key, default, int, "integer")
 
     def get_float_list(self, section, key, default=_MISSING) -> list[float]:
-        def convert(text):
-            return [float(p) for p in text.replace(";", ",").split(",") if p.strip()]
-
-        return self._typed(section, key, default, convert, "a comma-separated number list")
+        return self._list(section, key, default, float, "number")
 
     def section_items(self, section: str) -> dict[str, str]:
         return {k: e.value for k, e in self.sections.get(section, {}).items()}

@@ -289,12 +289,3 @@ def _capacity_pass(steps, images, test_images, capacity, fine_tune_cfg, aug_cfg,
             tuned, acc_tuned = None, step.acc_ridge
         rows.append((t, step.acc_ridge, acc_tuned, len(buffer_idx)))
     return step.ridge, step.ridge.clone() if tuned is None else tuned, rows
-
-
-def cl_rows_to_csv(rows) -> str:
-    lines = ["t,acc_ridge,acc_fine_tuned,buffer_size"]
-    for t, a, b, size in rows:
-        a_s = "" if a is None else repr(float(a))
-        b_s = "" if b is None else repr(float(b))
-        lines.append(f"{t},{a_s},{b_s},{size}")
-    return "\n".join(lines) + "\n"

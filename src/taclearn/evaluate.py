@@ -7,8 +7,8 @@ re-measure accuracy; at the neutral point of every sweep (full length, factor
 1, level 0) the perturbation is the identity, so the measured value equals the
 plain test accuracy exactly. No smoothing is applied to curves.
 
-Reports serialize to a fixed four-column CSV (section,a,b,c) with
-shortest-repr floats, so every value in a report reads back exactly.
+Reports serialize to a fixed four-column CSV (section,a,b,c) through
+`sensor_io.csv_text`, so every value in a report reads back exactly.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .continual import RlsState, ridge_solve, rls_update
 from .errors import ValidationError
 from .model import Classifier, ConvNetBackend, LinearHead, composition_probs, embed_images
 from .prng import Prng
+from .sensor_io import csv_text
 
 
 @dataclass
@@ -52,18 +53,16 @@ class EvalReport:
         return float(np.std(self.fold_accuracies))
 
     def to_csv(self) -> str:
-        rows = [("task", "id", self.task_id, "")]
-        for i, acc in enumerate(self.fold_accuracies):
-            rows.append(("fold", str(i), repr(float(acc)), ""))
+        rows = [("task", "id", self.task_id, None)]
+        rows += [("fold", i, float(acc), None) for i, acc in enumerate(self.fold_accuracies)]
         for name in sorted(self.curves):
-            for x, y in self.curves[name]:
-                rows.append(("curve", name, repr(float(x)), repr(float(y))))
+            rows += [("curve", name, float(x), float(y)) for x, y in self.curves[name]]
         for name in sorted(self.constituent_counts):
             fp, fn = self.constituent_counts[name]
-            rows.append(("constituent", name, str(int(fp)), str(int(fn))))
+            rows.append(("constituent", name, int(fp), int(fn)))
         if self.composition_mean is not None:
-            rows.append(("composition", "mean", repr(float(self.composition_mean)), ""))
-        return "\n".join(",".join(r) for r in rows) + "\n"
+            rows.append(("composition", "mean", float(self.composition_mean), None))
+        return csv_text(rows)
 
     def summary_text(self) -> str:
         lines = [f"task: {self.task_id}"]
@@ -205,8 +204,3 @@ def composition_eval(backend: ConvNetBackend, head: LinearHead, images, truths,
         constituent_counts={k: (v[0], v[1]) for k, v in counts.items()},
         composition_mean=float(np.mean(scores)),
     )
-
-
-def curve_to_csv(curve) -> str:
-    lines = ["x,y", *(f"{float(x)!r},{float(y)!r}" for x, y in curve)]
-    return "\n".join(lines) + "\n"

@@ -12,7 +12,6 @@ from .train import (
     TrainConfig,
     composition_probs,
     embed_images,
-    history_to_csv,
     prepare_batch,
     sgd_step,
     train_composition,

@@ -73,14 +73,6 @@ class EpochStats:
     lr: float
 
 
-def history_to_csv(history) -> str:
-    lines = ["epoch,loss,val_acc,lr"]
-    for row in history:
-        val = "" if row.val_acc is None else repr(float(row.val_acc))
-        lines.append(f"{row.epoch},{float(row.loss)!r},{val},{float(row.lr)!r}")
-    return "\n".join(lines) + "\n"
-
-
 def sgd_step(params, grads, velocities, lr, momentum, weight_decay):
     """One decoupled-weight-decay SGD step, in place."""
     for p, g, v in zip(params, grads, velocities):

@@ -48,9 +48,9 @@ class Prng:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        if seed < 0:
-            raise ValidationError(f"seed must be non-negative, got {seed}")
-        self._state = seed & _MASK64
+        if not 0 <= seed <= _MASK64:
+            raise ValidationError(f"seed must be non-negative and below 2**64, got {seed}")
+        self._state = seed
 
     @classmethod
     def _from_state(cls, state: int) -> "Prng":

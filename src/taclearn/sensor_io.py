@@ -5,7 +5,9 @@ File formats
 Stream CSV: a header line ``# taclearn-stream v1; channels=<n>; rate_hz=<r>``
 followed by one comma-separated row per reading; blank lines are skipped.
 Values parse with Python ``float()`` semantics and are written with its
-shortest round-tripping repr, so a CSV round-trip is exact.
+shortest round-tripping repr, so a CSV round-trip is exact. `csv_text` is
+the one CSV writer: stream files and every CSV output (training histories,
+CL steps, curves, reports) render through it, so each reads back exactly.
 
 Stream binary: magic ``TACL``, then little-endian u32 version, u32 channels,
 u32 length, then length*channels little-endian float32 values. Streams whose
@@ -331,16 +333,23 @@ def _load_binary(path: Path, spec: SensorSpec) -> SensorStream:
         raise NonFiniteValueError(f"{path}: {exc}") from None
 
 
+def csv_text(rows, header=None) -> str:
+    """One comma-separated line per row, below `header` if given. None is an
+    empty field, a float (numpy's included) its shortest round-trip repr, and
+    any other value its str, so every value reads back exactly."""
+    lines = [] if header is None else [header]
+    for row in rows:
+        lines.append(",".join("" if v is None else repr(float(v))
+                              if isinstance(v, (float, np.floating)) else str(v) for v in row))
+    return "".join(line + "\n" for line in lines)
+
+
 def write_stream(path, stream: SensorStream, fmt: str = "csv") -> None:
     path = Path(path)
     if fmt == "csv":
-        lines = [
-            f"{_CSV_HEADER_PREFIX} channels={stream.spec.channels}; "
-            f"rate_hz={float(stream.spec.sample_rate_hz)!r}"
-        ]
-        for row in stream.readings:
-            lines.append(",".join(repr(float(v)) for v in row))
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        header = (f"{_CSV_HEADER_PREFIX} channels={stream.spec.channels}; "
+                  f"rate_hz={float(stream.spec.sample_rate_hz)!r}")
+        path.write_text(csv_text(stream.readings, header), encoding="utf-8")
     elif fmt == "binary":
         t, n = stream.readings.shape
         payload = stream.readings.astype("<f4").tobytes()

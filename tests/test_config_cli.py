@@ -315,6 +315,105 @@ def test_cl_sweep_capacity_list_is_refused_before_outputs(tmp_path, capsys, capa
     assert not out.exists()
 
 
+def test_an_empty_eval_list_exits_one_before_outputs(trained, tmp_path, capsys):
+    cfg, ckpt = trained
+    for mode, key in (("length", "lengths"), ("speed", "speeds"), ("noise", "noise_levels")):
+        empty = tmp_path / f"{key}.cfg"
+        empty.write_text("\n".join(f"{key} =" if line.startswith(f"{key} =") else line
+                                   for line in cfg.read_text().splitlines()))
+        out = tmp_path / f"never-{mode}"
+        assert main(["eval", mode, "--config", str(empty), "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == 1
+        assert f"[eval] {key} is empty" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_a_negative_ft_epochs_exits_one_before_outputs(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path)
+    cfg.write_text(cfg.read_text().replace("ft_epochs = 2", "ft_epochs = -3"))
+    out = tmp_path / "never"
+    assert main(["cl", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "[cl] ft_epochs must be an integer >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _cl_out_entries(tmp_path, cfg, out, code, flags=("--sweep",)):
+    """Run `cl` into `out` expecting `code`; `out`'s files by name (None when
+    it does not exist) and the names beside it, so no staging is left over."""
+    assert main(["cl", *flags, "--config", str(cfg), "--out", str(out)]) == code
+    files = {f.name: f.read_bytes() for f in out.iterdir()} if out.exists() else None
+    return files, sorted(p.name for p in tmp_path.iterdir())
+
+
+def test_a_failed_cl_leaves_out_as_it_found_it(tmp_path, capsys, monkeypatch):
+    from taclearn import cli
+    from taclearn.errors import RuntimeFailure
+
+    diverged = tmp_path / "diverged.cfg"
+    diverged.write_text(_fuzz_text("cl", "ft_lr", str(2**62)))
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "notes.txt").write_bytes(b"mine")
+    assert _cl_out_entries(tmp_path, diverged, tmp_path / "never", 2) == (
+        None, ["diverged.cfg", "kept"])
+    assert _cl_out_entries(tmp_path, diverged, kept, 2) == (
+        {"notes.txt": b"mine"}, ["diverged.cfg", "kept"])
+    assert "fine-tuning diverged" in capsys.readouterr().err
+
+    # a later capacity's failure also takes back the files of the passes before it
+    cfg, saved = _write_cfg(tmp_path), []
+
+    def fail_on_the_third_save(path, checkpoint):
+        saved.append(Path(path).name)
+        if len(saved) == 3:
+            raise RuntimeFailure("injected")
+        save(path, checkpoint)
+
+    save = cli.save_checkpoint
+    monkeypatch.setattr(cli, "save_checkpoint", fail_on_the_third_save)
+    assert _cl_out_entries(tmp_path, cfg, tmp_path / "never", 2) == (
+        None, ["diverged.cfg", "exp.cfg", "kept"])
+    assert saved == ["final_ridge_cap6.tacm", "final_fine_tuned_cap6.tacm",
+                     "final_ridge_cap12.tacm"]
+
+
+def test_cl_into_an_existing_out_keeps_its_files(tmp_path):
+    cfg = _write_cfg(tmp_path)
+    fresh, _ = _cl_out_entries(tmp_path, cfg, tmp_path / "fresh", 0)
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "notes.txt").write_bytes(b"mine")
+    (kept / "config.used.txt").write_bytes(b"an earlier run's")
+    assert _cl_out_entries(tmp_path, cfg, kept, 0) == (
+        {**fresh, "notes.txt": b"mine"}, ["exp.cfg", "fresh", "kept"])
+    assert sorted(fresh) == ["cl_steps_cap12.csv", "cl_steps_cap6.csv", "config.used.txt",
+                             "final_fine_tuned_cap12.tacm", "final_fine_tuned_cap6.tacm",
+                             "final_ridge_cap12.tacm", "final_ridge_cap6.tacm"]
+
+
+def test_every_output_csv_field_reads_back_exactly(trained, tmp_path):
+    # below its header (report.csv: right of its section and name columns,
+    # below its task row), every field is empty, an integer, or a float in
+    # its shortest round-trip repr
+    cfg, ckpt = trained
+    runs = tmp_path / "runs"
+    assert main(["cl", "--sweep", "--config", str(cfg), "--out", str(runs / "cl")]) == 0
+    for mode in ("kfold", "length", "speed", "noise"):
+        assert main(["eval", mode, "--config", str(cfg), "--checkpoint", str(ckpt),
+                     "--out", str(runs / mode)]) == 0
+    paths = [ckpt.parent / "history.csv", *sorted(runs.rglob("*.csv"))]
+    assert len(paths) == 10
+    for path in paths:
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        if path.name == "report.csv":
+            rows = [row[2:] for row in rows]
+        fields = [field for row in rows for field in row]
+        assert fields, path
+        for field in fields:
+            assert (field == "" or field.lstrip("-").isdigit()
+                    or repr(float(field)) == field), (path, field)
+
+
 def test_cl_truncated_backend_checkpoint_exits_one(tmp_path, capsys):
     from taclearn.model import Checkpoint, ConvNetBackend, save_checkpoint
 
@@ -1176,7 +1275,8 @@ noise_levels = 0,0.2
     (["cl", "--seed", "-3"], None),
     (["train"], ("seed = 5", "seed = -4")),  # [dataset] seed
     (["train"], ("jitter_level = 0.1", "jitter_level = 0.1\nseed = -1")),  # [augment] seed
-], ids=["train-seed", "cl-seed", "dataset-seed", "augment-seed"])
+    (["ingest", "--seed", "-1"], None),
+], ids=["train-seed", "cl-seed", "dataset-seed", "augment-seed", "ingest-seed"])
 def test_negative_seed_exits_one_before_outputs(tmp_path, capsys, command, edit):
     cfg = _write_cfg(tmp_path)
     if edit is not None:
@@ -1185,6 +1285,26 @@ def test_negative_seed_exits_one_before_outputs(tmp_path, capsys, command, edit)
     assert main([command[0], "--config", str(cfg), "--out", str(out), *command[1:]]) == 1
     assert "seed must be non-negative" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, edit", [
+    (["ingest", "--seed", str(2**64)], None),
+    (["train"], ("[run]\nseed = 0", f"[run]\nseed = {2**64}")),
+    (["train"], ("seed = 5", f"seed = {2**64}")),  # [dataset] seed
+    (["train"], ("jitter_level = 0.1", f"jitter_level = 0.1\nseed = {2**64}")),  # [augment]
+    (["train"], ("schedule = cosine", f"schedule = cosine\nseed = {2**64}")),  # [train] seed
+    (["cl", "--sweep"], ("ft_lr = 0.01", f"ft_lr = 0.01\nft_seed = {2**64}")),
+], ids=["run-flag", "run-key", "dataset", "augment", "train", "cl-ft_seed"])
+def test_a_seed_of_2_64_exits_one_before_outputs(tmp_path, capsys, command, edit):
+    # seeds are 64-bit: 2**64 would otherwise run as seed 0
+    cfg = _write_cfg(tmp_path)
+    if edit is not None:
+        cfg.write_text(cfg.read_text().replace(*edit, 1))
+    out = tmp_path / "never"
+    assert main([command[0], "--config", str(cfg), "--out", str(out), *command[1:]]) == 1
+    assert f"seed must be non-negative and below 2**64, got {2**64}" in capsys.readouterr().err
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
 
 def _ragged_manifest(directory):

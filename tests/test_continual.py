@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 from taclearn.continual import (
     RlsState,
     class_budget,
-    cl_rows_to_csv,
     cl_sweep,
     exemplar_buffer,
     fine_tune,
@@ -19,6 +18,7 @@ from taclearn.errors import RuntimeFailure, ValidationError
 from taclearn.evaluate import ridge_classifier
 from taclearn.model import Classifier, ConvNetBackend, TrainConfig, embed_images
 from taclearn.prng import Prng
+from taclearn.sensor_io import csv_text
 from taclearn.tactile_image import TactileImage
 
 from conftest import synth_images
@@ -474,7 +474,7 @@ def test_cl_rows_csv_shape(random_backend):
                                                                  num_classes=2)
     [(_, _, rows)] = cl_sweep(images, batches, random_backend, [8],
                               test_images=test_images, test_labels=test_labels)
-    csv = cl_rows_to_csv(rows)
+    csv = csv_text(rows, "t,acc_ridge,acc_fine_tuned,buffer_size")
     lines = csv.strip().splitlines()
     assert lines[0] == "t,acc_ridge,acc_fine_tuned,buffer_size"
     assert len(lines) == 3

@@ -9,7 +9,6 @@ from taclearn.evaluate import (
     EvalReport,
     composition_eval,
     composition_score,
-    curve_to_csv,
     kfold_eval,
     length_sweep,
     noise_sweep,
@@ -20,6 +19,7 @@ from taclearn.evaluate import (
 from taclearn.fabric import CONSTITUENTS, UnknownConstituentError
 from taclearn.model import Classifier, LinearHead, embed_images
 from taclearn.prng import Prng
+from taclearn.sensor_io import csv_text
 from taclearn.tactile_image import TactileImage
 
 from conftest import synth_images
@@ -337,6 +337,6 @@ def test_report_csv_round_trip():
 
 
 def test_curve_csv_format():
-    csv = curve_to_csv([(0.5, 0.75), (1.0, 0.875)])
+    csv = csv_text([(0.5, 0.75), (1.0, 0.875)], "x,y")
     assert csv.splitlines()[0] == "x,y"
     assert csv.splitlines()[1] == "0.5,0.75"

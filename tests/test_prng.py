@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from taclearn.errors import ValidationError
 from taclearn.prng import Prng, random_rows
 
 # Reference outputs for seed 1234567, computed by hand from the documented
@@ -17,6 +19,13 @@ REFERENCE_OUTPUTS = [
 def test_matches_reference_vector():
     rng = Prng(REFERENCE_SEED)
     assert [rng.next_u64() for _ in range(5)] == REFERENCE_OUTPUTS
+
+
+def test_seeds_are_the_64_bit_range():
+    assert Prng(2**64 - 1).next_u64() != Prng(0).next_u64()
+    for seed in (-1, 2**64):
+        with pytest.raises(ValidationError, match="non-negative and below 2\\*\\*64"):
+            Prng(seed)
 
 
 def test_same_seed_same_sequence():

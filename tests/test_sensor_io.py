@@ -27,6 +27,7 @@ from taclearn.sensor_io import (
     _GENERATE_VALUES,
     _parse_csv_header,
     _read_lines,
+    csv_text,
     synthetic_sensor_spec,
     write_manifest,
     write_stream,
@@ -211,6 +212,17 @@ def test_spectral_1nn_separates_noiseless_classes():
     np.fill_diagonal(dists, np.inf)
     predicted = labels[np.argmin(dists, axis=1)]
     assert np.mean(predicted == labels) == 1.0
+
+
+def test_csv_text_writes_each_value_so_it_reads_back_exactly():
+    row = [None, math.nan, -0.0, 0.1, np.float64(1 / 3), np.float32(0.1), 7, np.int64(-2), "a b"]
+    fields = ["", "nan", "-0.0", "0.1", repr(1 / 3), repr(float(np.float32(0.1))), "7", "-2",
+              "a b"]
+    assert csv_text([row]) == ",".join(fields) + "\n"
+    assert csv_text([row, (1, None)], "h") == "h\n" + ",".join(fields) + "\n1,\n"
+    assert float(csv_text([[np.float32(0.1)]])) == np.float32(0.1)
+    assert csv_text([], "x,y") == "x,y\n"
+    assert csv_text([]) == ""
 
 
 def test_csv_round_trip_exact(tmp_path):
