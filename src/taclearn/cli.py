@@ -19,13 +19,14 @@ the checkpoint recorded, and without one the images keep their own.
 
 Exit codes: 0 success, 1 validation error (bad config, files, parameters),
 2 runtime failure (running out of memory is one). Validation runs before
-anything is written. Every output is a deterministic function of (config,
-seed), so reruns produce identical bytes: importing taclearn pins BLAS to
-one thread, because the thread count can change the last bits of GEMM
-results and with them a training history. A thread variable set in the
-environment (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``,
-``MKL_NUM_THREADS``) overrides the pin, and outputs are then reproducible
-at that count only.
+anything is written, and ``--out`` is checked before any work: a file at it
+or at one of its ancestors exits 1. Every output is a deterministic
+function of (config, seed), so reruns produce identical bytes: importing
+taclearn pins BLAS to one thread, because the thread count can change the
+last bits of GEMM results and with them a training history. A thread
+variable set in the environment (``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``) overrides the pin, and outputs
+are then reproducible at that count only.
 """
 
 from __future__ import annotations
@@ -97,7 +98,12 @@ def main(argv=None) -> int:
         "eval": cmd_eval,
     }
     try:
-        return commands[args.command](args)
+        config = load_config(args.config)
+        run_seed = _run_seed(config, args)
+        found = _existing_ancestor(Path(args.out))
+        if not found.is_dir():
+            raise ValidationError(f"--out {args.out}: {found} is not a directory")
+        return commands[args.command](args, config, run_seed)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -123,6 +129,11 @@ def _sub_seed(run_seed: int, key: int) -> int:
     return Prng(run_seed).spawn(key).next_u64()
 
 
+def _existing_ancestor(path: Path) -> Path:
+    """`path` itself if it exists, else its nearest ancestor that does."""
+    return next(p for p in (path, *path.parents) if p.exists())
+
+
 @dataclass
 class _Bundle:
     """Loaded dataset: each split one normalized (N, H, W) stack plus its
@@ -143,17 +154,16 @@ class _Bundle:
 
 
 def _synthetic_config(config):
+    lo, hi = SyntheticTextureConfig.base_frequency_range
     return SyntheticTextureConfig(
         num_classes=config.get_int("dataset", "num_classes", maximum=MAX_SYNTHETIC_CLASSES),
         channels=config.get_int("dataset", "channels", 12, maximum=MAX_SYNTHETIC_CHANNELS),
         stream_length=config.get_int("dataset", "stream_length", 64,
                                      maximum=MAX_TEMPORAL_WIDTH),
-        base_frequency_range=(
-            config.get_float("dataset", "base_freq_lo", 0.05),
-            config.get_float("dataset", "base_freq_hi", 0.45),
-        ),
-        noise_floor=config.get_float("dataset", "noise_floor", 0.05),
-        seed=config.get_int("dataset", "seed", 0),
+        base_frequency_range=(config.get_float("dataset", "base_freq_lo", lo),
+                              config.get_float("dataset", "base_freq_hi", hi)),
+        noise_floor=config.get_float("dataset", "noise_floor", SyntheticTextureConfig.noise_floor),
+        seed=config.get_int("dataset", "seed", SyntheticTextureConfig.seed),
     )
 
 
@@ -170,8 +180,10 @@ def _synthetic_classes(config):
     generated one class at a time and only when asked for; a split without
     samples yields none. The test split starts at index train_per_class."""
     synth = _synthetic_config(config)
-    train_n = config.get_int("dataset", "train_per_class", 40, maximum=MAX_SAMPLES_PER_CLASS)
-    test_n = config.get_int("dataset", "test_per_class", 10, maximum=MAX_SAMPLES_PER_CLASS)
+    train_n = config.get_int("dataset", "train_per_class", 40, minimum=0,
+                             maximum=MAX_SAMPLES_PER_CLASS)
+    test_n = config.get_int("dataset", "test_per_class", 10, minimum=0,
+                            maximum=MAX_SAMPLES_PER_CLASS)
     cons_map = _constituent_map(config)
 
     def classes(n, start):
@@ -180,8 +192,8 @@ def _synthetic_classes(config):
             yield f"class {c}", str(c), cons_map.get(str(c)), generate_synthetic(synth, c, indices)
 
     return synthetic_sensor_spec(synth), {
-        "train": (max(0, train_n) * synth.num_classes, classes(train_n, 0)),
-        "test": (max(0, test_n) * synth.num_classes, classes(test_n, train_n))}
+        "train": (train_n * synth.num_classes, classes(train_n, 0)),
+        "test": (test_n * synth.num_classes, classes(test_n, train_n))}
 
 
 def _read_splits(config, splits, window):
@@ -307,20 +319,29 @@ def _augment_config(config, args, input_width, run_seed):
     )
 
 
+def _sgd_config(config, section, prefix, epochs, seed, **fixed):
+    """A TrainConfig whose SGD settings come from `section`'s keys named
+    `prefix` + field; an absent key takes `epochs`, `seed` or TrainConfig's
+    own default, and `fixed` sets the other fields."""
+    def read(name, get=config.get_float):
+        return get(section, prefix + name, getattr(TrainConfig, name))
+
+    return TrainConfig(epochs=config.get_int(section, prefix + "epochs", epochs, minimum=0),
+                       lr=read("lr"), momentum=read("momentum"),
+                       weight_decay=read("weight_decay"),
+                       batch_size=read("batch_size", config.get_int),
+                       seed=config.get_int(section, prefix + "seed", seed), **fixed)
+
+
 def _train_config(config, run_seed, task):
-    default_epochs = 50 if task == "composition" else 100
-    return TrainConfig(
-        epochs=config.get_int("train", "epochs", default_epochs),
-        lr=config.get_float("train", "lr", 0.01),
-        momentum=config.get_float("train", "momentum", 0.9),
-        weight_decay=config.get_float("train", "weight_decay", 1e-4),
-        batch_size=config.get_int("train", "batch_size", 16),
-        lr_schedule=config.get_str("train", "schedule", "plateau"),
-        seed=config.get_int("train", "seed", run_seed),
-        val_fraction=config.get_float("train", "val_fraction", 0.1),
-        plateau_patience=config.get_int("train", "plateau_patience", 10),
-        freeze_backend=config.get_bool("train", "freeze_backend", False),
-    )
+    def read(key, get, name=None):
+        return get("train", key, getattr(TrainConfig, name or key))
+
+    return _sgd_config(config, "train", "", 50 if task == "composition" else 100, run_seed,
+                       lr_schedule=read("schedule", config.get_str, "lr_schedule"),
+                       val_fraction=read("val_fraction", config.get_float),
+                       plateau_patience=read("plateau_patience", config.get_int),
+                       freeze_backend=read("freeze_backend", config.get_bool))
 
 
 def _prepare_out(out, config, run_seed) -> Path:
@@ -349,9 +370,7 @@ def _backend(checkpoint, seed, input_width):
     return backend
 
 
-def cmd_ingest(args) -> int:
-    config = load_config(args.config)
-    run_seed = _run_seed(config, args)
+def cmd_ingest(args, config, run_seed) -> int:
     mode = config.get_str("dataset", "mode")
 
     if mode == "synthetic":
@@ -386,9 +405,7 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    config = load_config(args.config)
-    run_seed = _run_seed(config, args)
+def cmd_train(args, config, run_seed) -> int:
     task = config.get_str("train", "task", "classify")
     if task not in ("classify", "composition"):
         raise ValidationError(f"[train] task must be classify or composition, got {task!r}")
@@ -428,9 +445,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_cl(args) -> int:
-    config = load_config(args.config)
-    run_seed = _run_seed(config, args)
+def cmd_cl(args, config, run_seed) -> int:
     bundle = _load_bundle(config)
 
     backend = _backend(config.get_str("cl", "backend_checkpoint", None),
@@ -441,18 +456,7 @@ def cmd_cl(args) -> int:
     if args.sweep:
         capacities = config.get_int_list("cl", "sweep_capacities")
     ridge_lambda = config.get_float("cl", "ridge_lambda", 1.0)
-    ft_epochs = config.get_int("cl", "ft_epochs", 10, minimum=0)
-    ft_cfg = None
-    if ft_epochs > 0:
-        ft_cfg = TrainConfig(
-            epochs=ft_epochs,
-            lr=config.get_float("cl", "ft_lr", 0.01),
-            momentum=config.get_float("cl", "ft_momentum", 0.9),
-            weight_decay=config.get_float("cl", "ft_weight_decay", 1e-4),
-            batch_size=config.get_int("cl", "ft_batch_size", 16),
-            lr_schedule="cosine",
-            seed=config.get_int("cl", "ft_seed", run_seed),
-        )
+    ft_cfg = _sgd_config(config, "cl", "ft_", 10, run_seed, lr_schedule="cosine")
     aug_cfg = None
     if config.get_bool("cl", "ft_augment", True):
         aug_cfg = _augment_config(config, args, bundle.input_width, run_seed)
@@ -467,11 +471,11 @@ def cmd_cl(args) -> int:
         fine_tune_cfg=ft_cfg, aug_cfg=aug_cfg, test_images=bundle.test_images,
         test_labels=bundle.test_labels or None, warm_start=warm_start,
     )
-    # each pass's files go to a staging directory beside --out as the pass
-    # ends and reach --out after the last one: a failed pass leaves --out as it was
+    # each pass's files go to a staging directory in the nearest existing
+    # ancestor of --out as the pass ends; --out and its missing parents are
+    # made after the last pass, so a failed pass leaves both as they were
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    stage = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+    stage = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=_existing_ancestor(out.parent)))
     try:
         _prepare_out(stage, config, run_seed)
         for cap, (ridge, fine_tuned, rows) in zip(capacities, runs):
@@ -486,7 +490,7 @@ def cmd_cl(args) -> int:
                 save_checkpoint(stage / f"final_{name}{suffix}.tacm",
                                 _model_checkpoint(clf.backend, "classify", clf.head, clf.classes))
             del ridge, fine_tuned, clf  # written: the next capacity's pass runs without them
-        out.mkdir(exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
         for path in stage.iterdir():
             os.replace(path, out / path.name)
     finally:
@@ -506,9 +510,7 @@ def _classifier_from_checkpoint(ckpt):
     return Classifier(ckpt.backend, head, classes)
 
 
-def cmd_eval(args) -> int:
-    config = load_config(args.config)
-    run_seed = _run_seed(config, args)
+def cmd_eval(args, config, run_seed) -> int:
     mode = args.mode
     bundle = _load_bundle(config, ("train", "test") if mode == "kfold" else ("test",))
     ckpt = load_checkpoint(args.checkpoint)

@@ -63,6 +63,8 @@ class TrainConfig:
             raise ValidationError(f"lr_schedule must be one of {SCHEDULES}")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValidationError(f"val_fraction must be in [0, 1), got {self.val_fraction}")
+        if self.plateau_patience < 1:
+            raise ValidationError(f"plateau_patience must be >= 1, got {self.plateau_patience}")
 
 
 @dataclass(frozen=True)

@@ -202,10 +202,43 @@ def test_malformed_loader_input_exits_one_before_outputs(tmp_path, capsys, name,
 
 
 def test_negative_per_class_count_exits_one_before_outputs(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path, train_per_class=-1, test_per_class=5)
+    # a negative test_per_class once ran cl to exit 0 without test scores
     out = tmp_path / "never"
-    assert main(["ingest", "--config", str(cfg), "--out", str(out)]) == 1
-    assert "index must be non-negative" in capsys.readouterr().err
+    for command, key in (("ingest", "train_per_class"), ("cl", "test_per_class")):
+        cfg = _write_cfg(tmp_path, **{"train_per_class": 6, "test_per_class": 5, key: -3})
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"[dataset] {key} must be an integer >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_an_out_at_or_under_a_file_exits_one_before_any_work(tmp_path, capsys, trained):
+    cfg, ckpt = trained
+    blocker = tmp_path / "file"
+    blocker.write_bytes(b"mine")
+    capsys.readouterr()
+    for command in (["ingest"], ["train"], ["cl"], ["eval", "noise", "--checkpoint", str(ckpt)]):
+        for out in (blocker, blocker / "sub"):
+            assert main([*command, "--config", str(cfg), "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert f"error: --out {out}: {blocker} is not a directory" in captured.err
+            assert captured.out == ""
+            assert blocker.read_bytes() == b"mine"
+
+
+@pytest.mark.parametrize("patience", [0, -3])
+def test_a_plateau_patience_below_one_exits_one_before_outputs(tmp_path, capsys, patience):
+    from taclearn.errors import ValidationError
+    from taclearn.model import TrainConfig
+
+    message = f"plateau_patience must be >= 1, got {patience}"
+    with pytest.raises(ValidationError, match=message):
+        TrainConfig(epochs=1, plateau_patience=patience)
+    cfg = _write_cfg(tmp_path)
+    cfg.write_text(cfg.read_text().replace(
+        "schedule = cosine", f"schedule = plateau\nplateau_patience = {patience}"))
+    out = tmp_path / "never"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -358,6 +391,9 @@ def test_a_failed_cl_leaves_out_as_it_found_it(tmp_path, capsys, monkeypatch):
         None, ["diverged.cfg", "kept"])
     assert _cl_out_entries(tmp_path, diverged, kept, 2) == (
         {"notes.txt": b"mine"}, ["diverged.cfg", "kept"])
+    # nor the missing parents of --out
+    assert _cl_out_entries(tmp_path, diverged, tmp_path / "deep" / "a" / "b" / "out", 2) == (
+        None, ["diverged.cfg", "kept"])
     assert "fine-tuning diverged" in capsys.readouterr().err
 
     # a later capacity's failure also takes back the files of the passes before it
@@ -1581,7 +1617,6 @@ def test_every_perfbench_traced_name_is_bound(monkeypatch):
 
 # Every key the six sections hold for train / cl / cl --sweep / eval, on a tiny
 # 3-class 12x32 dataset trained for one epoch, with the commands that read it.
-# [eval] threshold is left out: only composition eval reads it.
 FUZZ_CFG = {
     "dataset": {"mode": "synthetic", "num_classes": "3", "channels": "12",
                 "stream_length": "32", "base_freq_lo": "0.05", "base_freq_hi": "0.45",
@@ -1602,6 +1637,10 @@ FUZZ_CFG = {
              "noise_levels": "0,0.25"},
 }
 FUZZ_ABSENT = {("train", "pretrained"), ("cl", "backend_checkpoint")}  # paths, unset above
+# keys the commands read that the fuzz leaves out, with the reason
+FUZZ_EXCLUDED = {("run", "seed"): "the seed tests cover it",
+                 ("dataset", "manifest"): "a path, read in manifest mode only",
+                 ("eval", "threshold"): "only composition eval reads it"}
 FUZZ_COMMANDS = {"dataset": [["train"], ["cl"], ["eval", "noise"]], "augment": [["train"]],
                  "train": [["train"]], "cl": [["cl"], ["cl", "--sweep"]]}
 FUZZ_COMMANDS["transform"] = FUZZ_COMMANDS["dataset"]
@@ -1645,6 +1684,28 @@ def test_config_fuzz_ends_in_a_designed_exit(tmp_path, capsys):
                 if code not in (0, 1) and not (code == 2 and err.startswith("runtime failure:")):
                     surprises.append((section, key, value, command[:2], code, err))
     assert surprises == []
+
+
+def test_config_fuzz_covers_every_key_the_cli_reads(tmp_path, monkeypatch):
+    from taclearn.config import ExperimentConfig
+
+    looked_up, lookup = set(), ExperimentConfig._entry
+
+    def recorded(self, section, key, default):
+        looked_up.add((section, key))
+        return lookup(self, section, key, default)
+
+    monkeypatch.setattr(ExperimentConfig, "_entry", recorded)
+    cfg, ckpt = tmp_path / "fuzz.cfg", tmp_path / "train" / "model.tacm"
+    cfg.write_text(_fuzz_text())
+    commands = [["ingest"], ["train"], ["cl"], ["cl", "--sweep"],
+                *(["eval", mode, "--checkpoint", str(ckpt)]
+                  for mode in ("kfold", "length", "speed", "noise"))]
+    for i, command in enumerate(commands):
+        out = ckpt.parent if command == ["train"] else tmp_path / f"out{i}"
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == 0
+    fuzzed = {(s, k) for s, items in FUZZ_CFG.items() for k in items} | FUZZ_ABSENT
+    assert looked_up - fuzzed - FUZZ_EXCLUDED.keys() == set()
 
 
 @pytest.mark.parametrize("command, section, key, value, edits", [
