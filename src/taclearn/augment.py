@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .prng import Prng, uniform_at
-from .sensor_io import CAMERA_FRAMES
+from .sensor_io import CAMERA_FRAMES, MAX_NOISE_LEVEL
 from .tactile_image import TactileImage
 
 
@@ -58,7 +58,7 @@ from .tactile_image import TactileImage
 # takes 3 MB in float32, and its block-1 columns about 28 MB.
 MAX_TEMPORAL_WIDTH = 2**16
 JITTER_CHUNK = 2**16  # `jitter` holds float64 noise for this many entries at a time
-MAX_JITTER_LEVEL = 2.0**127  # image + noise, and its resampling, stay finite in float32
+MAX_JITTER_LEVEL = MAX_NOISE_LEVEL  # image + noise, and its resampling, stay finite
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,11 @@ the checkpoint recorded, and without one the images keep their own.
 Exit codes: 0 success, 1 validation error (bad config, files, parameters),
 2 runtime failure (running out of memory is one). Validation runs before
 anything is written, and ``--out`` is checked before any work: a file at it
-or at one of its ancestors exits 1. Every output is a deterministic
+or at one of its ancestors exits 1. Every command computes every output
+before it creates ``--out`` (``ingest`` writes its stream files after), so a
+failed run leaves ``--out`` and its missing parents as it found them; an
+entry of ``--out`` in the way of an output exits 1 before any write. Every
+output is a deterministic
 function of (config, seed), so reruns produce identical bytes: importing
 taclearn pins BLAS to one thread, because the thread count can change the
 last bits of GEMM results and with them a training history. A thread
@@ -33,9 +37,7 @@ from __future__ import annotations
 
 import argparse
 import os
-import shutil
 import sys
-import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -47,8 +49,8 @@ from .continual import cl_sweep
 from .errors import RuntimeFailure, ValidationError
 from .evaluate import (EvalReport, composition_eval, kfold_eval, length_sweep, noise_sweep,
                        speed_sweep)
-from .model import (Checkpoint, Classifier, ConvNetBackend, TrainConfig, embed_images,
-                    load_checkpoint, save_checkpoint, train_composition, train_supervised)
+from .model import (Checkpoint, Classifier, ConvNetBackend, TrainConfig, checkpoint_bytes,
+                    embed_images, load_checkpoint, train_composition, train_supervised)
 from .prng import Prng
 from .sensor_io import (MAX_SAMPLES_PER_CLASS, MAX_SYNTHETIC_CHANNELS, MAX_SYNTHETIC_CLASSES,
                         Manifest, ManifestEntry, SensorStream, SyntheticTextureConfig, csv_text,
@@ -344,19 +346,28 @@ def _train_config(config, run_seed, task):
                        freeze_backend=read("freeze_backend", config.get_bool))
 
 
-def _prepare_out(out, config, run_seed) -> Path:
+def _write_out(out, config, run_seed, files, more=()) -> Path:
+    """Create --out (no other code does) and write config.used.txt and `files`
+    (name -> text or bytes) into it, after checking that no entry of --out is
+    in the way of these names or of `more`, the files the caller writes next."""
     out = Path(out)
+    files = {"config.used.txt": config.resolved_text(run_seed), **files}
+    for path in (out / name for name in (*files, *more)):
+        found = _existing_ancestor(path)
+        if not (path.is_file() if found == path else found.is_dir()):
+            raise ValidationError(f"--out {out}: cannot write {path}: {found} is in the way")
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.used.txt").write_text(config.resolved_text(run_seed), encoding="utf-8")
+    for name, data in files.items():
+        (out / name).write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
     return out
 
 
-def _model_checkpoint(backend, task, head, classes=None):
+def _model_bytes(backend, task, head, classes=None) -> bytes:
     """A checkpoint holding one head, named after its task, and the run meta."""
     meta = {"task": task}
     if classes is not None:
         meta["classes"] = ";".join(classes)
-    return Checkpoint(backend=backend, heads={task: head}, meta=meta)
+    return checkpoint_bytes(Checkpoint(backend=backend, heads={task: head}, meta=meta))
 
 
 def _backend(checkpoint, seed, input_width):
@@ -372,13 +383,12 @@ def _backend(checkpoint, seed, input_width):
 
 def cmd_ingest(args, config, run_seed) -> int:
     mode = config.get_str("dataset", "mode")
+    streams = {}  # path in --out -> readings, of each stream file to write
 
     if mode == "synthetic":
         spec, classes = _synthetic_classes(config)
         groups = {split: list(gen) for split, (_, gen) in classes.items()}
         bounds = compute_bounds(readings for *_, readings in groups["train"])
-        out = _prepare_out(args.out, config, run_seed)
-        (out / "streams").mkdir(exist_ok=True)
         entries = []
         per_class_counter: dict[str, int] = {}
         for split in ("train", "test"):
@@ -387,7 +397,7 @@ def cmd_ingest(args, config, run_seed) -> int:
                     idx = per_class_counter.get(label, 0)
                     per_class_counter[label] = idx + 1
                     rel = f"streams/c{label}_s{idx:04d}.csv"
-                    write_stream(out / rel, SensorStream(spec=spec, readings=r), fmt="csv")
+                    streams[rel] = r
                     entries.append(ManifestEntry(rel, label, split, constituents))
     else:
         # manifest mode: parse every stream once, validate every image build, fill
@@ -395,10 +405,15 @@ def cmd_ingest(args, config, run_seed) -> int:
         # manifest lives
         bundle = _load_bundle(config)
         spec, bounds = bundle.manifest.spec, bundle.bounds
-        out = _prepare_out(args.out, config, run_seed)
         source = Path(config.get_str("dataset", "manifest")).parent
-        entries = [replace(e, path=os.path.relpath(source / e.path, out))
+        entries = [replace(e, path=os.path.relpath(source / e.path, args.out))
                    for e in bundle.manifest.entries]
+    # the stream files are written here, not held: their text can be many MB
+    out = _write_out(args.out, config, run_seed, {}, ["manifest.txt", *streams])
+    if streams:
+        (out / "streams").mkdir(exist_ok=True)
+    for rel, r in streams.items():
+        write_stream(out / rel, SensorStream(spec=spec, readings=r), fmt="csv")
     write_manifest(out / "manifest.txt", Manifest(spec=spec, entries=entries, norm_bounds=bounds))
     print(f"manifest samples={len(entries)} bounds=({bounds[0]!r},{bounds[1]!r}) "
           f"path={out / 'manifest.txt'}")
@@ -431,15 +446,14 @@ def cmd_train(args, config, run_seed) -> int:
 
     backend, head, history = trainer(bundle.train_images, targets, train_cfg, aug_cfg,
                                      backend=backend)
-    out = _prepare_out(args.out, config, run_seed)
+    out = _write_out(args.out, config, run_seed, {
+        "history.csv": csv_text([(h.epoch, h.loss, h.val_acc, h.lr) for h in history],
+                                "epoch,loss,val_acc,lr"),
+        "model.tacm": _model_bytes(backend, task, head, classes)})
 
     for row in history:
         val = "" if row.val_acc is None else f" val_acc={row.val_acc!r}"
         print(f"epoch={row.epoch} loss={row.loss!r}{val} lr={row.lr!r}")
-    (out / "history.csv").write_text(
-        csv_text([(h.epoch, h.loss, h.val_acc, h.lr) for h in history], "epoch,loss,val_acc,lr"),
-        encoding="utf-8")
-    save_checkpoint(out / "model.tacm", _model_checkpoint(backend, task, head, classes))
     final = f" final_loss={history[-1].loss!r}" if history else ""
     print(f"checkpoint={out / 'model.tacm'}{final}")
     return 0
@@ -471,30 +485,21 @@ def cmd_cl(args, config, run_seed) -> int:
         fine_tune_cfg=ft_cfg, aug_cfg=aug_cfg, test_images=bundle.test_images,
         test_labels=bundle.test_labels or None, warm_start=warm_start,
     )
-    # each pass's files go to a staging directory in the nearest existing
-    # ancestor of --out as the pass ends; --out and its missing parents are
-    # made after the last pass, so a failed pass leaves both as they were
-    out = Path(args.out)
-    stage = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=_existing_ancestor(out.parent)))
-    try:
-        _prepare_out(stage, config, run_seed)
-        for cap, (ridge, fine_tuned, rows) in zip(capacities, runs):
-            suffix = f"_cap{cap}" if len(capacities) > 1 else ""
-            (stage / f"cl_steps{suffix}.csv").write_text(
-                csv_text(rows, "t,acc_ridge,acc_fine_tuned,buffer_size"), encoding="utf-8")
-            for t, acc_r, acc_f, size in rows:
-                acc_r_s = "" if acc_r is None else f" acc_ridge={acc_r!r}"
-                acc_f_s = "" if acc_f is None else f" acc_ft={acc_f!r}"
-                print(f"capacity={cap} t={t}{acc_r_s}{acc_f_s} buffer={size}")
-            for name, clf in (("ridge", ridge), ("fine_tuned", fine_tuned)):
-                save_checkpoint(stage / f"final_{name}{suffix}.tacm",
-                                _model_checkpoint(clf.backend, "classify", clf.head, clf.classes))
-            del ridge, fine_tuned, clf  # written: the next capacity's pass runs without them
-        out.mkdir(parents=True, exist_ok=True)
-        for path in stage.iterdir():
-            os.replace(path, out / path.name)
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
+    suffixes = [f"_cap{cap}" if len(capacities) > 1 else "" for cap in capacities]
+    files = {}
+    for cap, suffix, (ridge, fine_tuned, rows) in zip(capacities, suffixes, runs):
+        files[f"cl_steps{suffix}.csv"] = csv_text(rows, "t,acc_ridge,acc_fine_tuned,buffer_size")
+        for t, acc_r, acc_f, size in rows:
+            acc_r_s = "" if acc_r is None else f" acc_ridge={acc_r!r}"
+            acc_f_s = "" if acc_f is None else f" acc_ft={acc_f!r}"
+            print(f"capacity={cap} t={t}{acc_r_s}{acc_f_s} buffer={size}")
+        files[f"final_fine_tuned{suffix}.tacm"] = _model_bytes(
+            fine_tuned.backend, "classify", fine_tuned.head, fine_tuned.classes)
+        del fine_tuned  # held as bytes: the next capacity's pass runs without it
+    # every capacity returns the last step's one ridge model
+    ridge = _model_bytes(ridge.backend, "classify", ridge.head, ridge.classes)
+    files.update((f"final_ridge{suffix}.tacm", ridge) for suffix in suffixes)
+    _write_out(args.out, config, run_seed, files)
     return 0
 
 
@@ -553,11 +558,9 @@ def cmd_eval(args, config, run_seed) -> int:
             curve = noise_sweep(clf, images, labels, levels, seed=run_seed)
         report = EvalReport(task_id=mode, curves={mode: curve})
 
-    out = _prepare_out(args.out, config, run_seed)
-    if curve is not None:
-        (out / f"{mode}_curve.csv").write_text(csv_text(curve, "x,y"), encoding="utf-8")
-    (out / "report.csv").write_text(report.to_csv(), encoding="utf-8")
-    (out / "summary.txt").write_text(report.summary_text(), encoding="utf-8")
+    curves = {} if curve is None else {f"{mode}_curve.csv": csv_text(curve, "x,y")}
+    _write_out(args.out, config, run_seed,
+               {**curves, "report.csv": report.to_csv(), "summary.txt": report.summary_text()})
     print(report.summary_text(), end="")
     return 0
 

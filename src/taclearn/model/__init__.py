@@ -3,6 +3,7 @@ from .backend import (
     ConvNetBackend,
     LinearHead,
     MIN_INPUT,
+    checkpoint_bytes,
     load_checkpoint,
     save_checkpoint,
 )

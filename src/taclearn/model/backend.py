@@ -13,6 +13,7 @@ parameters as little-endian float32 in header order.
 
 from __future__ import annotations
 
+import copy
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -140,10 +141,7 @@ class ConvNetBackend:
             offset += p.size
 
     def clone(self) -> "ConvNetBackend":
-        other = ConvNetBackend(self.in_channels, self.widths, self.kernel, self.stride,
-                               input_width=self.input_width)
-        other.set_flat(self.get_flat())
-        return other
+        return copy.deepcopy(self)  # a copy: no fresh draw to overwrite
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
         """(N, in_channels, H, W) input; a one-channel backend also takes
@@ -256,12 +254,12 @@ def to_float32(values: np.ndarray) -> np.ndarray | None:
     return out if np.isfinite(out).all() else None
 
 
-def save_checkpoint(path, ckpt: Checkpoint) -> None:
+def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
     header_lines = [ckpt.backend.arch_header()]
     flat_parts = [ckpt.backend.get_flat()]
     for name, head in ckpt.heads.items():
-        if any(ch.isspace() for ch in name):
-            raise ValidationError(f"head name may not contain whitespace: {name!r}")
+        if not name or any(ch.isspace() for ch in name):  # load splits on whitespace
+            raise ValidationError(f"head name must be non-empty, without whitespace: {name!r}")
         header_lines.append(f"head {name} {head.in_dim} {head.out_dim}")
         flat_parts.append(head.weights.ravel())
         flat_parts.append(head.bias.ravel())
@@ -278,11 +276,12 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     flat = to_float32(np.concatenate(flat_parts))
     if flat is None:
         raise ValidationError("checkpoint parameters must be finite in float32")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sII", _CKPT_MAGIC, _CKPT_VERSION, len(header)))
-        fh.write(header)
-        fh.write(struct.pack("<I", flat.size))
-        fh.write(flat.tobytes())
+    return b"".join((struct.pack("<4sII", _CKPT_MAGIC, _CKPT_VERSION, len(header)), header,
+                     struct.pack("<I", flat.size), flat.tobytes()))
+
+
+def save_checkpoint(path, ckpt: Checkpoint) -> None:
+    Path(path).write_bytes(checkpoint_bytes(ckpt))
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -299,7 +298,8 @@ def load_checkpoint(path) -> Checkpoint:
     if offset + 4 > len(raw):
         raise ValidationError(f"{path}: header length {header_len} runs past the end of the file")
     try:
-        header = raw[12:offset].decode("utf-8").splitlines()
+        # "\n" alone ends a line: a meta value may hold any other line break
+        header = raw[12:offset].decode("utf-8").split("\n")
     except UnicodeDecodeError:
         raise ValidationError(f"{path}: checkpoint header is not UTF-8") from None
     (n_params,) = struct.unpack_from("<I", raw, offset)

@@ -121,6 +121,7 @@ class SensorStream:
 MAX_SYNTHETIC_CLASSES = 2**16
 MAX_SYNTHETIC_CHANNELS = 2**10
 MAX_SAMPLES_PER_CLASS = 2**16
+MAX_NOISE_LEVEL = 2.0**127  # signal + noise, and its images, stay finite in float32
 
 
 @dataclass(frozen=True)
@@ -146,8 +147,9 @@ class SyntheticTextureConfig:
             raise ValidationError(
                 f"base_frequency_range must lie within (0, 0.5), got {self.base_frequency_range}"
             )
-        if not 0 <= self.noise_floor < math.inf:
-            raise ValidationError(f"noise_floor must be finite and >= 0, got {self.noise_floor}")
+        if not 0 <= self.noise_floor <= MAX_NOISE_LEVEL:
+            raise ValidationError(
+                f"noise_floor must be finite and >= 0, at most 2**127, got {self.noise_floor}")
 
 
 # Base amplitudes of the fundamental and its two harmonics; each class scales

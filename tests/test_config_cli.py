@@ -372,7 +372,7 @@ def test_a_negative_ft_epochs_exits_one_before_outputs(tmp_path, capsys):
 
 def _cl_out_entries(tmp_path, cfg, out, code, flags=("--sweep",)):
     """Run `cl` into `out` expecting `code`; `out`'s files by name (None when
-    it does not exist) and the names beside it, so no staging is left over."""
+    it does not exist) and the names beside it, so nothing else is left over."""
     assert main(["cl", *flags, "--config", str(cfg), "--out", str(out)]) == code
     files = {f.name: f.read_bytes() for f in out.iterdir()} if out.exists() else None
     return files, sorted(p.name for p in tmp_path.iterdir())
@@ -396,21 +396,75 @@ def test_a_failed_cl_leaves_out_as_it_found_it(tmp_path, capsys, monkeypatch):
         None, ["diverged.cfg", "kept"])
     assert "fine-tuning diverged" in capsys.readouterr().err
 
-    # a later capacity's failure also takes back the files of the passes before it
-    cfg, saved = _write_cfg(tmp_path), []
+    # a failure after every pass, serializing the ridge model, writes nothing either
+    cfg, serialized = _write_cfg(tmp_path), []
 
-    def fail_on_the_third_save(path, checkpoint):
-        saved.append(Path(path).name)
-        if len(saved) == 3:
+    def fail_on_the_third(checkpoint):
+        serialized.append(checkpoint.meta["task"])
+        if len(serialized) == 3:
             raise RuntimeFailure("injected")
-        save(path, checkpoint)
+        return serialize(checkpoint)
 
-    save = cli.save_checkpoint
-    monkeypatch.setattr(cli, "save_checkpoint", fail_on_the_third_save)
+    serialize = cli.checkpoint_bytes
+    monkeypatch.setattr(cli, "checkpoint_bytes", fail_on_the_third)
     assert _cl_out_entries(tmp_path, cfg, tmp_path / "never", 2) == (
         None, ["diverged.cfg", "exp.cfg", "kept"])
-    assert saved == ["final_ridge_cap6.tacm", "final_fine_tuned_cap6.tacm",
-                     "final_ridge_cap12.tacm"]
+    # the fine-tuned models of capacities 6 and 12, then the one ridge model
+    assert serialized == ["classify"] * 3
+
+
+def test_cl_sweep_passes_run_before_out_or_anything_beside_it_exists(tmp_path, monkeypatch):
+    from taclearn import continual
+
+    cfg, out = _write_cfg(tmp_path), tmp_path / "deep" / "out"
+    before, looks = sorted(tmp_path.iterdir()), []
+
+    def look(*args, **kwargs):
+        looks.append((out.exists(), sorted(tmp_path.iterdir()) == before))
+        return fine_tune(*args, **kwargs)
+
+    fine_tune = continual.fine_tune
+    monkeypatch.setattr(continual, "fine_tune", look)
+    assert main(["cl", "--sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    # 3 classes: steps 2 and 3 of both capacities fine-tune
+    assert looks == [(False, True)] * 4
+    assert (out / "final_ridge_cap12.tacm").is_file()
+
+
+def _out_state(out):
+    """Every entry under `out` with a regular file's bytes, else None."""
+    return {p: p.read_bytes() if p.is_file() else None for p in sorted(out.rglob("*"))}
+
+
+@pytest.mark.parametrize("command, entry, kind", [
+    (["train"], "model.tacm", "dir"),
+    (["ingest"], "manifest.txt", "dir"),
+    (["ingest"], "streams/c1_s0002.csv", "dir"),
+    (["ingest"], "streams", "file"),
+    (["cl"], "final_ridge.tacm", "dir"),
+    (["eval", "noise"], "report.csv", "dir"),
+    (["eval", "noise"], "config.used.txt", "dir"),
+])
+def test_an_entry_of_out_in_the_way_of_an_output_exits_one_before_any_write(
+        trained, tmp_path, capsys, command, entry, kind):
+    cfg, ckpt = trained
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_bytes(b"mine")
+    if kind == "dir":
+        (out / entry).mkdir(parents=True)
+    else:
+        (out / entry).write_bytes(b"a file")
+
+    def state():
+        return {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
+
+    found = state()
+    extra = ["--checkpoint", str(ckpt)] if command[0] == "eval" else []
+    assert main([*command, *extra, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out ") and f"{out / entry} is in the way" in err
+    assert state() == found
 
 
 def test_cl_into_an_existing_out_keeps_its_files(tmp_path):
@@ -1478,6 +1532,21 @@ def test_non_finite_config_values_exit_one_before_outputs(tmp_path, capsys, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["ingest", "train"])
+def test_a_noise_floor_beyond_float32_exits_one_and_2_to_127_runs(tmp_path, capsys, command):
+    cfg = _write_cfg(tmp_path)
+    text = cfg.read_text()
+    never = tmp_path / "never"
+    for value in ("1e39", "1e300"):
+        cfg.write_text(text.replace("noise_floor = 0.05", f"noise_floor = {value}"))
+        assert main([command, "--config", str(cfg), "--out", str(never)]) == 1
+        assert "noise_floor must be finite and >= 0, at most 2**127" in capsys.readouterr().err
+    assert not never.exists()
+    # the bound itself runs; a float32 overflow would warn, an error in this suite
+    cfg.write_text(text.replace("noise_floor = 0.05", f"noise_floor = {2**127}"))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
 @pytest.mark.parametrize("section, key", [
     ("dataset", "num_classes"), ("dataset", "channels"), ("dataset", "stream_length"),
     ("dataset", "train_per_class"), ("dataset", "test_per_class"),
@@ -1646,7 +1715,7 @@ FUZZ_COMMANDS = {"dataset": [["train"], ["cl"], ["eval", "noise"]], "augment": [
 FUZZ_COMMANDS["transform"] = FUZZ_COMMANDS["dataset"]
 FUZZ_EVAL_MODES = {"k": "kfold", "ridge_lambda": "kfold", "lengths": "length",
                    "speeds": "speed", "noise_levels": "noise"}
-FUZZ_VALUES = ["0", "-1", "nan", "inf", "x", "1,2", str(2**62)]
+FUZZ_VALUES = ["0", "-1", "nan", "inf", "x", "1,2", str(2**62), "1e39", "1e300"]
 # in-range values whose only effect is a run of 2**62 epochs
 FUZZ_SKIP = {("train", "epochs", str(2**62)), ("cl", "ft_epochs", str(2**62))}
 

@@ -475,6 +475,46 @@ def test_checkpoint_round_trip(tmp_path, random_backend):
     assert np.abs(loaded.heads["classify"].weights - head.weights).max() <= 1e-6
 
 
+@pytest.mark.parametrize("sep", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                 "\u2028", "\u2029"])
+def test_a_meta_value_with_a_line_break_other_than_newline_round_trips(tmp_path, sep):
+    # load splits the header on "\n" alone, the one separator save writes
+    path = tmp_path / "model.tacm"
+    meta = {"classes": f"a{sep}b;c", "note": sep}
+    save_checkpoint(path, Checkpoint(backend=ConvNetBackend(seed=3, input_width=24), meta=meta))
+    loaded = load_checkpoint(path)
+    assert loaded.meta == meta and loaded.backend.input_width == 24
+
+
+@pytest.mark.parametrize("name", ["", "a b", "a\tb"])
+def test_save_refuses_a_head_name_load_could_not_read(tmp_path, name):
+    head = LinearHead(np.zeros((128, 2)), np.zeros(2))
+    with pytest.raises(ValidationError, match="head name must be non-empty, without whitespace"):
+        save_checkpoint(tmp_path / "m.tacm", Checkpoint(backend=ConvNetBackend(seed=3),
+                                                        heads={name: head}))
+    assert not (tmp_path / "m.tacm").exists()
+
+
+def test_a_clone_is_an_independent_copy_that_draws_nothing(monkeypatch):
+    from taclearn.model import backend as backend_module
+
+    source = ConvNetBackend(seed=3, input_width=24)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a clone drew from the Prng")
+
+    monkeypatch.setattr(backend_module, "Prng", refuse)
+    clone = source.clone()
+    assert (clone.arch_header(), clone.input_width) == (source.arch_header(), 24)
+    assert all(a.dtype == b.dtype and np.array_equal(a, b)
+               for a, b in zip(clone.params(), source.params(), strict=True))
+    before = source.get_flat()
+    for p in clone.params():
+        p += 1.0
+    clone.input_width = 12
+    assert np.array_equal(source.get_flat(), before) and source.input_width == 24
+
+
 def test_input_width_survives_save_load_and_clone(tmp_path):
     backend = ConvNetBackend(seed=3, input_width=24)
     assert backend.clone().input_width == 24

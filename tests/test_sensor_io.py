@@ -149,6 +149,11 @@ def test_synthetic_config_validation():
         with pytest.raises(ValidationError, match="noise_floor must be finite and >= 0"):
             SyntheticTextureConfig(num_classes=2, channels=4, stream_length=64,
                                    noise_floor=noise_floor)
+    # beyond 2**127 the float32 readings overflow
+    for noise_floor in (math.nextafter(2.0**127, math.inf), 1e39, 1e300):
+        with pytest.raises(ValidationError, match="noise_floor .* at most 2\\*\\*127"):
+            SyntheticTextureConfig(num_classes=2, channels=4, stream_length=64,
+                                   noise_floor=noise_floor)
 
 
 # sha256 of every class's readings at indices start..start+per_class-1,
